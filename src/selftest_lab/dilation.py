@@ -87,6 +87,16 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _check_pair(src: Strategy, dst: Strategy):
+    """Require the same questions, and per question the same answers, on each side."""
+    for side, fams, dst_fams in (("Alice", src.alice, dst.alice), ("Bob", src.bob, dst.bob)):
+        counts, dst_counts = [len(f) for f in fams], [len(f) for f in dst_fams]
+        if counts != dst_counts:
+            raise DimensionMismatch(
+                f"src and dst give {side} answer counts {counts} and {dst_counts} per question"
+            )
+
+
 def _target_vector(row_target: np.ndarray, aux: np.ndarray, dims) -> np.ndarray:
     """Reorder (target (x) aux) into the (A~ A^ B~ B^ P) factor order."""
     d_ta, d_ha, d_tb, d_hb, d_p = dims
@@ -116,8 +126,7 @@ def dilation_residuals(
         raise WitnessMismatch("witness target factors do not match dst dimensions")
     if w.u_a.shape[1] != src.dims[0] or w.u_b.shape[1] != src.dims[1]:
         raise WitnessMismatch("witness domains do not match src dimensions")
-    if len(src.alice) != len(dst.alice) or len(src.bob) != len(dst.bob):
-        raise DimensionMismatch("src and dst must share question sets")
+    _check_pair(src, dst)
     psi_dst = dst.pure_state()
     if src.is_pure:
         psi = src.state
@@ -328,6 +337,7 @@ def matrix_form_residual(
     1e-10 exactly when the matrix-form dilation condition holds for this
     isometry and auxiliary state.
     """
+    _check_pair(src, dst)
     psi_dst = dst.pure_state()
     u_a = linalg.as_complex(u_a)
     u_b = linalg.as_complex(u_b)
@@ -363,6 +373,7 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
     maximum.  Both strategies must be pure and full-rank and ``U_A, U_B``
     square unitaries compatible with the factorizations.
     """
+    _check_pair(src, dst)
     psi = src.pure_state()
     psi_dst = dst.pure_state()
     for st, name in ((src, "src"), (dst, "dst")):

@@ -267,6 +267,8 @@ def correlation_of(s: Strategy) -> Correlation:
     report = validate_strategy(s)
     if not report.valid:
         raise InvalidStrategy("correlation requested for an invalid strategy")
+    if not s.alice or not s.bob:
+        raise InvalidStrategy("correlation needs at least one question on each side")
     d_a, d_b = s.dims
     n_s, n_t = len(s.alice), len(s.bob)
     n_a = max(len(f) for f in s.alice)

@@ -59,21 +59,9 @@ def hermiticity_defect(h) -> float:
     return frobenius(h - h.conj().T)
 
 
-def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
-    h = require_square(h)
-    return hermiticity_defect(h) <= tol * max(1.0, frobenius(h))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the left factor on the coarse index."""
     return np.kron(as_complex(a), as_complex(b))
-
-
-def kron_all(*ops) -> np.ndarray:
-    out = as_complex(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_complex(op))
-    return out
 
 
 def partial_trace(op, dims: tuple[int, int], keep) -> np.ndarray:

@@ -9,6 +9,17 @@ Two scalar figures of merit aggregate per-element tables by maximum:
 
 Both vanish on full-rank-and-projective strategies and are invariant under
 attaching product ancillas and conjugating by local unitaries.
+
+The tables never form the joint density or a marginal.  With ``sigma`` the
+marginal of ``|psi>`` on the element's side and ``X = (E (x) 1)|psi>``:
+
+* ``||[Pi, E]||_sigma = || ((1 - Pi) (x) 1) X ||``;
+* ``<1 - E, E>_sigma = tr[(1 - E) E sigma] = <psi| X - (E (x) 1) X>``.
+
+Each element acts on ``psi`` as one tensor factor (``E M`` for Alice and
+``M E^T`` for Bob on the state matrix ``M = psi.reshape(dA, dB)``), so an
+element costs three such applications, ``O(dA * dB * d_side)`` time and
+``O(dA * dB)`` memory.
 """
 
 from __future__ import annotations
@@ -52,40 +63,33 @@ def _clip_or_raise(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def _support_table(families, pi, psi, dims, side):
-    """Per-element ``||[Pi, E]||_sigma``.
+def _apply(e, psi, dims, side):
+    """``(E (x) 1)|psi>`` for Alice, ``(1 (x) E)|psi>`` for Bob."""
+    return linalg.apply_factors(psi, dims, (e, None) if side == "A" else (None, e))
 
-    Uses the identity ``||[Pi, E]||^2_sigma = <psi|(E^2 - E Pi E) (x) 1|psi>``
-    in its factored form ``|| ((1 - Pi) E (x) 1)|psi> ||``, which stays
-    accurate near zero (no cancellation under the square root).
+
+def _element_tables(families, pi, psi, dims, side):
+    """Per-element ``||[Pi, E]||_sigma`` and ``<1 - E, E>_sigma`` tables.
+
+    With ``X = (E (x) 1)|psi>`` the support entry is ``|| ((1 - Pi) (x) 1) X ||``,
+    the factored form of ``||[Pi, E]||^2_sigma = <psi|(E^2 - E Pi E) (x) 1|psi>``,
+    which stays accurate near zero (no cancellation under the square root).
+    The overlap entry is ``<psi|X - (E (x) 1) X>`` (real, clipped at zero).
     """
     comp = linalg.identity(pi.shape[0]) - pi
-    out = []
+    comm, over = [], []
     for fam in families:
-        row = []
+        comm_row, over_row = [], []
         for e in fam:
-            op = comp @ linalg.as_complex(e)
-            ops = (op, None) if side == "A" else (None, op)
-            row.append(float(np.linalg.norm(linalg.apply_factors(psi, dims, ops))))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _overlap_table(families, sigma):
-    """Per-element ``<1 - E, E>_sigma`` (real, clipped at zero)."""
-    dim = sigma.shape[0]
-    eye = linalg.identity(dim)
-    out = []
-    for fam in families:
-        row = []
-        for e in fam:
-            e = linalg.as_complex(e)
+            x = _apply(e, psi, dims, side)
+            comm_row.append(float(np.linalg.norm(_apply(comp, x, dims, side))))
             val = _clip_or_raise(
-                float(np.real(np.trace((eye - e) @ e @ sigma))), "<1-E, E>"
+                float(np.real(np.vdot(psi, x - _apply(e, x, dims, side)))), "<1-E, E>"
             )
-            row.append(val if val >= DUST_FLOOR else 0.0)
-        out.append(tuple(row))
-    return tuple(out)
+            over_row.append(val if val >= DUST_FLOOR else 0.0)
+        comm.append(tuple(comm_row))
+        over.append(tuple(over_row))
+    return tuple(comm), tuple(over)
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,8 @@ def strategy_metrics(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> Strateg
     psi = s.pure_state()
     sd = schmidt.schmidt_decompose(psi, s.dims, rank_tol=rank_tol)
     pi_a, pi_b = schmidt.local_supports(sd)
-    sigma_a, sigma_b = schmidt.marginals(s)
-    a_comm = _support_table(s.alice, pi_a, psi, s.dims, "A")
-    b_comm = _support_table(s.bob, pi_b, psi, s.dims, "B")
-    a_over = _overlap_table(s.alice, sigma_a)
-    b_over = _overlap_table(s.bob, sigma_b)
+    a_comm, a_over = _element_tables(s.alice, pi_a, psi, s.dims, "A")
+    b_comm, b_over = _element_tables(s.bob, pi_b, psi, s.dims, "B")
     support_eps = max((x for t in a_comm + b_comm for x in t), default=0.0)
     projective_eps = float(
         np.sqrt(max((x for t in a_over + b_over for x in t), default=0.0))

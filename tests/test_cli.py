@@ -269,3 +269,28 @@ def test_cli_repro_robustness_json_reports_constant(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["constant"] == pytest.approx(8.0)
     assert len(out["rows"]) > 0
+
+
+@pytest.mark.parametrize("form", ["vector", "matrix", "extraction"])
+@pytest.mark.parametrize("src,dst", [("chsh", "trine"), ("trine", "chsh")])
+def test_cli_check_dilation_rejects_mismatched_questions(tmp_path, capsys, form, src, dst):
+    # trine has a third Bob question; every form refuses the pair as input
+    w = DilationWitness(
+        u_a=np.eye(2, dtype=complex), u_b=np.eye(2, dtype=complex),
+        dims_a=(2, 1), dims_b=(2, 1), aux=scalar_aux(),
+    )
+    wit = write_json(tmp_path, "w.json", serialize.witness_to_jsonable(w, form=form))
+    argv = ["check-dilation", str(FIXTURES / f"{src}.json"), str(FIXTURES / f"{dst}.json"), wit]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_correlation_rejects_empty_side(tmp_path, capsys):
+    s = canonical_chsh()
+    empty = Strategy(state=s.state, dims=s.dims, alice=[], bob=s.bob)
+    path = write_json(tmp_path, "empty.json", serialize.strategy_to_jsonable(empty))
+    assert run(["correlation", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

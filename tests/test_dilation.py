@@ -17,7 +17,7 @@ from selftest_lab.dilation import (
     vector_witness_from_extraction,
     vector_witness_from_matrix_form,
 )
-from selftest_lab.errors import FullRankRequired, WitnessMismatch
+from selftest_lab.errors import DimensionMismatch, FullRankRequired, WitnessMismatch
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.metrics import projective_eps, support_preserving_eps
@@ -439,3 +439,18 @@ def test_witness_validation():
             dims_b=(2, 1),
             aux=np.array([0.5, 0.5], dtype=complex),  # not normalized
         )
+
+
+def test_all_forms_reject_mismatched_answer_counts():
+    # same question counts, but Bob's question 1 has 2 answers in chsh and 3 here
+    chsh = canonical_chsh()
+    t = trine_strategy()
+    other = Strategy(state=t.state, dims=t.dims, alice=t.alice, bob=t.bob[1:])
+    eye = np.eye(2, dtype=complex)
+    for src, dst in ((chsh, other), (other, chsh)):
+        with pytest.raises(DimensionMismatch):
+            dilation_residuals(src, dst, identity_witness(src))
+        with pytest.raises(DimensionMismatch):
+            matrix_form_residual(src, dst, eye, eye, (2, 1), (2, 1), np.ones((1, 1)))
+        with pytest.raises(DimensionMismatch):
+            extraction_residual(src, dst, eye, eye)

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selftest_lab import linalg
 from selftest_lab.errors import PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.metrics import (
+    DUST_FLOOR,
     hat_operators,
     projective_eps,
     state_dependent_norm,
@@ -13,7 +18,7 @@ from selftest_lab.metrics import (
     strategy_metrics,
     support_preserving_eps,
 )
-from selftest_lab.naimark import PAULI_X, PAULI_Z
+from selftest_lab.naimark import PAULI_X, PAULI_Z, naimark_strategy
 from selftest_lab.schmidt import local_supports, restrict, schmidt_decompose
 
 from helpers import (
@@ -317,3 +322,71 @@ def test_invariance_under_ancilla_and_local_unitaries():
         assert projective_eps(transformed) == pytest.approx(
             projective_eps(s), abs=1e-10
         )
+
+
+def density_oracle_tables(s):
+    """Per-element tables from the joint density: ``||((1-Pi)E (x) 1)psi||``
+    with the product ``(1-Pi)E`` formed, and ``tr((1-E)E sigma)`` with the
+    same clip at zero and dust floor as the library."""
+    rho = s.density()
+    supports = local_supports(schmidt_decompose(s.state, s.dims))
+    tables = []
+    for k, fams in enumerate((s.alice, s.bob)):
+        sigma = linalg.partial_trace(rho, s.dims, "AB"[k])
+        comp = np.eye(s.dims[k]) - supports[k]
+        comm, over = [], []
+        for fam in fams:
+            ops = [(comp @ e, None) if k == 0 else (None, comp @ e) for e in fam]
+            comm.append([np.linalg.norm(linalg.apply_factors(s.state, s.dims, o)) for o in ops])
+            raw = [np.real(np.trace((np.eye(s.dims[k]) - e) @ e @ sigma)) for e in fam]
+            over.append([v if v >= DUST_FLOOR else 0.0 for v in raw])
+        tables += [comm, over]
+    return tables
+
+
+@st.composite
+def pure_strategies(draw):
+    d_a = draw(st.integers(1, 5))
+    d_b = draw(st.integers(1, 5).filter(lambda d: d != d_a))
+    rank = draw(st.integers(1, min(d_a, d_b)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outcomes = st.integers(1, 4)
+    questions = st.lists(outcomes, min_size=1, max_size=3)
+    return Strategy(
+        state=random_bipartite_state(rng, d_a, d_b, rank=rank),
+        dims=(d_a, d_b),
+        alice=[random_povm(rng, d_a, m) for m in draw(questions)],
+        bob=[random_povm(rng, d_b, m) for m in draw(questions)],
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pure_strategies())
+def test_state_vector_tables_match_density_oracle(s):
+    m = strategy_metrics(s)
+    got = (m.alice_commutator_norms, m.alice_overlaps, m.bob_commutator_norms, m.bob_overlaps)
+    for table, want in zip(got, density_oracle_tables(s), strict=True):
+        for row, want_row in zip(table, want, strict=True):
+            assert np.max(np.abs(np.subtract(row, want_row))) <= 1e-12
+
+
+def test_dilated_metrics_build_no_joint_density():
+    # rank 2 on C^2 (x) C^2; Naimark dims 2*2*2 = 8 and 2*2*2*3^3 = 216, so the
+    # joint density of the dilation alone would take 1728^2 * 16 B = 45.6 MiB
+    rng = np.random.default_rng(7)
+    s = Strategy(
+        state=random_bipartite_state(rng, 2, 2, rank=2),
+        dims=(2, 2),
+        alice=[random_povm(rng, 2, 2) for _ in range(2)],
+        bob=[random_povm(rng, 2, m) for m in (2, 2, 3, 3, 3)],
+    )
+    dilated, _, _ = naimark_strategy(s)
+    assert dilated.dims[0] * dilated.dims[1] >= 1728
+    tracemalloc.start()
+    try:
+        m = strategy_metrics(dilated)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert m.projective_eps == 0.0
