@@ -106,6 +106,32 @@ def _target_vector(row_target: np.ndarray, aux: np.ndarray, dims) -> np.ndarray:
     )
 
 
+def _purified(s: Strategy) -> tuple[np.ndarray, int]:
+    """The state as a vector and its purifier dimension: ``s.state`` and 1 when
+    pure, else the spectral purification."""
+    if s.is_pure:
+        return s.state, 1
+    psi = schmidt.purify(s.state)
+    return psi, psi.size // (s.dims[0] * s.dims[1])
+
+
+def _aux_component(rotated: np.ndarray, psi_dst: np.ndarray, dims) -> np.ndarray:
+    """Recover aux as the normalized ``psi~``-component of a rotated state.
+
+    ``rotated`` is in (A~ A^ B~ B^ P) factor order with ``dims`` those five
+    dimensions; the result lives on (A^ B^ P).
+    """
+    d_ta, d_ha, d_tb, d_hb, d_p = dims
+    m = linalg.permute_systems(rotated, dims, (0, 2, 1, 3, 4)).reshape(
+        d_ta * d_tb, d_ha * d_hb * d_p
+    )
+    aux = psi_dst.conj() @ m
+    norm = np.linalg.norm(aux)
+    if norm < 1e-6:
+        raise WitnessMismatch("rotated state has no component along the target state")
+    return aux / norm
+
+
 def dilation_residuals(
     src: Strategy,
     dst: Strategy,
@@ -128,12 +154,7 @@ def dilation_residuals(
         raise WitnessMismatch("witness domains do not match src dimensions")
     _check_pair(src, dst)
     psi_dst = dst.pure_state()
-    if src.is_pure:
-        psi = src.state
-        d_p = 1
-    else:
-        psi = schmidt.purify(src.state)
-        d_p = psi.size // (src.dims[0] * src.dims[1])
+    psi, d_p = _purified(src)
     if w.purifier_dim != d_p:
         raise WitnessMismatch(
             f"aux purifier factor is {w.purifier_dim}, purification needs {d_p}"
@@ -215,12 +236,14 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
     bounded by the projectivity defect of ``s``.
     """
-    dilated, v_a, v_b = naimark.naimark_strategy(s)
+    s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
+    v_a = naimark.naimark_isometry(s.alice)
+    v_b = naimark.naimark_isometry(s.bob)
     return DilationWitness(
         u_a=v_a,
         u_b=v_b,
-        dims_a=(dilated.dims[0], 1),
-        dims_b=(dilated.dims[1], 1),
+        dims_a=(v_a.shape[0], 1),
+        dims_b=(v_b.shape[0], 1),
         aux=scalar_aux(),
     )
 
@@ -390,15 +413,7 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
     d_ha = d_a // dst.dims[0]
     d_hb = d_b // dst.dims[1]
     rotated = linalg.apply_factors(psi, src.dims, (u_a, u_b))
-    # recover aux as the psi~-component of U psi
-    m = linalg.permute_systems(
-        rotated, (dst.dims[0], d_ha, dst.dims[1], d_hb), (0, 2, 1, 3)
-    ).reshape(dst.dims[0] * dst.dims[1], d_ha * d_hb)
-    aux = psi_dst.conj() @ m
-    norm = np.linalg.norm(aux)
-    if norm < 1e-6:
-        raise WitnessMismatch("rotated state has no component along the target state")
-    aux = aux / norm
+    aux = _aux_component(rotated, psi_dst, (dst.dims[0], d_ha, dst.dims[1], d_hb, 1))
     target = linalg.permute_systems(
         np.kron(psi_dst, aux), (dst.dims[0], dst.dims[1], d_ha, d_hb), (0, 2, 1, 3)
     )
@@ -424,27 +439,12 @@ def vector_witness_from_matrix_form(
     (purified) source state; exact when the matrix-form condition holds.
     """
     psi_dst = dst.pure_state()
-    if src.is_pure:
-        psi = src.state
-        d_p = 1
-    else:
-        psi = schmidt.purify(src.state)
-        d_p = psi.size // (src.dims[0] * src.dims[1])
-    d_ta, d_ha = dims_a
-    d_tb, d_hb = dims_b
+    psi, d_p = _purified(src)
     rotated = linalg.apply_factors(
         psi, (src.dims[0], src.dims[1], d_p), (linalg.as_complex(u_a), linalg.as_complex(u_b), None)
     )
-    m = linalg.permute_systems(
-        rotated, (d_ta, d_ha, d_tb, d_hb, d_p), (0, 2, 1, 3, 4)
-    ).reshape(d_ta * d_tb, d_ha * d_hb * d_p)
-    aux = psi_dst.conj() @ m
-    norm = np.linalg.norm(aux)
-    if norm < 1e-6:
-        raise WitnessMismatch("rotated state has no component along the target state")
-    return DilationWitness(
-        u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux / norm
-    )
+    aux = _aux_component(rotated, psi_dst, (*dims_a, *dims_b, d_p))
+    return DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
 
 
 def matrix_aux_from_vector(w: DilationWitness) -> np.ndarray:
@@ -485,17 +485,10 @@ def vector_witness_from_extraction(
     d_hb = src.dims[1] // dst.dims[1]
     psi_dst = dst.pure_state()
     rotated = linalg.apply_factors(src.pure_state(), src.dims, (u_a, u_b))
-    m = linalg.permute_systems(
-        rotated, (dst.dims[0], d_ha, dst.dims[1], d_hb), (0, 2, 1, 3)
-    ).reshape(dst.dims[0] * dst.dims[1], d_ha * d_hb)
-    aux = psi_dst.conj() @ m
-    norm = np.linalg.norm(aux)
-    if norm < 1e-6:
-        raise WitnessMismatch("rotated state has no component along the target state")
     return DilationWitness(
         u_a=u_a,
         u_b=u_b,
         dims_a=(dst.dims[0], d_ha),
         dims_b=(dst.dims[1], d_hb),
-        aux=aux / norm,
+        aux=_aux_component(rotated, psi_dst, (dst.dims[0], d_ha, dst.dims[1], d_hb, 1)),
     )

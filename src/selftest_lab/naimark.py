@@ -2,8 +2,24 @@
 
 The iterative construction dilates any finite list of POVM families on one
 space to simultaneous projective families on ``C^d (x) C^{m_1} (x) ...``,
-one ancilla factor per family.  When re-embedding already-dilated families,
-the identity defect ``1 - V V*`` is absorbed into outcome index 0.
+one ancilla factor per family.  Step ``k`` pushes family ``k`` forward
+through the isometry built so far (the identity defect ``1 - V V*`` joins
+outcome 0) and maps ``C^{D_{k-1}}`` into ``C^{D_{k-1}} (x) C^{m_k}`` by the
+square-root isometry ``V2_k``; the embedding is ``V = V2_n ... V2_1``.
+
+The dilated projections are computed in closed form rather than by
+re-embedding every earlier family at each later step.  With
+``W_k = V2_n ... V2_{k+1}`` (``D x D_k``, columns grouped as
+``(D_{k-1}, m_k)``) and ``W_kj`` its column block of outcome ``j``,
+
+    P_kj = W_kj W_kj*            (j >= 1)
+    P_k0 = 1 - sum_{j>=1} P_kj   = W_k0 W_k0* + (1 - W_k W_k*)
+
+The second form of ``P_k0`` is the telescoped sum of the defects
+``1 - V2 V2*`` that each later step adds at outcome 0:
+``W (1 - V2 V2*) W* + (1 - W W*) = 1 - (W V2)(W V2)*``.  The last family is
+``1 (x) |j><j|``.  Family ``k`` costs ``D^2 D_k`` (one Gram product per
+projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
 """
 
 from __future__ import annotations
@@ -54,15 +70,8 @@ def _check_povm(family, dim: int | None = None, tol: float = linalg.DEFAULT_TOL)
     return family, d
 
 
-def naimark_family(povms) -> NaimarkDilation:
-    """Dilate a list of POVM families on a common space simultaneously.
-
-    Applies the single-family construction once per family: the new family's
-    elements are pushed forward through the accumulated isometry ``V1`` (the
-    identity defect joining outcome 0), the square-root embedding ``V2`` maps
-    into one extra ancilla factor, and previously built projective families
-    are re-embedded as ``V2 Q V2*`` with ``1 - V2 V2*`` added at outcome 0.
-    """
+def _step_isometries(povms) -> tuple[list[np.ndarray], np.ndarray]:
+    """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``."""
     povms = list(povms)
     if not povms:
         raise InvalidPovm("need at least one POVM family")
@@ -72,39 +81,68 @@ def naimark_family(povms) -> NaimarkDilation:
 
     dim_now = d
     v_total = linalg.identity(d)
-    built: list[list[np.ndarray]] = []
+    steps = []
     for family in povms:
         family = [linalg.as_complex(e) for e in family]
         m = len(family)
-        eye_now = linalg.identity(dim_now)
         pushed = [v_total @ e @ v_total.conj().T for e in family]
-        pushed[0] = pushed[0] + (eye_now - v_total @ v_total.conj().T)
+        pushed[0] = pushed[0] + (linalg.identity(dim_now) - v_total @ v_total.conj().T)
         # v2: phi -> sum_j sqrt(pushed_j) phi (x) e_j, an isometry into dim_now*m
         v2 = np.zeros((dim_now * m, dim_now), dtype=np.complex128)
         v2_view = v2.reshape(dim_now, m, dim_now)
         for j in range(m):
             v2_view[:, j, :] = linalg.psd_sqrt(pushed[j])
-        dim_next = dim_now * m
-        eye_next = linalg.identity(dim_next)
-        re_embedded: list[list[np.ndarray]] = []
-        for q in built:
-            fam_new = [v2 @ p @ v2.conj().T for p in q]
-            fam_new[0] = fam_new[0] + (eye_next - v2 @ v2.conj().T)
-            re_embedded.append(fam_new)
-        new_fam = []
-        for j in range(m):
-            proj = np.zeros((m, m), dtype=np.complex128)
-            proj[j, j] = 1.0
-            new_fam.append(np.kron(linalg.identity(dim_now), proj))
-        re_embedded.append(new_fam)
-        built = re_embedded
+        steps.append(v2)
         v_total = v2 @ v_total
-        dim_now = dim_next
+        dim_now *= m
+    return steps, v_total
+
+
+def naimark_isometry(povms) -> np.ndarray:
+    """The embedding isometry of :func:`naimark_family`, without the projections."""
+    return _step_isometries(povms)[1]
+
+
+def naimark_family(povms) -> NaimarkDilation:
+    """Dilate a list of POVM families on a common space simultaneously.
+
+    Builds the step isometries ``V2_k`` once, then each dilated family from
+    ``W_k = V2_n ... V2_{k+1}``: ``P_kj = W_kj W_kj*`` for ``j >= 1`` and
+    ``P_k0 = 1 - sum_{j>=1} P_kj``, which equals the iterative
+    construction's ``W_k0 W_k0*`` plus the telescoped identity defects
+    ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
+    family on the dilated dimension ``D``.
+    """
+    steps, v_total = _step_isometries(povms)
+    dim = v_total.shape[0]
+    eye = linalg.identity(dim)
+    pvms = []
+    w = None  # W_k; the identity for the last family
+    for v2 in reversed(steps):
+        dim_prev = v2.shape[1]
+        m = v2.shape[0] // dim_prev
+        if w is None:
+            fam = [_outcome_projector(dim, m, j) for j in range(m)]
+            w = v2
+        else:
+            blocks = w.reshape(dim, dim_prev, m)
+            tail = [blocks[:, :, j] @ blocks[:, :, j].conj().T for j in range(1, m)]
+            fam = [eye - sum(tail)] + tail
+            w = w @ v2
+        pvms.append(tuple(fam))
     return NaimarkDilation(
-        pvms=tuple(tuple(fam) for fam in built),
+        pvms=tuple(reversed(pvms)),
         isometry=v_total,
-        dims=(d, dim_now),
+        dims=(v_total.shape[1], dim),
     )
+
+
+def _outcome_projector(dim: int, m: int, j: int) -> np.ndarray:
+    """``1 (x) |j><j|`` on ``C^{dim/m} (x) C^m``."""
+    proj = np.zeros((dim, dim), dtype=np.complex128)
+    idx = np.arange(j, dim, m)
+    proj[idx, idx] = 1.0
+    return proj
 
 
 def naimark_single(povm) -> NaimarkDilation:
@@ -194,8 +232,27 @@ class DilationCheck:
 
 
 def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCheck:
-    """Check ``R = V* P V``, projectivity, and completeness of a dilation."""
+    """Check ``R = V* P V``, projectivity, and completeness of a dilation.
+
+    Raises ``DimensionMismatch`` when the families and the dilation differ in
+    family count, in element count per family, or in dimension (each ``R``
+    on the domain of ``V``, each ``P`` on its codomain).
+    """
     v = d.isometry
+    povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
+    if len(povms) != len(d.pvms):
+        raise DimensionMismatch(f"{len(povms)} families against {len(d.pvms)} dilated ones")
+    for k, (family, dilated) in enumerate(zip(povms, d.pvms)):
+        if len(family) != len(dilated):
+            raise DimensionMismatch(
+                f"family {k} has {len(family)} elements, its dilation {len(dilated)}"
+            )
+        for r, p in zip(family, dilated):
+            if r.shape != (v.shape[1],) * 2 or np.shape(p) != (v.shape[0],) * 2:
+                raise DimensionMismatch(
+                    f"family {k} pairs elements of shape {r.shape} and {np.shape(p)} "
+                    f"with an isometry of shape {v.shape}"
+                )
     iso_defect = linalg.frobenius(v.conj().T @ v - linalg.identity(v.shape[1]))
     eye_big = linalg.identity(v.shape[0])
     element_defects = []
@@ -206,7 +263,6 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
         row_pr = []
         total = np.zeros_like(eye_big)
         for r, p in zip(family, dilated, strict=True):
-            r = linalg.as_complex(r)
             p = linalg.as_complex(p)
             row_el.append(linalg.frobenius(r - v.conj().T @ p @ v))
             row_pr.append(linalg.projector_defect(p))

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selftest_lab import linalg
-from selftest_lab.errors import InvalidPovm, PureStateRequired
+from selftest_lab.dilation import naimark_embedding
+from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, correlation_of, validate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.metrics import projective_eps, support_preserving_eps, strategy_metrics
 from selftest_lab.naimark import (
+    NaimarkDilation,
     minimal_trine_dilation,
     naimark_family,
     naimark_single,
@@ -96,8 +102,6 @@ def test_tampered_dilation_fails():
     fam = trine_povm()
     d = naimark_single(fam)
     bad_pvms = (tuple([np.eye(6, dtype=complex)] + list(d.pvms[0][1:])),)
-    from selftest_lab.naimark import NaimarkDilation
-
     tampered = NaimarkDilation(pvms=bad_pvms, isometry=d.isometry, dims=d.dims)
     check = verify_dilation([fam], tampered, tol=1e-10)
     assert not check.passed
@@ -106,8 +110,6 @@ def test_tampered_dilation_fails():
 
 def test_identity_dilation_passes():
     fam = random_pvm(RNG, 4, 2)
-    from selftest_lab.naimark import NaimarkDilation
-
     ident = NaimarkDilation(
         pvms=(tuple(fam),), isometry=np.eye(4, dtype=complex), dims=(4, 4)
     )
@@ -274,3 +276,137 @@ def test_nonprojective_strategy_dilation_not_support_preserving():
     m = strategy_metrics(s)
     eps_dilated = support_preserving_eps(dilated)
     assert eps_dilated == pytest.approx(projective_eps(s), abs=1e-9)
+
+
+def reembedding_oracle(povms):
+    """The iterative construction with every earlier family re-embedded as
+    ``V2 Q V2*`` at each step and ``1 - V2 V2*`` added at outcome 0."""
+    povms = [[linalg.as_complex(e) for e in fam] for fam in povms]
+    d = povms[0][0].shape[0]
+    dim_now = d
+    v_total = linalg.identity(d)
+    built = []
+    for family in povms:
+        m = len(family)
+        pushed = [v_total @ e @ v_total.conj().T for e in family]
+        pushed[0] = pushed[0] + (linalg.identity(dim_now) - v_total @ v_total.conj().T)
+        v2 = np.zeros((dim_now * m, dim_now), dtype=np.complex128)
+        v2_view = v2.reshape(dim_now, m, dim_now)
+        for j in range(m):
+            v2_view[:, j, :] = linalg.psd_sqrt(pushed[j])
+        dim_next = dim_now * m
+        re_embedded = []
+        for q in built:
+            fam_new = [v2 @ p @ v2.conj().T for p in q]
+            fam_new[0] = fam_new[0] + (linalg.identity(dim_next) - v2 @ v2.conj().T)
+            re_embedded.append(fam_new)
+        re_embedded.append([np.kron(linalg.identity(dim_now), np.diag(np.eye(m)[j]))
+                            for j in range(m)])
+        built = re_embedded
+        v_total = v2 @ v_total
+        dim_now = dim_next
+    return built, v_total, (d, dim_now)
+
+
+def povm_with_ranks(rng, d, ranks):
+    """POVM whose elements have the given ranks (0 gives a zero element) before
+    the off-support complement joins element 0."""
+    gs = []
+    for r in ranks:
+        x = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        gs.append(x @ x.conj().T)
+    evals, evecs = np.linalg.eigh(sum(gs))
+    keep = evals > 1e-9
+    inv_root = (evecs[:, keep] / np.sqrt(evals[keep])) @ evecs[:, keep].conj().T
+    fam = [inv_root @ g @ inv_root for g in gs]
+    fam[0] = fam[0] + evecs[:, ~keep] @ evecs[:, ~keep].conj().T
+    return fam
+
+
+# the dilated dimension d * prod(m) stays at or below this, so the oracle's
+# O(n^2) products of D x D matrices stay cheap
+ORACLE_MAX_DIM = 192
+
+
+@st.composite
+def povm_lists(draw):
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fams, dim = [], d
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, max(1, min(4, ORACLE_MAX_DIM // dim))))
+        fams.append(povm_with_ranks(rng, d, draw(st.lists(st.integers(0, d), min_size=m, max_size=m))))
+        dim *= m
+    return fams
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(povm_lists())
+def test_closed_form_matches_reembedding_oracle(fams):
+    dil = naimark_family(fams)
+    pvms, v, dims = reembedding_oracle(fams)
+    assert dil.dims == dims
+    assert np.array_equal(dil.isometry, v)
+    for fam, want in zip(dil.pvms, pvms, strict=True):
+        for p, q in zip(fam, want, strict=True):
+            assert np.max(np.abs(p - q)) <= 1e-12
+    assert verify_dilation(fams, dil, tol=1e-10).passed
+
+
+def test_embedding_isometries_equal_strategy_dilation():
+    s = trine_strategy()
+    _, v_a, v_b = naimark_strategy(s)
+    w = naimark_embedding(s)
+    assert np.array_equal(w.u_a, v_a)
+    assert np.array_equal(w.u_b, v_b)
+
+
+def test_embedding_builds_no_dilated_projections():
+    # Bob dilates to 3*2*2*3*3*3 = 324; the 13 dense 324 x 324 projections
+    # alone would take 13 * 324^2 * 16 B = 20.8 MiB
+    rng = np.random.default_rng(11)
+    s = Strategy(
+        state=random_bipartite_state(rng, 3, 3, rank=2),
+        dims=(3, 3),
+        alice=[random_povm(rng, 3, 2) for _ in range(2)],
+        bob=[random_povm(rng, 3, m) for m in (2, 2, 3, 3, 3)],
+    )
+    tracemalloc.start()
+    try:
+        w = naimark_embedding(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.u_b.shape == (324, 3)
+    assert peak < 4 * 2**20
+
+
+def test_embedding_rejects_mixed():
+    s = Strategy(
+        state=np.eye(4, dtype=complex) / 4, dims=(2, 2),
+        alice=[[np.eye(2, dtype=complex)]], bob=[[np.eye(2, dtype=complex)]],
+    )
+    with pytest.raises(PureStateRequired):
+        naimark_embedding(s)
+
+
+def _mismatched(kind):
+    fam = trine_povm()
+    dil = naimark_family([fam])
+    if kind == "family count":
+        return [fam, fam], dil
+    if kind == "element count":
+        return [fam[:2]], dil
+    if kind == "element dimension":
+        return [[np.eye(3, dtype=complex) / 3] * 3], dil
+    bad = (dil.pvms[0][:2] + (np.eye(5, dtype=complex),),)
+    return [fam], NaimarkDilation(pvms=bad, isometry=dil.isometry, dims=dil.dims)
+
+
+@pytest.mark.parametrize(
+    "kind", ["family count", "element count", "element dimension", "projection dimension"]
+)
+def test_verify_dilation_rejects_mismatched_structure(kind):
+    fams, dil = _mismatched(kind)
+    with pytest.raises(DimensionMismatch):
+        verify_dilation(fams, dil)
