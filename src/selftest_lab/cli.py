@@ -50,7 +50,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_correlation(args) -> int:
     s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
-    corr = correlation_of(s)
+    corr = correlation_of(s, args.tol)
     _write(serialize.emit_report({"p": corr.table.tolist()}, args.format), args.out)
     return EXIT_OK
 

@@ -25,8 +25,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze_families(families) -> tuple[tuple[np.ndarray, ...], ...]:
-    return tuple(tuple(_freeze(e) for e in fam) for fam in families)
+def _freeze_families(families, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    return tuple(
+        tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in fam)
+        for fam in families
+    )
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,9 @@ class Strategy:
     """Shared state plus per-question POVM families for Alice and Bob.
 
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
-    of dimension ``dims[0] * dims[1]``.  Construction only checks shapes;
-    semantic validity is checked by :func:`validate_strategy`.
+    of dimension ``dims[0] * dims[1]``.  Construction checks the state's
+    shape and that the state and every element are finite; semantic validity
+    is checked by :func:`validate_strategy`.
     """
 
     state: np.ndarray
@@ -87,8 +91,8 @@ class Strategy:
             raise DimensionMismatch("state must be a vector or a density matrix")
         object.__setattr__(self, "state", _freeze(state))
         object.__setattr__(self, "dims", (d_a, d_b))
-        object.__setattr__(self, "alice", _freeze_families(self.alice))
-        object.__setattr__(self, "bob", _freeze_families(self.bob))
+        object.__setattr__(self, "alice", _freeze_families(self.alice, "alice"))
+        object.__setattr__(self, "bob", _freeze_families(self.bob, "bob"))
 
     @property
     def is_pure(self) -> bool:
@@ -117,9 +121,14 @@ class Strategy:
 
 @dataclass(frozen=True)
 class Correlation:
-    """Outcome table ``p[s, t, a, b]`` produced by a strategy."""
+    """Outcome table ``p[s, t, a, b]`` produced by a strategy.
+
+    Each question pair's entries must sum to one within ``tol``, the
+    tolerance at which the producing strategy was validated.
+    """
 
     table: np.ndarray
+    tol: float = linalg.DEFAULT_TOL
 
     def __post_init__(self):
         p = np.asarray(self.table, dtype=np.float64).copy()
@@ -128,7 +137,7 @@ class Correlation:
         if np.min(p) < -1e-12 or np.max(p) > 1 + 1e-12:
             raise InvalidState("correlation entries must lie in [0, 1] up to 1e-12")
         sums = p.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
+        if np.max(np.abs(sums - 1.0)) > self.tol:
             raise InvalidState("correlation must be normalized per question pair")
         p.setflags(write=False)
         object.__setattr__(self, "table", p)
@@ -151,42 +160,76 @@ class ValidationReport:
     valid: bool
 
 
-def _family_defects(families, dim, side, tol):
-    completeness = []
-    min_eigs = []
-    herms = []
-    eye = linalg.identity(dim)
+def _check_families(families, dim, side):
     for q, family in enumerate(families):
         if not family:
             raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        fam_min = []
-        fam_herm = []
         for e in family:
-            e = linalg.as_complex(e)
             if e.shape != (dim, dim):
                 raise DimensionMismatch(
                     f"{side} element has shape {e.shape}, expected {(dim, dim)}"
                 )
-            total = total + e
-            sym = (e + e.conj().T) / 2.0
-            fam_min.append(float(np.linalg.eigvalsh(sym)[0]))
-            fam_herm.append(linalg.hermiticity_defect(e))
-        completeness.append(linalg.frobenius(total - eye))
-        min_eigs.append(tuple(fam_min))
-        herms.append(tuple(fam_herm))
-    return tuple(completeness), tuple(min_eigs), tuple(herms)
+
+
+def _completeness_defect(family) -> float:
+    total = sum(family)  # a new array, even for one element
+    total[np.diag_indices_from(total)] -= 1.0
+    return linalg.frobenius(total)
+
+
+def _is_valid(s: Strategy, tol: float) -> bool:
+    """Validity of ``s`` at ``tol``; returns at the first failed check.
+
+    Empty families and wrong shapes raise.  Per element: the Hermiticity
+    defect, then :func:`linalg.is_psd`; per family: the completeness defect;
+    last the state's norm (pure), or its trace, Hermiticity and
+    :func:`linalg.is_psd` (mixed).  No spectrum is computed.
+    """
+    _check_families(s.alice, s.dims[0], "alice")
+    _check_families(s.bob, s.dims[1], "bob")
+    for family in s.alice + s.bob:
+        for e in family:
+            if linalg.hermiticity_defect(e) > tol or not linalg.is_psd(e, tol):
+                return False
+        if _completeness_defect(family) > tol:
+            return False
+    if s.is_pure:
+        return abs(float(np.linalg.norm(s.state)) - 1.0) <= tol
+    rho = s.state
+    return (
+        abs(float(np.real(np.trace(rho))) - 1.0) <= tol
+        and linalg.hermiticity_defect(rho) <= tol
+        and linalg.is_psd(rho, tol)
+    )
+
+
+def _min_eigenvalue(h) -> float:
+    return float(np.linalg.eigvalsh((h + linalg.dagger(h)) / 2.0)[0])
+
+
+def _family_defects(families):
+    return (
+        tuple(_completeness_defect(family) for family in families),
+        tuple(tuple(_min_eigenvalue(e) for e in family) for family in families),
+        tuple(tuple(linalg.hermiticity_defect(e) for e in family) for family in families),
+    )
 
 
 def validate_strategy(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> ValidationReport:
     """Check POVM completeness/positivity and state normalization.
 
     Dimension inconsistencies raise; semantic defects are reported in the
-    returned :class:`ValidationReport` with ``valid`` set accordingly.
+    returned :class:`ValidationReport`.  ``valid`` is decided by the gate
+    that :func:`correlation_of` and ``serialize.parse_strategy_file`` apply
+    too, with positivity by the Cholesky test of :func:`linalg.is_psd`:
+    minimum eigenvalue above ``-tol``, up to a backward error of about
+    ``n*u*||E||``, the floor ``eigvalsh`` also has.  The minimum-eigenvalue
+    tables are diagnostics only, and the one place element spectra are
+    computed.
     """
-    d_a, d_b = s.dims
-    a_comp, a_min, a_herm = _family_defects(s.alice, d_a, "alice", tol)
-    b_comp, b_min, b_herm = _family_defects(s.bob, d_b, "bob", tol)
+    valid = _is_valid(s, tol)
+    a_comp, a_min, a_herm = _family_defects(s.alice)
+    b_comp, b_min, b_herm = _family_defects(s.bob)
     if s.is_pure:
         trace_defect = abs(float(np.linalg.norm(s.state)) - 1.0)
         state_min = 0.0
@@ -195,16 +238,7 @@ def validate_strategy(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Validatio
         rho = s.state
         trace_defect = abs(float(np.real(np.trace(rho))) - 1.0)
         state_herm = linalg.hermiticity_defect(rho)
-        sym = (rho + rho.conj().T) / 2.0
-        state_min = float(np.linalg.eigvalsh(sym)[0])
-    valid = (
-        max(a_comp + b_comp, default=0.0) <= tol
-        and min((x for fam in a_min + b_min for x in fam), default=0.0) >= -tol
-        and max((x for fam in a_herm + b_herm for x in fam), default=0.0) <= tol
-        and trace_defect <= tol
-        and state_min >= -tol
-        and state_herm <= tol
-    )
+        state_min = _min_eigenvalue(rho)
     return ValidationReport(
         tol=tol,
         alice_completeness=a_comp,
@@ -258,14 +292,17 @@ def win_probability(g: NonlocalGame, s: Strategy) -> float:
     return float(np.real(np.trace(w @ s.state)))
 
 
-def correlation_of(s: Strategy) -> Correlation:
+def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
     """Outcome table ``p(a,b|s,t)`` of the strategy; validates on construction.
 
-    The table is rectangular over the largest answer count per side; questions
+    Validity at ``tol`` is decided by the gate behind
+    :func:`validate_strategy`'s verdict, with positivity by the Cholesky test
+    of :func:`linalg.is_psd` (minimum eigenvalue above ``-tol``, up to a
+    backward error of about ``n*u*||E||``); no spectrum is computed.  The
+    table is rectangular over the largest answer count per side; questions
     with fewer outcomes contribute zero rows for the absent answers.
     """
-    report = validate_strategy(s)
-    if not report.valid:
+    if not _is_valid(s, tol):
         raise InvalidStrategy("correlation requested for an invalid strategy")
     if not s.alice or not s.bob:
         raise InvalidStrategy("correlation needs at least one question on each side")
@@ -291,7 +328,7 @@ def correlation_of(s: Strategy) -> Correlation:
                     for b, e_b in enumerate(s.bob[qt]):
                         op = np.kron(e_a, e_b)
                         table[qs, qt, a, b] = float(np.real(np.trace(op @ rho)))
-    return Correlation(table=np.clip(table, 0.0, 1.0))
+    return Correlation(table=np.clip(table, 0.0, 1.0), tol=tol)
 
 
 def optimality_gap(g: NonlocalGame, s: Strategy, omega_q: float) -> float:

@@ -23,7 +23,14 @@ def as_complex(a) -> np.ndarray:
 
 
 def dagger(a) -> np.ndarray:
-    return as_complex(a).conj().T
+    """Conjugate transpose as a C-ordered copy.
+
+    Arithmetic between ``a`` and the strided view ``a.conj().T`` runs about
+    ten times slower at a few hundred rows than on this copy; the entries
+    are the same.
+    """
+    t = as_complex(a).T.copy()
+    return np.conjugate(t, out=t)
 
 
 def identity(d: int) -> np.ndarray:
@@ -56,7 +63,8 @@ def require_square(a, what: str = "operator") -> np.ndarray:
 
 def hermiticity_defect(h) -> float:
     h = as_complex(h)
-    return frobenius(h - h.conj().T)
+    d = dagger(h)
+    return frobenius(np.subtract(h, d, out=d))
 
 
 def kron(a, b) -> np.ndarray:
@@ -125,10 +133,28 @@ def hermitian_eig(h, tol: float = DEFAULT_TOL) -> SpectralData:
 
 
 def is_psd(h, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian part of ``h`` has min eigenvalue >= -tol."""
+    """True iff the Hermitian part of ``h`` has min eigenvalue > -tol.
+
+    The package's only PSD predicate, and the one that decides validity of
+    strategies and POVMs (eigenvalues are computed only for reports).  It is
+    a Cholesky factorization of ``(h + h*)/2 + tol*1``, which exists exactly
+    when the minimum eigenvalue exceeds ``-tol``, up to a backward error of
+    about ``n*u*||h||`` (u the unit roundoff; about 4e-14 at n = 324), the
+    same floor ``eigvalsh`` has.  Non-finite input is not PSD: Cholesky
+    reads one triangle and returns NaN there without raising.
+    """
     h = require_square(as_complex(h))
-    sym = (h + h.conj().T) / 2.0
-    return bool(np.linalg.eigvalsh(sym)[0] >= -tol)
+    if not np.all(np.isfinite(h)):
+        return False
+    sym = dagger(h)
+    sym += h
+    sym *= 0.5
+    sym[np.diag_indices_from(sym)] += tol
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def psd_sqrt(h) -> np.ndarray:

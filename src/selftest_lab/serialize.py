@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg
 from .dilation import DilationWitness
-from .errors import LabError, ParseError
-from .games import NonlocalGame, Strategy, validate_strategy
+from .errors import InvalidStrategy, LabError, ParseError
+from .games import NonlocalGame, Strategy, _is_valid, validate_strategy
 from .naimark import NaimarkDilation
 
 
@@ -187,20 +187,19 @@ def parse_strategy_file(path, tol: float | None = linalg.DEFAULT_TOL) -> Strateg
 
     Malformed files raise :class:`ParseError`; semantic defects raise
     :class:`~selftest_lab.errors.InvalidStrategy` carrying the per-family
-    defect summary.  Pass ``tol=None`` to skip validation.
+    defect summary, which is computed only once the validity gate (the one
+    behind ``validate_strategy``'s verdict) has failed.  Pass ``tol=None`` to
+    skip validation.
     """
     s = strategy_from_jsonable(load_json_file(path))
-    if tol is not None:
+    if tol is not None and not _is_valid(s, tol):
         report = validate_strategy(s, tol)
-        if not report.valid:
-            from .errors import InvalidStrategy
-
-            raise InvalidStrategy(
-                f"{path} fails validation at tol {tol}: "
-                f"completeness defects alice={list(report.alice_completeness)} "
-                f"bob={list(report.bob_completeness)}, "
-                f"min eigenvalues alice={[min(t) for t in report.alice_min_eigenvalues]} "
-                f"bob={[min(t) for t in report.bob_min_eigenvalues]}, "
-                f"state trace defect={report.state_trace_defect}"
-            )
+        raise InvalidStrategy(
+            f"{path} fails validation at tol {tol}: "
+            f"completeness defects alice={list(report.alice_completeness)} "
+            f"bob={list(report.bob_completeness)}, "
+            f"min eigenvalues alice={[min(t) for t in report.alice_min_eigenvalues]} "
+            f"bob={[min(t) for t in report.bob_min_eigenvalues]}, "
+            f"state trace defect={report.state_trace_defect}"
+        )
     return s

@@ -14,6 +14,7 @@ from selftest_lab.naimark import minimal_trine_dilation
 from helpers import random_strategy
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 RNG = np.random.default_rng(808)
 
 
@@ -294,3 +295,46 @@ def test_cli_correlation_rejects_empty_side(tmp_path, capsys):
     assert run(["correlation", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["chsh", "trine"])
+def test_cli_validate_report_bytes(name, capsys):
+    # every byte is pinned, the diagnostic eigenvalue tables included; how
+    # validity is decided must not show in the report
+    assert run(["validate", str(FIXTURES / f"{name}.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"validate_{name}.json").read_text()
+
+
+def chsh_with_bob_entry(tmp_path, question, answer, edit):
+    obj = json.loads((FIXTURES / "chsh.json").read_text())
+    edit(obj["bob"][question][answer])
+    return write_json(tmp_path, "edited.json", obj)
+
+
+@pytest.mark.parametrize("bad", [[float("nan"), 0.0], [float("inf"), 0.0], [float("nan"), float("nan")]])
+@pytest.mark.parametrize("command", ["validate", "correlation", "metrics"])
+def test_cli_rejects_non_finite_element(tmp_path, capsys, command, bad):
+    def put(element):
+        element[0][1] = bad
+
+    path = chsh_with_bob_entry(tmp_path, 1, 1, put)
+    assert run([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_correlation_honours_tol(tmp_path, capsys):
+    def scale(element):
+        for row in element:
+            for z in row:
+                z[0] *= 1 + 1e-7
+                z[1] *= 1 + 1e-7
+
+    path = chsh_with_bob_entry(tmp_path, 0, 0, scale)
+    assert run(["correlation", path, "--tol", "1e-6"]) == 0
+    p = np.asarray(json.loads(capsys.readouterr().out)["p"])
+    assert p.shape == (2, 2, 2, 2)
+    assert run(["correlation", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")

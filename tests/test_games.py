@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selftest_lab import linalg
 from selftest_lab.errors import DimensionMismatch, InvalidStrategy
@@ -17,7 +19,14 @@ from selftest_lab.games import (
 from selftest_lab.lab import CHSH_QUANTUM_VALUE, canonical_chsh, chsh_game, trine_strategy
 from selftest_lab.naimark import naimark_strategy, trine_povm
 
-from helpers import haar_unitary, random_pure_state, random_strategy
+from helpers import (
+    haar_unitary,
+    random_bipartite_state,
+    random_density,
+    random_povm,
+    random_pure_state,
+    random_strategy,
+)
 
 RNG = np.random.default_rng(202)
 
@@ -212,3 +221,163 @@ def test_naimark_dilation_preserves_correlation():
         p0 = correlation_of(s).table
         p1 = correlation_of(dilated).table
         assert np.max(np.abs(p0 - p1)) <= 1e-12
+
+
+def eigenvalue_verdict(report):
+    """Validity by the report's tables: every element's (and a mixed state's)
+    minimum eigenvalue at least -tol, every other defect at most tol."""
+    tol = report.tol
+    mins = [x for fam in report.alice_min_eigenvalues + report.bob_min_eigenvalues for x in fam]
+    herms = [x for fam in report.alice_hermiticity + report.bob_hermiticity for x in fam]
+    return (
+        max(report.alice_completeness + report.bob_completeness) <= tol
+        and min(mins) >= -tol
+        and max(herms) <= tol
+        and report.state_trace_defect <= tol
+        and report.state_min_eigenvalue >= -tol
+        and report.state_hermiticity <= tol
+    )
+
+
+def shift_min_eigenvalue(h, target, partner=None):
+    """Move the minimum eigenvalue of Hermitian ``h`` to ``target`` along its
+    eigenvector; ``partner`` (if given) takes the opposite shift, so a sum of
+    the two is unchanged."""
+    evals, evecs = np.linalg.eigh(h)
+    v = evecs[:, :1]
+    step = (target - evals[0]) * (v @ v.conj().T)
+    return h + step, None if partner is None else partner - step
+
+
+def hermitian_direction(rng, d):
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = x + x.conj().T
+    return h / np.linalg.norm(h)
+
+
+DEFECTS = ("negative", "skew", "excess", "state_negative", "state_skew", "state_excess")
+
+
+@st.composite
+def defective_strategies(draw):
+    """Random pure or mixed strategies (d 1-4, 1-2 questions, 2-3 outcomes)
+    with defects of a few multiples of tol: one element's minimum eigenvalue
+    moved (its partner takes the opposite shift), an anti-Hermitian part
+    added to it and taken from its partner, one element scaled up (an
+    overcomplete family), and a state with a negative eigenvalue, an
+    anti-Hermitian part, or a wrong norm or trace.  At most one defect is
+    drawn above tol, so about half the draws are valid."""
+    tol = draw(st.sampled_from([1e-9, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    questions = st.lists(st.integers(2, 3), min_size=1, max_size=2)
+    sides = [[random_povm(rng, d, m) for m in draw(questions)] for d in dims]
+    mixed = draw(st.booleans())
+    n = dims[0] * dims[1]
+    state = random_density(rng, n) if mixed else random_bipartite_state(rng, *dims)
+    kinds = DEFECTS if mixed else ("negative", "skew", "excess", "state_excess")
+    over = draw(st.one_of(st.none(), st.sampled_from(kinds)))
+    # sizes in units of tol; None leaves that defect out
+    scale = {
+        name: draw(st.sampled_from([1.1, 2.0, 10.0] if name == over else [None, 0.0, 0.1, 0.5, 0.9]))
+        for name in DEFECTS
+    }
+
+    side = draw(st.integers(0, 1))
+    fam = sides[side][draw(st.integers(0, len(sides[side]) - 1))]
+    j = draw(st.integers(0, len(fam) - 1))
+    k = (j + 1) % len(fam)
+    if scale["negative"] is not None:
+        fam[j], fam[k] = shift_min_eigenvalue(fam[j], -scale["negative"] * tol, fam[k])
+    if scale["skew"] is not None:
+        # i*h with h Hermitian: Hermiticity defect scale*tol, sum unchanged
+        skew = 0.5j * scale["skew"] * tol * hermitian_direction(rng, dims[side])
+        fam[j], fam[k] = fam[j] + skew, fam[k] - skew
+    if scale["excess"] is not None:
+        fam[j] = fam[j] * (1.0 + scale["excess"] * tol)
+    if mixed and scale["state_negative"] is not None and n > 1:
+        state, _ = shift_min_eigenvalue(state, -scale["state_negative"] * tol)
+        state = state / np.real(np.trace(state))
+    if mixed and scale["state_skew"] is not None:
+        state = state + 0.5j * scale["state_skew"] * tol * hermitian_direction(rng, n)
+    if scale["state_excess"] is not None:
+        state = state * (1.0 + scale["state_excess"] * tol)
+    return Strategy(state=state, dims=dims, alice=sides[0], bob=sides[1]), tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(defective_strategies())
+def test_gate_verdict_matches_eigenvalue_criterion(drawn):
+    s, tol = drawn
+    report = validate_strategy(s, tol)
+    spectra = [x for fam in report.alice_min_eigenvalues + report.bob_min_eigenvalues for x in fam]
+    if not s.is_pure:
+        spectra.append(report.state_min_eigenvalue)
+    # the Cholesky and eigvalsh criteria may differ by rounding right at -tol
+    assume(all(abs(x + tol) > 1e-12 for x in spectra))
+    assert report.valid == eigenvalue_verdict(report)
+    if not report.valid:
+        with pytest.raises(InvalidStrategy):
+            correlation_of(s, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("factor, valid", [(-2.0, False), (-0.5, True)])
+def test_gate_boundary_min_eigenvalue(tol, factor, valid):
+    # Bob's question 0 is {U E U*, U (1 - E) U*} with E = diag(1, factor*tol)
+    u = haar_unitary(np.random.default_rng(11), 2)
+    e0 = u @ np.diag([1.0, factor * tol]).astype(complex) @ u.conj().T
+    e1 = u @ np.diag([0.0, 1.0 - factor * tol]).astype(complex) @ u.conj().T
+    chsh = canonical_chsh()
+    s = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice, bob=[[e0, e1], chsh.bob[1]])
+    assert linalg.is_psd(e0, tol) is valid
+    report = validate_strategy(s, tol)
+    assert min(report.bob_min_eigenvalues[0]) == pytest.approx(factor * tol, rel=1e-3)
+    assert report.valid is valid
+    if valid:
+        assert correlation_of(s, tol).table.shape == (2, 2, 2, 2)
+    else:
+        with pytest.raises(InvalidStrategy):
+            correlation_of(s, tol)
+
+
+def test_correlation_of_dilated_strategy_takes_no_spectrum(monkeypatch):
+    rng = np.random.default_rng(29)
+    s = Strategy(
+        state=random_bipartite_state(rng, 3, 3, rank=2),
+        dims=(3, 3),
+        alice=[random_povm(rng, 3, 2) for _ in range(2)],
+        bob=[random_povm(rng, 3, m) for m in (2, 2, 3, 3, 3)],
+    )
+    dilated, _, _ = naimark_strategy(s)
+    assert dilated.dims[1] == 324
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    p = correlation_of(dilated).table
+    assert len(calls) == 0
+    assert np.max(np.abs(p - correlation_of(s).table)) <= 1e-12
+
+
+def test_correlation_of_honours_tol():
+    chsh = canonical_chsh()
+    bob = [[chsh.bob[0][0] * (1 + 1e-7), chsh.bob[0][1]], chsh.bob[1]]
+    s = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice, bob=bob)
+    assert correlation_of(s, tol=1e-6).table.shape == (2, 2, 2, 2)
+    with pytest.raises(InvalidStrategy):
+        correlation_of(s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.nan)])
+def test_strategy_rejects_non_finite_element(bad):
+    chsh = canonical_chsh()
+    e = chsh.bob[1][1].copy()
+    e[0, 1] = bad
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice,
+                 bob=[chsh.bob[0], [chsh.bob[1][0], e]])

@@ -5,7 +5,7 @@ from selftest_lab import linalg
 from selftest_lab.errors import DimensionMismatch, NotHermitian
 from selftest_lab.naimark import PAULI_X, PAULI_Z
 
-from helpers import random_density, random_pure_state
+from helpers import haar_unitary, random_density, random_pure_state
 
 RNG = np.random.default_rng(101)
 
@@ -115,6 +115,30 @@ def test_is_psd():
     assert linalg.is_psd(m1, 1e-9)
     evals = np.linalg.eigvalsh(m1)
     assert np.allclose(sorted(evals), [0, 2 / 3], atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.nan)])
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)])
+def test_is_psd_rejects_non_finite(bad, where):
+    # Cholesky reads one triangle and returns NaN for NaN input without raising
+    m = np.eye(2, dtype=complex)
+    m[where] = bad
+    assert not linalg.is_psd(m, 1e-9)
+
+
+def test_is_psd_boundary_against_eigenvalues():
+    u = haar_unitary(RNG, 6)
+    for tol in (1e-9, 1e-12):
+        for lam, want in ((-2 * tol, False), (-tol / 2, True), (0.0, True)):
+            h = u @ np.diag([lam, 0.1, 0.3, 0.5, 0.7, 1.0]).astype(complex) @ u.conj().T
+            assert linalg.is_psd(h, tol) is want
+
+
+def test_dagger_is_contiguous_conjugate_transpose():
+    m = RNG.normal(size=(5, 3)) + 1j * RNG.normal(size=(5, 3))
+    d = linalg.dagger(m)
+    assert d.flags["C_CONTIGUOUS"]
+    assert np.array_equal(d, m.conj().T)
 
 
 def test_permute_systems_roundtrip():
