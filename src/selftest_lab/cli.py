@@ -2,16 +2,13 @@
 
 Exit codes: 0 on success or a passing check, 1 when a requested check fails,
 2 on malformed or invalid input.  All randomness derives from ``--seed``, so
-identical invocations produce identical bytes.  ``SELFTEST_LAB_THREADS`` caps
-the worker threads of the robustness sweep (0 or unset = automatic).
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,15 +19,6 @@ from .games import correlation_of, game_operator, validate_strategy, win_probabi
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get("SELFTEST_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n > 0 else None
 
 
 def _write(payload: bytes, out_path: str | None):
@@ -176,31 +164,20 @@ def _repro_robustness(args):
     gap = lam0 - float(spec.eigenvalues[1])
     magnitudes = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
     trials_per_magnitude = 8
-
-    def one_row(task):
-        magnitude, seed = task
-        rng = np.random.default_rng(seed)
-        candidate = lab.perturb_state(s.state, magnitude, rng)
-        energy = float(
-            np.real(np.vdot(candidate, linalg.as_complex(w) @ candidate))
-        )
-        delta = max(lam0 - energy, 0.0)
-        report = lab.eigengap_analysis(w, s.state, candidate, delta_eff=delta)
-        bound = float(np.sqrt(2.0 * delta / gap))
-        return {
-            "magnitude": magnitude,
-            "delta": delta,
-            "epsilon": report.state_bound,
-            "bound": bound,
-        }
-
-    tasks = [
-        (m, args.seed + 1000 * i + j)
-        for i, m in enumerate(magnitudes)
-        for j in range(trials_per_magnitude)
-    ]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(one_row, tasks))
+    rows = []
+    for i, magnitude in enumerate(magnitudes):
+        for j in range(trials_per_magnitude):
+            rng = np.random.default_rng(args.seed + 1000 * i + j)
+            candidate = lab.perturb_state(s.state, magnitude, rng)
+            energy = float(np.real(np.vdot(candidate, linalg.as_complex(w) @ candidate)))
+            delta = max(lam0 - energy, 0.0)
+            report = lab.eigengap_analysis(w, s.state, candidate, delta_eff=delta)
+            rows.append({
+                "magnitude": magnitude,
+                "delta": delta,
+                "epsilon": report.state_bound,
+                "bound": float(np.sqrt(2.0 * delta / gap)),
+            })
     if args.format == "csv":
         return rows
     return {"constant": lab.robustness_constant(g), "gap": gap, "rows": rows}

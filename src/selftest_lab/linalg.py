@@ -230,11 +230,9 @@ def apply_factors(vec, dims, ops) -> np.ndarray:
 def encode_complex_array(a) -> list:
     """Nested lists of [re, im] pairs (row-major), the package wire format."""
     a = as_complex(a)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    if a.ndim == 2:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-    raise DimensionMismatch("only vectors and matrices serialize")
+    if a.ndim not in (1, 2):
+        raise DimensionMismatch("only vectors and matrices serialize")
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def decode_complex_array(obj) -> np.ndarray:

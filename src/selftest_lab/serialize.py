@@ -3,7 +3,11 @@
 Complex matrices serialize as nested arrays of ``[re, im]`` pairs in
 row-major order.  Emission is deterministic: keys are sorted and floats use
 Python's shortest exact round-trip representation, so parsing an emitted file
-reproduces every entry bit for bit.
+reproduces every entry bit for bit.  The JSON text of a report equals
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for
+byte: ASCII only (other characters escaped as ``\\uXXXX``), with NaN and the
+infinities spelled ``NaN``, ``Infinity`` and ``-Infinity`` as the standard
+library spells them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +121,8 @@ def dilation_from_jsonable(obj) -> NaimarkDilation:
 
 
 def _plain(obj):
+    """Plain Python values for CSV cells: dataclasses and dicts become dicts,
+    sequences and arrays lists, numpy scalars Python scalars."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -128,9 +136,96 @@ def _plain(obj):
     return obj
 
 
+_escape = json.encoder.encode_basestring_ascii
+# float.__repr__ spells the non-finite values these ways; JSON as the stdlib writes it
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_reprs(xs) -> list:
+    """Shortest round-trip text of each float in ``xs``."""
+    out = list(map(float.__repr__, xs))
+    if not math.isfinite(sum(xs)):  # a NaN or infinity is present (or the sum overflowed)
+        out = [_NON_FINITE.get(x, x) for x in out]
+    return out
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:  # bool is an int
+        return _value(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _dict(d, nl: str) -> str:
+    if not d:
+        return "{}"
+    inner = nl + "  "
+    items = [_escape(_key(k)) + ": " + _value(v, inner) for k, v in sorted(d.items())]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _list(xs, nl: str) -> str:
+    if not xs:
+        return "[]"
+    inner = nl + "  "
+    kinds = set(map(type, xs))
+    if kinds == {float}:
+        items = _float_reprs(xs)
+    elif kinds == {list} and set(map(len, xs)) == {2}:
+        flat = list(itertools.chain.from_iterable(xs))
+        if set(map(type, flat)) == {float}:
+            # a list of [re, im] pairs: one format call per pair
+            reprs = _float_reprs(flat)
+            pair = "[" + inner + "  {}," + inner + "  {}" + inner + "]"
+            items = map(pair.format, reprs[0::2], reprs[1::2])
+        else:
+            items = [_list(x, inner) for x in xs]
+    else:
+        items = [_value(x, inner) for x in xs]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _value(obj, nl: str) -> str:
+    """JSON text of ``obj`` whose first line is indented by the caller and
+    whose later lines start with ``nl``.
+
+    Types are tested in the order of :func:`_plain`, then of the stdlib
+    encoder, so that an object of several kinds is written as they write it.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _dict({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, nl)
+    if isinstance(obj, dict):
+        return _dict(obj, nl)
+    if isinstance(obj, (list, tuple)):
+        return _list(obj, nl)
+    if isinstance(obj, (np.ndarray, np.generic)):  # numpy arrays and scalars
+        return _value(obj.tolist(), nl)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_reprs([obj])[0]
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def dumps_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte ``json.dumps(x, sort_keys=True, indent=2) + "\\n"``, where
+    ``x`` is ``obj`` with dataclasses turned into dicts, tuples and arrays into
+    lists and numpy scalars into Python scalars.  Written in one pass without
+    that copy; lists of floats and of ``[re, im]`` pairs are formatted by
+    C-level joins.
+    """
+    return _value(obj, "\n") + "\n"
 
 
 def dumps_csv(rows) -> str:

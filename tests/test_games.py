@@ -316,7 +316,9 @@ def test_gate_verdict_matches_eigenvalue_criterion(drawn):
     # the Cholesky and eigvalsh criteria may differ by rounding right at -tol
     assume(all(abs(x + tol) > 1e-12 for x in spectra))
     assert report.valid == eigenvalue_verdict(report)
-    if not report.valid:
+    if report.valid:
+        correlation_of(s, tol)
+    else:
         with pytest.raises(InvalidStrategy):
             correlation_of(s, tol)
 
