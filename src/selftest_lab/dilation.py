@@ -52,9 +52,7 @@ class DilationWitness:
                 raise WitnessMismatch(
                     f"{name} has shape {u.shape}, expected {dims[0] * dims[1]} rows"
                 )
-            defect = linalg.frobenius(u.conj().T @ u - linalg.identity(u.shape[1]))
-            if defect > 1e-12 * max(1.0, u.shape[1]):
-                raise WitnessMismatch(f"{name} is not an isometry (defect {defect:.3e})")
+            _require_isometry(u, name)
         if aux.ndim != 1 or abs(np.linalg.norm(aux) - 1.0) > 1e-12:
             raise WitnessMismatch("aux must be a normalized vector")
         if aux.size % (dims_a[1] * dims_b[1]) != 0:
@@ -69,6 +67,13 @@ class DilationWitness:
     @property
     def purifier_dim(self) -> int:
         return self.aux.size // (self.dims_a[1] * self.dims_b[1])
+
+
+def _require_isometry(u: np.ndarray, name: str):
+    """Raise :class:`WitnessMismatch` unless ``||U* U - 1|| <= 1e-12 max(1, cols)``."""
+    defect = linalg.frobenius(u.conj().T @ u - linalg.identity(u.shape[1]))
+    if defect > 1e-12 * max(1.0, u.shape[1]):
+        raise WitnessMismatch(f"{name} is not an isometry (defect {defect:.3e})")
 
 
 @dataclass(frozen=True)
@@ -358,12 +363,21 @@ def matrix_form_residual(
 
     ``sigma_aux`` is a density operator on the hat factors.  Zero within
     1e-10 exactly when the matrix-form dilation condition holds for this
-    isometry and auxiliary state.
+    isometry and auxiliary state.  Raises :class:`WitnessMismatch` unless
+    ``U_A`` and ``U_B`` are isometries from the source spaces into the spaces
+    ``dims_a`` and ``dims_b`` factorize, by the test of
+    :class:`DilationWitness`.
     """
     _check_pair(src, dst)
     psi_dst = dst.pure_state()
     u_a = linalg.as_complex(u_a)
     u_b = linalg.as_complex(u_b)
+    if dims_a[0] != dst.dims[0] or dims_b[0] != dst.dims[1]:
+        raise WitnessMismatch("witness target factors do not match dst dimensions")
+    for u, dims, d, name in ((u_a, dims_a, src.dims[0], "U_A"), (u_b, dims_b, src.dims[1], "U_B")):
+        if u.shape != (dims[0] * dims[1], d):
+            raise WitnessMismatch(f"{name} has shape {u.shape}, expected {(dims[0] * dims[1], d)}")
+        _require_isometry(u, name)
     sigma_aux = linalg.require_square(sigma_aux)
     d_ta, d_ha = dims_a
     d_tb, d_hb = dims_b
@@ -394,7 +408,8 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
     Checks ``U psi = psi~ (x) aux`` (aux recovered by projecting onto ``psi~``)
     and ``U E U* = E~ (x) 1`` in Frobenius norm for every element; returns the
     maximum.  Both strategies must be pure and full-rank and ``U_A, U_B``
-    square unitaries compatible with the factorizations.
+    square unitaries compatible with the factorizations; unitarity is the
+    isometry test of :class:`DilationWitness` (:class:`WitnessMismatch`).
     """
     _check_pair(src, dst)
     psi = src.pure_state()
@@ -408,6 +423,8 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
     d_a, d_b = src.dims
     if u_a.shape != (d_a, d_a) or u_b.shape != (d_b, d_b):
         raise WitnessMismatch("extraction witnesses must be square unitaries")
+    _require_isometry(u_a, "U_A")
+    _require_isometry(u_b, "U_B")
     if d_a % dst.dims[0] or d_b % dst.dims[1]:
         raise WitnessMismatch("target dimension does not divide source dimension")
     d_ha = d_a // dst.dims[0]

@@ -4,6 +4,16 @@ Conventions: questions and answers are 0-based integer ranges.  A pure state
 is stored as a 1-D vector on ``C^{dA*dB}`` (Alice's factor first); a mixed
 state as a density matrix of the same total dimension.  Measurement families
 are per-question lists of POVM elements indexed by answer.
+
+Correlations and game operators are contractions, element by element, with
+no ``kron`` per pair of elements.  With ``dA <= dB`` (else the roles swap)
+each Bob element ``F`` is first reduced to a ``dA x dA`` operator: for a pure
+state, ``conj(M) F M^T`` on the state matrix ``M`` (``dA dB^2`` time);
+for a mixed state, one matrix-vector product with the reordered density
+matrix (``dA^2 dB^2``).  Each pair of elements then costs ``dA^2``.
+:func:`game_operator` sums ``pi V`` over Bob's elements (``dB^2`` per pair)
+and takes one ``kron`` per Alice element; :func:`win_probability` needs no
+game operator.  Intermediates are at most the size of the state.
 """
 
 from __future__ import annotations
@@ -20,8 +30,17 @@ PURITY_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = linalg.as_complex(a).copy()
-    a.setflags(write=False)
+    """``a`` itself when it is a read-only, C-contiguous complex128 array that
+    owns its memory; otherwise a read-only C-ordered complex128 copy."""
+    a = np.asarray(a)
+    if (
+        a.flags.writeable
+        or a.base is not None
+        or not a.flags.c_contiguous
+        or a.dtype != np.complex128
+    ):
+        a = np.array(a, dtype=np.complex128, order="C")
+        a.setflags(write=False)
     return a
 
 
@@ -68,6 +87,11 @@ class Strategy:
     of dimension ``dims[0] * dims[1]``.  Construction checks the state's
     shape and that the state and every element are finite; semantic validity
     is checked by :func:`validate_strategy`.
+
+    The state and the elements are stored read-only.  An input array that is
+    already read-only, C-contiguous, complex128 and owns its memory (not a
+    view) is adopted without a copy; any other input is copied, so later
+    writes to the caller's arrays never reach the strategy.
     """
 
     state: np.ndarray
@@ -189,18 +213,14 @@ def _is_valid(s: Strategy, tol: float) -> bool:
     _check_families(s.bob, s.dims[1], "bob")
     for family in s.alice + s.bob:
         for e in family:
-            if linalg.hermiticity_defect(e) > tol or not linalg.is_psd(e, tol):
+            if not linalg._hermitian_psd(e, tol):
                 return False
         if _completeness_defect(family) > tol:
             return False
     if s.is_pure:
         return abs(float(np.linalg.norm(s.state)) - 1.0) <= tol
     rho = s.state
-    return (
-        abs(float(np.real(np.trace(rho))) - 1.0) <= tol
-        and linalg.hermiticity_defect(rho) <= tol
-        and linalg.is_psd(rho, tol)
-    )
+    return abs(float(np.real(np.trace(rho))) - 1.0) <= tol and linalg._hermitian_psd(rho, tol)
 
 
 def _min_eigenvalue(h) -> float:
@@ -263,33 +283,39 @@ def _check_compatible(g: NonlocalGame, s: Strategy):
         raise DimensionMismatch("answer sets of game and strategy differ")
 
 
+def _weights(g: NonlocalGame) -> np.ndarray:
+    """``pi(s,t) V(a,b|s,t)`` indexed ``[s, t, a, b]``."""
+    return g.pi[:, :, None, None] * g.predicate
+
+
 def game_operator(g: NonlocalGame, s: Strategy) -> np.ndarray:
-    """Weighted sum ``sum pi(s,t) V(a,b|s,t) A_sa (x) B_tb`` on the joint space."""
+    """Weighted sum ``sum pi(s,t) V(a,b|s,t) A_sa (x) B_tb`` on the joint space.
+
+    Computed as ``sum_sa A_sa (x) (sum_tb pi V B_tb)``: one ``kron`` per Alice
+    element.
+    """
     _check_compatible(g, s)
-    n_s, n_t, n_a, n_b = g.shape
-    d = s.dims[0] * s.dims[1]
-    w = np.zeros((d, d), dtype=np.complex128)
-    for qs in range(n_s):
-        for qt in range(n_t):
-            weight = g.pi[qs, qt]
-            if weight == 0.0:
-                continue
-            for a, e_a in enumerate(s.alice[qs]):
-                for b, e_b in enumerate(s.bob[qt]):
-                    v = g.predicate[qs, qt, a, b]
-                    if v == 0.0:
-                        continue
-                    w += weight * v * np.kron(e_a, e_b)
+    d_a, d_b = s.dims
+    weights = _weights(g)
+    w = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
+    for qs, family in enumerate(s.alice):
+        for a, e_a in enumerate(family):
+            bob_sum = np.zeros((d_b, d_b), dtype=np.complex128)
+            for qt, bob_family in enumerate(s.bob):
+                for b, e_b in enumerate(bob_family):
+                    c = weights[qs, qt, a, b]
+                    if c != 0.0:
+                        bob_sum += c * e_b
+            w += np.kron(e_a, bob_sum)
     return w
 
 
 def win_probability(g: NonlocalGame, s: Strategy) -> float:
-    """Winning probability, the state expectation of the game operator."""
-    w = game_operator(g, s)
-    if s.is_pure:
-        psi = s.state
-        return float(np.real(psi.conj() @ (w @ psi)))
-    return float(np.real(np.trace(w @ s.state)))
+    """Winning probability ``sum pi V p``, the state expectation of the game
+    operator, from the unclipped outcome table; no validity gate."""
+    _check_compatible(g, s)
+    _, _, n_a, n_b = g.shape
+    return float(np.sum(_weights(g) * _outcome_table(s, n_a, n_b)))
 
 
 def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
@@ -308,29 +334,54 @@ def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
         raise InvalidStrategy("correlation requested for an invalid strategy")
     if not s.alice or not s.bob:
         raise InvalidStrategy("correlation needs at least one question on each side")
-    d_a, d_b = s.dims
-    n_s, n_t = len(s.alice), len(s.bob)
     n_a = max(len(f) for f in s.alice)
     n_b = max(len(f) for f in s.bob)
-    table = np.zeros((n_s, n_t, n_a, n_b), dtype=np.float64)
-    if s.is_pure:
-        m = s.state.reshape(d_a, d_b)
-        for qs in range(n_s):
-            for a, e_a in enumerate(s.alice[qs]):
-                left = e_a @ m
-                for qt in range(n_t):
-                    for b, e_b in enumerate(s.bob[qt]):
-                        val = np.vdot(m, left @ e_b.T)
-                        table[qs, qt, a, b] = float(np.real(val))
-    else:
-        rho = s.state
-        for qs in range(n_s):
-            for a, e_a in enumerate(s.alice[qs]):
-                for qt in range(n_t):
-                    for b, e_b in enumerate(s.bob[qt]):
-                        op = np.kron(e_a, e_b)
-                        table[qs, qt, a, b] = float(np.real(np.trace(op @ rho)))
+    table = _outcome_table(s, n_a, n_b)
     return Correlation(table=np.clip(table, 0.0, 1.0), tol=_row_sum_bound(s, tol, n_a, n_b))
+
+
+def _outcome_table(s: Strategy, n_a: int, n_b: int) -> np.ndarray:
+    """Unclipped ``Re tr((A_sa (x) B_tb) rho)`` indexed ``[s, t, a, b]`` over
+    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; no gate.
+
+    The larger side's elements are reduced to operators on the smaller side
+    (see the module docstring), so the roles swap when ``dA > dB``.
+    """
+    d_a, d_b = s.dims
+    if s.is_pure:
+        state, swap = s.state.reshape(d_a, d_b), (1, 0)
+    else:
+        state, swap = s.state.reshape(d_a, d_b, d_a, d_b), (1, 0, 3, 2)
+    if d_a <= d_b:
+        return _reduced_table(state, s.alice, s.bob, n_a, n_b)
+    return _reduced_table(state.transpose(swap), s.bob, s.alice, n_b, n_a).transpose(1, 0, 3, 2)
+
+
+def _reduced_table(state, alice, bob, n_a, n_b) -> np.ndarray:
+    """:func:`_outcome_table` from the state matrix ``M`` (``dA x dB``) or the
+    density tensor ``rho[i, j, k, l]``, each Bob element ``F`` reduced to the
+    ``dA x dA`` operator ``R`` with ``tr((E (x) F) rho) = sum_ki E_ki R_ki``."""
+    d_a, d_b = state.shape[:2]
+    if state.ndim == 2:  # R = conj(M) F M^T
+        m_conj = state.conj()
+
+        def reduce(f):
+            return (m_conj @ f) @ state.T
+    else:  # R_ki = sum_lj rho[i, j, k, l] F_lj, one matrix-vector product
+        r = state.transpose(2, 0, 3, 1).reshape(d_a * d_a, d_b * d_b)
+
+        def reduce(f):
+            return (r @ f.reshape(-1)).reshape(d_a, d_a)
+
+    reduced = np.zeros((len(bob), n_b, d_a, d_a), dtype=np.complex128)
+    for qt, family in enumerate(bob):
+        for b, f in enumerate(family):
+            reduced[qt, b] = reduce(f)
+    table = np.zeros((len(alice), len(bob), n_a, n_b), dtype=np.float64)
+    for qs, family in enumerate(alice):
+        for a, e in enumerate(family):
+            table[qs, :, a, :] = np.tensordot(reduced, e, axes=([2, 3], [0, 1])).real
+    return table
 
 
 def _row_sum_bound(s: Strategy, tol: float, n_a: int, n_b: int) -> float:

@@ -146,12 +146,24 @@ def is_psd(h, tol: float = DEFAULT_TOL) -> bool:
     h = require_square(as_complex(h))
     if not np.all(np.isfinite(h)):
         return False
-    sym = dagger(h)
-    sym += h
-    sym *= 0.5
-    sym[np.diag_indices_from(sym)] += tol
+    return _shifted_cholesky_exists(h, dagger(h), tol)
+
+
+def _hermitian_psd(h: np.ndarray, tol: float) -> bool:
+    """``hermiticity_defect(h) <= tol and is_psd(h, tol)`` for a finite square
+    complex128 ``h``, from one conjugate transpose."""
+    d = dagger(h)
+    return frobenius(h - d) <= tol and _shifted_cholesky_exists(h, d, tol)
+
+
+def _shifted_cholesky_exists(h: np.ndarray, d: np.ndarray, tol: float) -> bool:
+    """Whether ``(h + d)/2 + tol*1`` has a Cholesky factor, with ``d = dagger(h)``;
+    overwrites ``d``."""
+    d += h
+    d *= 0.5
+    d[np.diag_indices_from(d)] += tol
     try:
-        np.linalg.cholesky(sym)
+        np.linalg.cholesky(d)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -175,7 +187,10 @@ def psd_sqrt(h) -> np.ndarray:
 def projector_defect(p) -> float:
     """Frobenius distance of ``p`` from being an orthogonal projection."""
     p = as_complex(p)
-    return max(frobenius(p @ p - p), hermiticity_defect(p))
+    herm = hermiticity_defect(p)  # first, so its copy is freed before p @ p
+    sq = p @ p
+    sq -= p
+    return max(frobenius(sq), herm)
 
 
 def permute_systems(x, dims, perm) -> np.ndarray:

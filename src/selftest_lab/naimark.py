@@ -111,11 +111,11 @@ def naimark_family(povms) -> NaimarkDilation:
     ``P_k0 = 1 - sum_{j>=1} P_kj``, which equals the iterative
     construction's ``W_k0 W_k0*`` plus the telescoped identity defects
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
-    family on the dilated dimension ``D``.
+    family on the dilated dimension ``D``.  The projections are read-only, so
+    a :class:`Strategy` built from them stores them without a copy.
     """
     steps, v_total = _step_isometries(povms)
     dim = v_total.shape[0]
-    eye = linalg.identity(dim)
     pvms = []
     w = None  # W_k; the identity for the last family
     for v2 in reversed(steps):
@@ -127,8 +127,13 @@ def naimark_family(povms) -> NaimarkDilation:
         else:
             blocks = w.reshape(dim, dim_prev, m)
             tail = [blocks[:, :, j] @ blocks[:, :, j].conj().T for j in range(1, m)]
-            fam = [eye - sum(tail)] + tail
+            first = linalg.identity(dim)
+            for p in tail:
+                first -= p
+            fam = [first] + tail
             w = w @ v2
+        for p in fam:
+            p.setflags(write=False)
         pvms.append(tuple(fam))
     return NaimarkDilation(
         pvms=tuple(reversed(pvms)),
@@ -254,20 +259,20 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
                     f"with an isometry of shape {v.shape}"
                 )
     iso_defect = linalg.frobenius(v.conj().T @ v - linalg.identity(v.shape[1]))
-    eye_big = linalg.identity(v.shape[0])
     element_defects = []
     projection_defects = []
     completeness = []
     for family, dilated in zip(povms, d.pvms, strict=True):
         row_el = []
         row_pr = []
-        total = np.zeros_like(eye_big)
+        total = np.zeros((v.shape[0],) * 2, dtype=np.complex128)
         for r, p in zip(family, dilated, strict=True):
             p = linalg.as_complex(p)
             row_el.append(linalg.frobenius(r - v.conj().T @ p @ v))
             row_pr.append(linalg.projector_defect(p))
-            total = total + p
-        completeness.append(linalg.frobenius(total - eye_big))
+            total += p
+        total[np.diag_indices_from(total)] -= 1.0
+        completeness.append(linalg.frobenius(total))
         element_defects.append(tuple(row_el))
         projection_defects.append(tuple(row_pr))
     worst = max(

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selftest_lab import serialize
+from selftest_lab import linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import DilationWitness, scalar_aux
-from selftest_lab.games import Strategy, correlation_of
+from selftest_lab.games import Strategy, conjugate_strategy, correlation_of
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.naimark import minimal_trine_dilation
 
@@ -338,3 +338,47 @@ def test_cli_correlation_honours_tol(tmp_path, capsys):
     assert p.shape == (2, 2, 2, 2)
     assert run(["correlation", path]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 0.0])
+@pytest.mark.parametrize("form", ["vector", "matrix", "extraction"])
+def test_cli_check_dilation_rejects_non_isometric_witness(tmp_path, capsys, form, scale):
+    # the witness undoes a local unitary on Alice's side; with U_A scaled by 2
+    # or zeroed every form exits 2 with one error line, not a residual
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    s = canonical_chsh()
+    payload = serialize.witness_to_jsonable(
+        DilationWitness(u_a=u.conj().T, u_b=np.eye(2, dtype=complex),
+                        dims_a=(2, 1), dims_b=(2, 1), aux=scalar_aux()),
+        form=form,
+    )
+    payload["U_A"] = (scale * np.asarray(payload["U_A"])).tolist()
+    src = write_json(tmp_path, "src.json",
+                     serialize.strategy_to_jsonable(conjugate_strategy(s, u, np.eye(2))))
+    dst = write_json(tmp_path, "dst.json", serialize.strategy_to_jsonable(s))
+    wit = write_json(tmp_path, "w.json", payload)
+    code = run(["check-dilation", src, dst, wit])
+    captured = capsys.readouterr()
+    if scale == 1.0:
+        assert code == 0 and captured.err == ""
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: U_A is not an isometry")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_check_dilation_matrix_form_rejects_wrong_domain(tmp_path, capsys):
+    # a 4 x 3 isometry cannot act on the 2-dimensional source space
+    u_a = np.eye(4, 3, dtype=complex)
+    payload = {
+        "U_A": linalg.encode_complex_array(u_a),
+        "U_B": linalg.encode_complex_array(np.eye(2, dtype=complex)),
+        "aux": linalg.encode_complex_array(np.ones(2, dtype=complex) / np.sqrt(2)),
+        "form": "matrix",
+    }
+    wit = write_json(tmp_path, "w.json", payload)
+    chsh = str(FIXTURES / "chsh.json")
+    assert run(["check-dilation", chsh, chsh, wit]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: U_A has shape (4, 3), expected (4, 2)\n"

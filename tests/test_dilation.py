@@ -454,3 +454,30 @@ def test_all_forms_reject_mismatched_answer_counts():
             matrix_form_residual(src, dst, eye, eye, (2, 1), (2, 1), np.ones((1, 1)))
         with pytest.raises(DimensionMismatch):
             extraction_residual(src, dst, eye, eye)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+@pytest.mark.parametrize("side", ["U_A", "U_B"])
+def test_matrix_and_extraction_forms_reject_non_isometries(scale, side):
+    # the same isometry test DilationWitness applies: a scaled or zeroed U is
+    # a structural error, never a residual
+    s = canonical_chsh()
+    u = {"U_A": np.eye(2, dtype=complex), "U_B": np.eye(2, dtype=complex)}
+    u[side] = scale * u[side]
+    sigma = np.ones((1, 1), dtype=complex)
+    with pytest.raises(WitnessMismatch, match=f"{side} is not an isometry"):
+        matrix_form_residual(s, s, u["U_A"], u["U_B"], (2, 1), (2, 1), sigma)
+    with pytest.raises(WitnessMismatch, match=f"{side} is not an isometry"):
+        extraction_residual(s, s, u["U_A"], u["U_B"])
+    with pytest.raises(WitnessMismatch, match=f"{side} is not an isometry"):
+        DilationWitness(u_a=u["U_A"], u_b=u["U_B"], dims_a=(2, 1), dims_b=(2, 1), aux=scalar_aux())
+
+
+def test_matrix_form_rejects_witness_of_wrong_shape():
+    s = canonical_chsh()
+    sigma = np.ones((1, 1), dtype=complex)
+    with pytest.raises(WitnessMismatch, match="U_A has shape"):
+        matrix_form_residual(s, s, np.eye(4, 3, dtype=complex), np.eye(2), (2, 2), (2, 1), sigma)
+    with pytest.raises(WitnessMismatch, match="target factors"):
+        matrix_form_residual(s, s, np.eye(2), np.eye(2), (1, 2), (2, 1), np.eye(2) / 2)
+

@@ -383,3 +383,139 @@ def test_strategy_rejects_non_finite_element(bad):
     with pytest.raises(DimensionMismatch, match="non-finite"):
         Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice,
                  bob=[chsh.bob[0], [chsh.bob[1][0], e]])
+
+
+def _strategy_arrays(s):
+    return [s.state] + [e for fam in s.alice + s.bob for e in fam]
+
+
+def test_strategy_adopts_read_only_owned_arrays():
+    chsh = canonical_chsh()
+    frozen = [[np.array(e) for e in fam] for fam in chsh.bob]
+    for fam in frozen:
+        for e in fam:
+            e.setflags(write=False)
+    state = chsh.state.copy()
+    state.setflags(write=False)
+    s = Strategy(state=state, dims=chsh.dims, alice=chsh.alice, bob=frozen)
+    assert s.state is state
+    assert all(x is y for fam, fam_s in zip(frozen, s.bob) for x, y in zip(fam, fam_s))
+    # a strategy's own arrays qualify, so rebuilding from them copies nothing
+    again = Strategy(state=s.state, dims=s.dims, alice=s.alice, bob=s.bob)
+    assert all(x is y for x, y in zip(_strategy_arrays(again), _strategy_arrays(s)))
+
+
+def _copied_inputs():
+    """Element inputs the adoption rule must copy, keyed by the reason."""
+    e = canonical_chsh().bob[0][0]
+    writable = np.array(e)
+    base = np.array(e)
+    view = base[:]
+    view.setflags(write=False)
+    wide = np.zeros((2, 4), dtype=np.complex128)
+    wide[:, ::2] = e
+    strided = wide[:, ::2]
+    strided.setflags(write=False)
+    fortran = np.asfortranarray(e)  # owns its memory, but not C-ordered
+    fortran.setflags(write=False)
+    real = np.array(e.real)
+    real.setflags(write=False)
+    return {
+        "writable": writable,
+        "read-only view": view,
+        "non-contiguous": strided,
+        "Fortran-ordered": fortran,
+        "real dtype": real,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_copied_inputs()))
+def test_strategy_copies_inputs_it_cannot_adopt(kind):
+    chsh = canonical_chsh()
+    e = _copied_inputs()[kind]
+    s = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice,
+                 bob=[[e, chsh.bob[0][1]], chsh.bob[1]])
+    stored = s.bob[0][0]
+    assert stored is not e
+    assert stored.dtype == np.complex128 and stored.flags.c_contiguous
+    assert not stored.flags.writeable and stored.base is None
+    assert np.array_equal(stored, e)
+
+
+def test_strategy_unaffected_by_writes_to_caller_arrays():
+    chsh = canonical_chsh()
+    state = np.array(chsh.state)
+    elements = [[np.array(e) for e in fam] for fam in chsh.bob]
+    s = Strategy(state=state, dims=chsh.dims, alice=chsh.alice, bob=elements)
+    before = [x.copy() for x in _strategy_arrays(s)]
+    state[:] = 0.0
+    for fam in elements:
+        for e in fam:
+            e[:] = 7.0
+    assert all(np.array_equal(x, y) for x, y in zip(_strategy_arrays(s), before))
+
+
+def loop_table(s, n_a, n_b):
+    """Unclipped outcome table by one product per pair of elements (oracle)."""
+    d_a, d_b = s.dims
+    table = np.zeros((len(s.alice), len(s.bob), n_a, n_b))
+    for qs, fam_a in enumerate(s.alice):
+        for a, e_a in enumerate(fam_a):
+            for qt, fam_b in enumerate(s.bob):
+                for b, e_b in enumerate(fam_b):
+                    if s.is_pure:
+                        m = s.state.reshape(d_a, d_b)
+                        val = np.vdot(m, e_a @ m @ e_b.T)
+                    else:
+                        val = np.trace(np.kron(e_a, e_b) @ s.state)
+                    table[qs, qt, a, b] = np.real(val)
+    return table
+
+
+def loop_game_operator(g, s):
+    """``sum pi V A (x) B`` by one ``kron`` per pair of elements (oracle)."""
+    d = s.dims[0] * s.dims[1]
+    w = np.zeros((d, d), dtype=complex)
+    for qs, fam_a in enumerate(s.alice):
+        for qt, fam_b in enumerate(s.bob):
+            for a, e_a in enumerate(fam_a):
+                for b, e_b in enumerate(fam_b):
+                    w += g.pi[qs, qt] * g.predicate[qs, qt, a, b] * np.kron(e_a, e_b)
+    return w
+
+
+@st.composite
+def games_and_strategies(draw):
+    """A random game and a valid strategy for it: dA and dB drawn apart (1-4),
+    1-3 questions a side, families of 1 to the game's answer count (2-3)
+    elements, and a pure state or a mixed one of full or deficient rank."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_a, d_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_s, n_t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_a, n_b = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    alice = [random_povm(rng, d_a, draw(st.integers(1, n_a))) for _ in range(n_s)]
+    bob = [random_povm(rng, d_b, draw(st.integers(1, n_b))) for _ in range(n_t)]
+    kind = draw(st.sampled_from(["pure", "full rank", "deficient rank"]))
+    n = d_a * d_b
+    if kind == "pure":
+        state = random_bipartite_state(rng, d_a, d_b)
+    else:
+        state = random_density(rng, n, rank=n if kind == "full rank" else max(1, n // 2))
+    pi = rng.uniform(0.1, 1.0, size=(n_s, n_t))
+    pred = rng.integers(0, 2, size=(n_s, n_t, n_a, n_b)).astype(float)
+    g = NonlocalGame(pi=pi / pi.sum(), predicate=pred)
+    return g, Strategy(state=state, dims=(d_a, d_b), alice=alice, bob=bob)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(games_and_strategies())
+def test_contractions_match_loop_oracles(drawn):
+    g, s = drawn
+    n_a = max(len(f) for f in s.alice)
+    n_b = max(len(f) for f in s.bob)
+    p = correlation_of(s).table
+    assert p.shape == (len(s.alice), len(s.bob), n_a, n_b)
+    assert np.max(np.abs(p - np.clip(loop_table(s, n_a, n_b), 0.0, 1.0))) <= 1e-12
+    assert np.max(np.abs(game_operator(g, s) - loop_game_operator(g, s))) <= 1e-12
+    omega = np.sum(g.pi[:, :, None, None] * g.predicate * loop_table(s, *g.shape[2:]))
+    assert abs(win_probability(g, s) - omega) <= 1e-12

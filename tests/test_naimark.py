@@ -410,3 +410,41 @@ def test_verify_dilation_rejects_mismatched_structure(kind):
     fams, dil = _mismatched(kind)
     with pytest.raises(DimensionMismatch):
         verify_dilation(fams, dil)
+
+
+def test_dilated_projections_are_read_only_and_shared():
+    s = trine_strategy()
+    dilated, _, _ = naimark_strategy(s)
+    dil = naimark_family(s.bob)
+    for fam in dil.pvms:
+        for p in fam:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0, 0] = 0.0
+    # a Strategy adopts them as they are: one storage per projection
+    shared = Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dil.pvms)
+    assert all(x is y for fam, fam_d in zip(shared.bob, dil.pvms) for x, y in zip(fam, fam_d))
+
+
+def test_naimark_strategy_peak_memory_near_its_output():
+    # Bob dilates to D = 3*2*2*3*3*3 = 324: 13 projections of 1.6 MiB each.
+    # Holding each projection once, the peak stays near the output's size;
+    # a second copy of every projection would double it.
+    rng = np.random.default_rng(902)
+    s = Strategy(
+        state=random_bipartite_state(rng, 3, 3, rank=2),
+        dims=(3, 3),
+        alice=[random_povm(rng, 3, 2) for _ in range(2)],
+        bob=[random_povm(rng, 3, m) for m in (2, 2, 3, 3, 3)],
+    )
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dilated, _, _ = naimark_strategy(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dilated.dims == (12, 324)
+    element_bytes = sum(e.nbytes for fam in dilated.alice + dilated.bob for e in fam)
+    assert peak - start < 1.25 * element_bytes
