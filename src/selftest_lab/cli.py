@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import dilation, lab, linalg, metrics, naimark, schmidt, serialize
-from .errors import InvalidStrategy, LabError, ParseError
+from .errors import LabError, ParseError
 from .games import correlation_of, game_operator, validate_strategy, win_probability
 
 EXIT_OK = 0
@@ -86,11 +86,8 @@ def _cmd_check_dilation(args) -> int:
     dims_b = (d_tb, u_b.shape[0] // d_tb)
     if form == "vector":
         w = dilation.DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
-        report = dilation.dilation_residuals(
-            src, dst, w, purification_probes=8 if not src.is_pure else 0, seed=args.seed
-        )
-        eps = report.eps
-        payload = report
+        payload = dilation.dilation_residuals(src, dst, w)
+        eps = payload.eps
     elif form == "matrix":
         sigma = np.outer(aux, aux.conj())
         eps = dilation.matrix_form_residual(src, dst, u_a, u_b, dims_a, dims_b, sigma)
@@ -240,9 +237,6 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, InvalidStrategy) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -42,17 +42,11 @@ class DilationWitness:
     aux: np.ndarray
 
     def __post_init__(self):
-        u_a = linalg.require_finite(self.u_a, "U_A")
-        u_b = linalg.require_finite(self.u_b, "U_B")
-        aux = linalg.require_finite(self.aux, "aux")
         dims_a = (int(self.dims_a[0]), int(self.dims_a[1]))
         dims_b = (int(self.dims_b[0]), int(self.dims_b[1]))
-        for u, dims, name in ((u_a, dims_a, "U_A"), (u_b, dims_b, "U_B")):
-            if u.ndim != 2 or u.shape[0] != dims[0] * dims[1]:
-                raise WitnessMismatch(
-                    f"{name} has shape {u.shape}, expected {dims[0] * dims[1]} rows"
-                )
-            _require_isometry(u, name)
+        u_a = _require_isometry(self.u_a, "U_A", dims_a[0] * dims_a[1])
+        u_b = _require_isometry(self.u_b, "U_B", dims_b[0] * dims_b[1])
+        aux = linalg.require_finite(self.aux, "aux")
         if aux.ndim != 1 or abs(np.linalg.norm(aux) - 1.0) > 1e-12:
             raise WitnessMismatch("aux must be a normalized vector")
         if aux.size % (dims_a[1] * dims_b[1]) != 0:
@@ -69,11 +63,17 @@ class DilationWitness:
         return self.aux.size // (self.dims_a[1] * self.dims_b[1])
 
 
-def _require_isometry(u: np.ndarray, name: str):
-    """Raise :class:`WitnessMismatch` unless ``||U* U - 1|| <= 1e-12 max(1, cols)``."""
+def _require_isometry(u, name: str, rows: int, cols: int | None = None) -> np.ndarray:
+    """``u`` as a complex array, once finite (else :class:`DimensionMismatch`), with ``rows``
+    rows (and ``cols`` columns if given) and an isometry (else :class:`WitnessMismatch`)."""
+    u = linalg.require_finite(u, name)
+    if u.ndim != 2 or u.shape[0] != rows or cols not in (None, u.shape[1]):
+        want = f"{rows} rows" if cols is None else (rows, cols)
+        raise WitnessMismatch(f"{name} has shape {u.shape}, expected {want}")
     defect = linalg.frobenius(u.conj().T @ u - linalg.identity(u.shape[1]))
-    if defect > 1e-12 * max(1.0, u.shape[1]):
+    if not defect <= 1e-12 * max(1.0, u.shape[1]):  # a NaN defect fails too
         raise WitnessMismatch(f"{name} is not an isometry (defect {defect:.3e})")
+    return u
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,6 @@ class ResidualReport:
     eps: float
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _check_pair(src: Strategy, dst: Strategy):
     """Require the same questions, and per question the same answers, on each side."""
     for side, fams, dst_fams in (("Alice", src.alice, dst.alice), ("Bob", src.bob, dst.bob)):
@@ -100,6 +94,18 @@ def _check_pair(src: Strategy, dst: Strategy):
             raise DimensionMismatch(
                 f"src and dst give {side} answer counts {counts} and {dst_counts} per question"
             )
+
+
+def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
+    """The witness contract of all three forms, returning ``U_A, U_B`` as complex
+    arrays.  In order: :func:`_check_pair`; each ``U`` by :func:`_require_isometry`
+    with shape ``(prod(dims), src factor)``; target factors equal to ``dst.dims``."""
+    _check_pair(src, dst)
+    u_a = _require_isometry(u_a, "U_A", dims_a[0] * dims_a[1], src.dims[0])
+    u_b = _require_isometry(u_b, "U_B", dims_b[0] * dims_b[1], src.dims[1])
+    if (dims_a[0], dims_b[0]) != dst.dims:
+        raise WitnessMismatch("witness target factors do not match dst dimensions")
+    return u_a, u_b
 
 
 def _target_vector(row_target: np.ndarray, aux: np.ndarray, dims) -> np.ndarray:
@@ -148,16 +154,14 @@ def dilation_residuals(
 
     ``dst`` must be pure.  A mixed ``src`` is purified spectrally, the
     isometries act as ``U (x) 1_P``, and ``w.aux`` must include the purifier
-    factor.  With ``purification_probes > 0`` the check is repeated under
-    random unitaries on the purifier (rotating the probe state and ``aux``
-    together) and the row-wise maxima are reported; exact witnesses are
-    insensitive to the probes.
+    factor.  The rows do not depend on the purification chosen: any other
+    one with this purifier is ``(1 (x) R) psi`` for a unitary ``R``, and
+    rotating ``psi`` and ``aux`` together by ``1 (x) R`` multiplies both
+    sides of every row by the same unitary, which the isometries and the
+    elements (acting on the other factors) commute with.  So
+    ``purification_probes`` and ``seed`` are accepted and have no effect.
     """
-    if w.dims_a[0] != dst.dims[0] or w.dims_b[0] != dst.dims[1]:
-        raise WitnessMismatch("witness target factors do not match dst dimensions")
-    if w.u_a.shape[1] != src.dims[0] or w.u_b.shape[1] != src.dims[1]:
-        raise WitnessMismatch("witness domains do not match src dimensions")
-    _check_pair(src, dst)
+    _fit_witness(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
     psi_dst = dst.pure_state()
     psi, d_p = _purified(src)
     if w.purifier_dim != d_p:
@@ -167,45 +171,22 @@ def dilation_residuals(
     d_a, d_b = src.dims
     dims5 = (w.dims_a[0], w.dims_a[1], w.dims_b[0], w.dims_b[1], d_p)
 
-    def run(psi_probe: np.ndarray, aux_probe: np.ndarray):
-        def row(e_a, e_b, t_a, t_b) -> float:
-            lhs = linalg.apply_factors(psi_probe, (d_a, d_b, d_p), (e_a, e_b, None))
-            lhs = linalg.apply_factors(lhs, (d_a, d_b, d_p), (w.u_a, w.u_b, None))
-            tgt_row = linalg.apply_factors(psi_dst, dst.dims, (t_a, t_b))
-            rhs = _target_vector(tgt_row, aux_probe, dims5)
-            return float(np.linalg.norm(lhs - rhs))
+    def row(e_a, e_b, t_a, t_b) -> float:
+        lhs = linalg.apply_factors(psi, (d_a, d_b, d_p), (e_a, e_b, None))
+        lhs = linalg.apply_factors(lhs, (d_a, d_b, d_p), (w.u_a, w.u_b, None))
+        tgt_row = linalg.apply_factors(psi_dst, dst.dims, (t_a, t_b))
+        rhs = _target_vector(tgt_row, w.aux, dims5)
+        return float(np.linalg.norm(lhs - rhs))
 
-        state_res = row(None, None, None, None)
-        alice_rows = tuple(
-            tuple(row(src.alice[q][a], None, dst.alice[q][a], None)
-                  for a in range(len(src.alice[q])))
-            for q in range(len(src.alice))
-        )
-        bob_rows = tuple(
-            tuple(row(None, src.bob[q][b], None, dst.bob[q][b])
-                  for b in range(len(src.bob[q])))
-            for q in range(len(src.bob))
-        )
-        return state_res, alice_rows, bob_rows
-
-    state_res, alice_rows, bob_rows = run(psi, w.aux)
-    if purification_probes > 0 and d_p > 1:
-        rng = np.random.default_rng(seed)
-        hat_total = w.dims_a[1] * w.dims_b[1]
-        for _ in range(purification_probes):
-            r = _haar_unitary(d_p, rng)
-            psi_k = linalg.apply_factors(psi, (d_a, d_b, d_p), (None, None, r))
-            aux_k = linalg.apply_factors(w.aux, (hat_total, d_p), (None, r))
-            s_k, a_k, b_k = run(psi_k, aux_k)
-            state_res = max(state_res, s_k)
-            alice_rows = tuple(
-                tuple(max(x, y) for x, y in zip(t1, t2))
-                for t1, t2 in zip(alice_rows, a_k)
-            )
-            bob_rows = tuple(
-                tuple(max(x, y) for x, y in zip(t1, t2))
-                for t1, t2 in zip(bob_rows, b_k)
-            )
+    state_res = row(None, None, None, None)
+    alice_rows = tuple(
+        tuple(row(e, None, t, None) for e, t in zip(fam, dst_fam))
+        for fam, dst_fam in zip(src.alice, dst.alice)
+    )
+    bob_rows = tuple(
+        tuple(row(None, e, None, t) for e, t in zip(fam, dst_fam))
+        for fam, dst_fam in zip(src.bob, dst.bob)
+    )
     eps = max(
         [state_res]
         + [x for t in alice_rows for x in t]
@@ -363,22 +344,12 @@ def matrix_form_residual(
 
     ``sigma_aux`` is a density operator on the hat factors.  Zero within
     1e-10 exactly when the matrix-form dilation condition holds for this
-    isometry and auxiliary state.  Raises :class:`WitnessMismatch` unless
-    ``U_A`` and ``U_B`` are isometries from the source spaces into the spaces
-    ``dims_a`` and ``dims_b`` factorize, by the test of
-    :class:`DilationWitness`.
+    isometry and auxiliary state.  The witness must fit the pair as in the
+    other two forms (:func:`_fit_witness`).
     """
-    _check_pair(src, dst)
+    u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
     psi_dst = dst.pure_state()
-    u_a = linalg.as_complex(u_a)
-    u_b = linalg.as_complex(u_b)
-    if dims_a[0] != dst.dims[0] or dims_b[0] != dst.dims[1]:
-        raise WitnessMismatch("witness target factors do not match dst dimensions")
-    for u, dims, d, name in ((u_a, dims_a, src.dims[0], "U_A"), (u_b, dims_b, src.dims[1], "U_B")):
-        if u.shape != (dims[0] * dims[1], d):
-            raise WitnessMismatch(f"{name} has shape {u.shape}, expected {(dims[0] * dims[1], d)}")
-        _require_isometry(u, name)
-    sigma_aux = linalg.require_square(sigma_aux)
+    sigma_aux = linalg.require_square(linalg.require_finite(sigma_aux, "sigma_aux"))
     d_ta, d_ha = dims_a
     d_tb, d_hb = dims_b
     if sigma_aux.shape[0] != d_ha * d_hb:
@@ -402,42 +373,38 @@ def matrix_form_residual(
     return worst
 
 
+def _extraction_dims(src: Strategy, dst: Strategy):
+    """The (target, hat) factorizations of the source spaces for an extraction witness."""
+    if src.dims[0] % dst.dims[0] or src.dims[1] % dst.dims[1]:
+        raise WitnessMismatch("target dimension does not divide source dimension")
+    return tuple((t, d // t) for d, t in zip(src.dims, dst.dims))
+
+
 def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
     """Residual of the unitary-extraction dilation condition on full-rank pairs.
 
     Checks ``U psi = psi~ (x) aux`` (aux recovered by projecting onto ``psi~``)
     and ``U E U* = E~ (x) 1`` in Frobenius norm for every element; returns the
-    maximum.  Both strategies must be pure and full-rank and ``U_A, U_B``
-    square unitaries compatible with the factorizations; unitarity is the
-    isometry test of :class:`DilationWitness` (:class:`WitnessMismatch`).
+    maximum.  Both strategies must be pure and full-rank; the witness must
+    fit the pair as in the other two forms (:func:`_fit_witness`), with the
+    factorizations of :func:`_extraction_dims`, so ``U_A, U_B`` are square
+    unitaries.
     """
-    _check_pair(src, dst)
+    dims_a, dims_b = _extraction_dims(src, dst)
+    u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
     psi = src.pure_state()
     psi_dst = dst.pure_state()
     for st, name in ((src, "src"), (dst, "dst")):
         sd = schmidt.schmidt_decompose(st.pure_state(), st.dims)
         if sd.rank != min(st.dims) or st.dims[0] != st.dims[1]:
             raise FullRankRequired(f"{name} strategy is not full-Schmidt-rank")
-    u_a = linalg.as_complex(u_a)
-    u_b = linalg.as_complex(u_b)
-    d_a, d_b = src.dims
-    if u_a.shape != (d_a, d_a) or u_b.shape != (d_b, d_b):
-        raise WitnessMismatch("extraction witnesses must be square unitaries")
-    _require_isometry(u_a, "U_A")
-    _require_isometry(u_b, "U_B")
-    if d_a % dst.dims[0] or d_b % dst.dims[1]:
-        raise WitnessMismatch("target dimension does not divide source dimension")
-    d_ha = d_a // dst.dims[0]
-    d_hb = d_b // dst.dims[1]
+    dims5 = (*dims_a, *dims_b, 1)
     rotated = linalg.apply_factors(psi, src.dims, (u_a, u_b))
-    aux = _aux_component(rotated, psi_dst, (dst.dims[0], d_ha, dst.dims[1], d_hb, 1))
-    target = linalg.permute_systems(
-        np.kron(psi_dst, aux), (dst.dims[0], dst.dims[1], d_ha, d_hb), (0, 2, 1, 3)
-    )
-    worst = float(np.linalg.norm(rotated - target))
-    for fams, dst_fams, u, d_hat in (
-        (src.alice, dst.alice, u_a, d_ha),
-        (src.bob, dst.bob, u_b, d_hb),
+    aux = _aux_component(rotated, psi_dst, dims5)
+    worst = float(np.linalg.norm(rotated - _target_vector(psi_dst, aux, dims5)))
+    for fams, dst_fams, u, (_, d_hat) in (
+        (src.alice, dst.alice, u_a, dims_a),
+        (src.bob, dst.bob, u_b, dims_b),
     ):
         eye_hat = linalg.identity(d_hat)
         for fam, dst_fam in zip(fams, dst_fams, strict=True):
@@ -455,11 +422,10 @@ def vector_witness_from_matrix_form(
     The auxiliary state is read off as the ``psi~``-component of the rotated
     (purified) source state; exact when the matrix-form condition holds.
     """
+    u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
     psi_dst = dst.pure_state()
     psi, d_p = _purified(src)
-    rotated = linalg.apply_factors(
-        psi, (src.dims[0], src.dims[1], d_p), (linalg.as_complex(u_a), linalg.as_complex(u_b), None)
-    )
+    rotated = linalg.apply_factors(psi, (*src.dims, d_p), (u_a, u_b, None))
     aux = _aux_component(rotated, psi_dst, (*dims_a, *dims_b, d_p))
     return DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
 
@@ -496,16 +462,4 @@ def vector_witness_from_extraction(
     src: Strategy, dst: Strategy, u_a, u_b
 ) -> DilationWitness:
     """Wrap extraction unitaries as a vector-form witness, recovering aux."""
-    u_a = linalg.as_complex(u_a)
-    u_b = linalg.as_complex(u_b)
-    d_ha = src.dims[0] // dst.dims[0]
-    d_hb = src.dims[1] // dst.dims[1]
-    psi_dst = dst.pure_state()
-    rotated = linalg.apply_factors(src.pure_state(), src.dims, (u_a, u_b))
-    return DilationWitness(
-        u_a=u_a,
-        u_b=u_b,
-        dims_a=(dst.dims[0], d_ha),
-        dims_b=(dst.dims[1], d_hb),
-        aux=_aux_component(rotated, psi_dst, (dst.dims[0], d_ha, dst.dims[1], d_hb, 1)),
-    )
+    return vector_witness_from_matrix_form(src, dst, u_a, u_b, *_extraction_dims(src, dst))

@@ -201,22 +201,25 @@ def _completeness_defect(family) -> float:
     return linalg.frobenius(total)
 
 
+def _family_valid(family, tol: float) -> bool:
+    """Validity at ``tol`` of a family of finite square complex128 elements: per element
+    the Hermiticity defect, then :func:`linalg.is_psd`; last the completeness defect."""
+    if not all(linalg._hermitian_psd(e, tol) for e in family):
+        return False
+    return _completeness_defect(family) <= tol
+
+
 def _is_valid(s: Strategy, tol: float) -> bool:
     """Validity of ``s`` at ``tol``; returns at the first failed check.
 
-    Empty families and wrong shapes raise.  Per element: the Hermiticity
-    defect, then :func:`linalg.is_psd`; per family: the completeness defect;
+    Empty families and wrong shapes raise.  Per family: :func:`_family_valid`;
     last the state's norm (pure), or its trace, Hermiticity and
     :func:`linalg.is_psd` (mixed).  No spectrum is computed.
     """
     _check_families(s.alice, s.dims[0], "alice")
     _check_families(s.bob, s.dims[1], "bob")
-    for family in s.alice + s.bob:
-        for e in family:
-            if not linalg._hermitian_psd(e, tol):
-                return False
-        if _completeness_defect(family) > tol:
-            return False
+    if not all(_family_valid(family, tol) for family in s.alice + s.bob):
+        return False
     if s.is_pure:
         return abs(float(np.linalg.norm(s.state)) - 1.0) <= tol
     rho = s.state

@@ -101,15 +101,20 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
+def _column_phases(v: np.ndarray):
+    """Yield ``(k, phase)`` per nonzero column ``k`` of ``v``, the unit phase making its
+    largest-modulus entry real positive; column ``k`` is read only when yielded."""
+    for k in range(v.shape[1]):
+        a = v[int(np.argmax(np.abs(v[:, k]))), k]
+        if abs(a) > 0:
+            yield k, a.conjugate() / abs(a)
+
+
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real nonnegative."""
     v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if abs(a) > 0:
-            v[:, k] = col * (a.conjugate() / abs(a))
+    for k, phase in _column_phases(v):
+        v[:, k] = v[:, k] * phase
     return v
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import games, linalg
 from .errors import DimensionMismatch, InvalidPovm
 from .games import Strategy
 
@@ -50,40 +50,25 @@ class NaimarkDilation:
     dims: tuple[int, int]
 
 
-def _check_povm(family, dim: int | None = None, tol: float = linalg.DEFAULT_TOL):
-    family = [linalg.as_complex(e) for e in family]
-    if not family:
-        raise InvalidPovm("a POVM needs at least one element")
-    d = family[0].shape[0]
-    if dim is not None and d != dim:
-        raise DimensionMismatch(f"family acts on dimension {d}, expected {dim}")
-    total = np.zeros((d, d), dtype=np.complex128)
-    for e in family:
-        e = linalg.require_square(e)
-        if e.shape[0] != d:
-            raise DimensionMismatch("POVM elements have inconsistent dimensions")
-        if not linalg.is_psd(e, tol):
-            raise InvalidPovm("POVM element is not positive semidefinite")
-        total = total + e
-    if linalg.frobenius(total - linalg.identity(d)) > tol * d:
-        raise InvalidPovm("POVM does not sum to the identity")
-    return family, d
-
-
 def _step_isometries(povms) -> tuple[list[np.ndarray], np.ndarray]:
-    """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``."""
-    povms = list(povms)
-    if not povms:
-        raise InvalidPovm("need at least one POVM family")
-    _, d = _check_povm(povms[0])
-    for fam in povms[1:]:
-        _check_povm(fam, dim=d)
+    """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``.
+
+    Elements must be finite, of one square shape (else :class:`DimensionMismatch`);
+    each family must pass ``games._family_valid`` at the default tolerance (else
+    :class:`InvalidPovm`)."""
+    povms = [[linalg.require_finite(e, "POVM element") for e in family] for family in povms]
+    if not povms or not all(povms):
+        raise InvalidPovm("need at least one POVM family, each with at least one element")
+    d = povms[0][0].shape[0]
+    games._check_families(povms, d, "POVM")
+    for k, family in enumerate(povms):
+        if not games._family_valid(family, linalg.DEFAULT_TOL):
+            raise InvalidPovm(f"POVM family {k} fails the validity gate")
 
     dim_now = d
     v_total = linalg.identity(d)
     steps = []
     for family in povms:
-        family = [linalg.as_complex(e) for e in family]
         m = len(family)
         pushed = [v_total @ e @ v_total.conj().T for e in family]
         pushed[0] = pushed[0] + (linalg.identity(dim_now) - v_total @ v_total.conj().T)
@@ -275,7 +260,8 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
         completeness.append(linalg.frobenius(total))
         element_defects.append(tuple(row_el))
         projection_defects.append(tuple(row_pr))
-    worst = max(
+    # np.max, unlike max, keeps a NaN defect, which then fails the verdict
+    worst = np.max(
         [iso_defect]
         + [x for t in element_defects for x in t]
         + [x for t in projection_defects for x in t]

@@ -47,14 +47,9 @@ def schmidt_decompose(psi, dims: tuple[int, int], rank_tol: float = RANK_TOL) ->
     coeffs = sing[:rank].copy()
     left = u[:, :rank].copy()
     right = vh[:rank, :].T.copy()  # column k is the k-th right Schmidt vector
-    for k in range(rank):
-        col = left[:, k]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if abs(a) > 0:
-            phase = a.conjugate() / abs(a)
-            left[:, k] = col * phase
-            right[:, k] = right[:, k] * phase.conjugate()
+    for k, phase in linalg._column_phases(left):  # the convention of hermitian_eig
+        left[:, k] = left[:, k] * phase
+        right[:, k] = right[:, k] * phase.conjugate()
     return SchmidtData(coefficients=coeffs, left=left, right=right, rank=rank)
 
 

@@ -84,11 +84,14 @@ def witness_to_jsonable(w: DilationWitness, form: str = "vector") -> dict:
 
 def witness_arrays_from_jsonable(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Decode the raw witness arrays; factorizations are derived by callers
-    from the destination strategy's dimensions."""
+    from the destination strategy's dimensions.  Non-finite entries are a
+    :class:`ParseError`, found before ``re + 1j*im`` would warn on an infinity."""
     try:
-        u_a = linalg.decode_complex_array(obj["U_A"])
-        u_b = linalg.decode_complex_array(obj["U_B"])
-        aux = linalg.decode_complex_array(obj["aux"])
+        raw = {key: np.asarray(obj[key], dtype=np.float64) for key in ("U_A", "U_B", "aux")}
+        for key, arr in raw.items():
+            if not np.all(np.isfinite(arr)):
+                raise ParseError(f"witness {key} contains non-finite entries")
+        u_a, u_b, aux = (linalg.decode_complex_array(arr) for arr in raw.values())
         form = obj.get("form", "vector")
         if form not in ("vector", "matrix", "extraction"):
             raise ParseError(f"unknown witness form {form!r}")

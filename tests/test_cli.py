@@ -382,3 +382,27 @@ def test_cli_check_dilation_matrix_form_rejects_wrong_domain(tmp_path, capsys):
     assert run(["check-dilation", chsh, chsh, wit]) == 2
     err = capsys.readouterr().err
     assert err == "error: U_A has shape (4, 3), expected (4, 2)\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("array", ["U_A", "U_B", "aux"])
+@pytest.mark.parametrize("form", ["vector", "matrix", "extraction"])
+def test_cli_check_dilation_rejects_non_finite_witness(tmp_path, capsys, form, array, value):
+    # every form refuses the witness as input, the extraction form's unused
+    # aux included, rather than reporting a residual of 0 or NaN
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    s = canonical_chsh()
+    payload = serialize.witness_to_jsonable(
+        DilationWitness(u_a=u.conj().T, u_b=np.eye(2, dtype=complex),
+                        dims_a=(2, 1), dims_b=(2, 1), aux=scalar_aux()),
+        form=form,
+    )
+    payload[array] = np.full(np.shape(payload[array]), float(value)).tolist()
+    src = write_json(tmp_path, "src.json",
+                     serialize.strategy_to_jsonable(conjugate_strategy(s, u, np.eye(2))))
+    dst = write_json(tmp_path, "dst.json", serialize.strategy_to_jsonable(s))
+    wit = write_json(tmp_path, "w.json", payload)
+    assert run(["check-dilation", src, dst, wit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: witness {array} contains non-finite entries\n"

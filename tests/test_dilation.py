@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selftest_lab import linalg
 from selftest_lab.dilation import (
@@ -22,7 +24,7 @@ from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strat
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.metrics import projective_eps, support_preserving_eps
 from selftest_lab.naimark import naimark_strategy, trine_povm
-from selftest_lab.schmidt import restrict
+from selftest_lab.schmidt import purify, restrict
 
 from helpers import (
     haar_unitary,
@@ -481,3 +483,152 @@ def test_matrix_form_rejects_witness_of_wrong_shape():
     with pytest.raises(WitnessMismatch, match="target factors"):
         matrix_form_residual(s, s, np.eye(2), np.eye(2), (1, 2), (2, 1), np.eye(2) / 2)
 
+
+
+def probe_rows(src, dst, w, probes, seed):
+    """Oracle: the vector-form rows of a mixed source under the spectral
+    purification and under ``probes`` Haar rotations ``1 (x) R`` of it, with
+    ``aux`` rotated alike; the probe loop ``dilation_residuals`` ran before
+    its docstring stated why the rows cannot move.  One
+    ``(state, alice, bob)`` triple per probe, the unrotated one first."""
+    psi_dst = dst.pure_state()
+    d_a, d_b = src.dims
+    psi = purify(src.state)
+    d_p = psi.size // (d_a * d_b)
+    dims5 = (w.dims_a[0], w.dims_a[1], w.dims_b[0], w.dims_b[1], d_p)
+
+    def run(psi_probe, aux_probe):
+        def row(e_a, e_b, t_a, t_b):
+            lhs = linalg.apply_factors(psi_probe, (d_a, d_b, d_p), (e_a, e_b, None))
+            lhs = linalg.apply_factors(lhs, (d_a, d_b, d_p), (w.u_a, w.u_b, None))
+            tgt_row = linalg.apply_factors(psi_dst, dst.dims, (t_a, t_b))
+            d_ta, d_ha, d_tb, d_hb, _ = dims5
+            rhs = linalg.permute_systems(
+                np.kron(tgt_row, aux_probe), (d_ta, d_tb, d_ha, d_hb, d_p), (0, 2, 1, 3, 4)
+            )
+            return float(np.linalg.norm(lhs - rhs))
+
+        state_res = row(None, None, None, None)
+        alice_rows = tuple(
+            tuple(row(src.alice[q][a], None, dst.alice[q][a], None)
+                  for a in range(len(src.alice[q])))
+            for q in range(len(src.alice))
+        )
+        bob_rows = tuple(
+            tuple(row(None, src.bob[q][b], None, dst.bob[q][b])
+                  for b in range(len(src.bob[q])))
+            for q in range(len(src.bob))
+        )
+        return state_res, alice_rows, bob_rows
+
+    rng = np.random.default_rng(seed)
+    hat_total = w.dims_a[1] * w.dims_b[1]
+    out = [run(psi, w.aux)]
+    for _ in range(probes):
+        r = haar_unitary(rng, d_p)
+        psi_k = linalg.apply_factors(psi, (d_a, d_b, d_p), (None, None, r))
+        aux_k = linalg.apply_factors(w.aux, (hat_total, d_p), (None, r))
+        out.append(run(psi_k, aux_k))
+    return out
+
+
+@st.composite
+def mixed_witness_cases(draw):
+    """A mixed source ``dst (x) sigma`` seen through random local frames, with
+    purifier dimension 2-4, and an exact or a Haar-rotated inexact witness."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(2, 4))
+    k_a = draw(st.integers(1, 2))
+    k_b = draw(st.integers(max(2, -(-rank // k_a)), 4))
+    dst = random_strategy(rng, 2, 2, outcomes=draw(st.integers(2, 3)))
+    sigma = random_density(rng, k_a * k_b, rank=rank)
+    rho = linalg.permute_systems(
+        np.kron(np.outer(dst.state, dst.state.conj()), sigma), (2, 2, k_a, k_b), (0, 2, 1, 3)
+    )
+    src0 = Strategy(
+        state=rho, dims=(2 * k_a, 2 * k_b),
+        alice=[[np.kron(e, np.eye(k_a)) for e in fam] for fam in dst.alice],
+        bob=[[np.kron(e, np.eye(k_b)) for e in fam] for fam in dst.bob],
+    )
+    r_a, r_b = haar_unitary(rng, 2 * k_a), haar_unitary(rng, 2 * k_b)
+    src = conjugate_strategy(src0, r_a, r_b)
+    w = vector_witness_from_matrix_form(
+        src, dst, r_a.conj().T, r_b.conj().T, (2, k_a), (2, k_b)
+    )
+    if draw(st.booleans()):
+        w = DilationWitness(u_a=haar_unitary(rng, 2 * k_a) @ w.u_a, u_b=w.u_b,
+                            dims_a=w.dims_a, dims_b=w.dims_b, aux=w.aux)
+    return src, dst, w, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mixed_witness_cases())
+def test_rows_invariant_under_purifier_rotations(case):
+    src, dst, w, seed = case
+    report = dilation_residuals(src, dst, w)
+    assert w.purifier_dim >= 2
+    for state_res, alice_rows, bob_rows in probe_rows(src, dst, w, probes=8, seed=seed):
+        assert abs(state_res - report.state_residual) <= 1e-12
+        for got, want in ((alice_rows, report.alice_residuals), (bob_rows, report.bob_residuals)):
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def _vector_form(src, dst, w):
+    witness = DilationWitness(u_a=w["u_a"], u_b=w["u_b"], dims_a=w["dims_a"],
+                              dims_b=w["dims_b"], aux=w["aux"])
+    return dilation_residuals(src, dst, witness).eps
+
+
+def _matrix_form(src, dst, w):
+    return matrix_form_residual(src, dst, w["u_a"], w["u_b"], w["dims_a"], w["dims_b"], w["sigma"])
+
+
+def _extraction_form(src, dst, w):
+    return extraction_residual(src, dst, w["u_a"], w["u_b"])
+
+
+FORMS = {"vector": _vector_form, "matrix": _matrix_form, "extraction": _extraction_form}
+NON_FINITE = [f"non-finite {key} {value}"
+              for key in ("u_a", "u_b", "aux") for value in ("nan", "inf")]
+# the forms whose arguments can carry each defect: extraction takes no aux
+# and derives its target factors from dst
+MALFORMED = [
+    (defect, form)
+    for defect in NON_FINITE + ["wrong shape", "non-isometry", "wrong target factor",
+                                "mismatched answer counts"]
+    for form in FORMS
+    if form != "extraction" or not (defect.startswith("non-finite aux")
+                                    or defect == "wrong target factor")
+]
+
+
+def _malformed(defect):
+    """A chsh pair and an identity witness with one defect, and the error it owes."""
+    chsh = canonical_chsh()
+    w = {"u_a": np.eye(2, dtype=complex), "u_b": np.eye(2, dtype=complex),
+         "dims_a": (2, 1), "dims_b": (2, 1), "aux": scalar_aux(), "sigma": np.ones((1, 1))}
+    dst, exc = chsh, WitnessMismatch
+    if defect in NON_FINITE:
+        key, value = defect.split()[1:]
+        for k in (key, "sigma") if key == "aux" else (key,):
+            w[k] = w[k].astype(complex)
+            w[k].flat[0] = float(value)
+        exc = DimensionMismatch
+    elif defect == "wrong shape":
+        w["u_a"] = np.eye(4, 2, dtype=complex)
+    elif defect == "non-isometry":
+        w["u_b"] = 2 * w["u_b"]
+    elif defect == "wrong target factor":
+        w["dims_a"], w["aux"], w["sigma"] = (1, 2), linalg.basis_state(2, 0), np.diag([1.0, 0.0])
+    else:  # Bob's question 1 has 2 answers in chsh and 3 in the trine remnant
+        t = trine_strategy()
+        dst = Strategy(state=t.state, dims=t.dims, alice=t.alice, bob=t.bob[1:])
+        exc = DimensionMismatch
+    return chsh, dst, w, exc
+
+
+@pytest.mark.parametrize("defect,form", MALFORMED)
+def test_every_form_rejects_a_malformed_witness_alike(defect, form):
+    src, dst, w, exc = _malformed(defect)
+    with pytest.raises(exc):
+        FORMS[form](src, dst, w)

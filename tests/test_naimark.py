@@ -65,6 +65,28 @@ def test_family_rejects_invalid_povm():
         naimark_family([bad])
 
 
+@pytest.mark.parametrize("excess, accepted", [(0.5e-9, True), (2e-9, False)])
+def test_family_completeness_checked_at_tol(excess, accepted):
+    # the completeness defect is excess * sqrt(3) on C^4: below the gate's
+    # tol = 1e-9 for the first case, above it (though below tol * d) for the second
+    p = np.diag([1, 0, 0, 0]).astype(complex)
+    fam = [p, (np.eye(4) - p) * (1 + excess)]
+    if accepted:
+        assert verify_dilation([fam], naimark_family([fam]), tol=1e-8).passed
+    else:
+        with pytest.raises(InvalidPovm):
+            naimark_family([fam])
+
+
+def test_family_rejects_non_hermitian_element():
+    # both Hermitian parts are PSD and the family sums to 1 exactly, but the
+    # elements carry an anti-Hermitian part of norm 2e-6
+    skew = 1e-6j * np.array([[0, 1], [1, 0]])
+    fam = [np.diag([1, 0]) + skew, np.diag([0, 1]) - skew]
+    with pytest.raises(InvalidPovm):
+        naimark_family([fam])
+
+
 def test_projective_family_commutes_on_range():
     fam = random_pvm(RNG, 4, 3)
     d = naimark_single(fam)
@@ -106,6 +128,17 @@ def test_tampered_dilation_fails():
     check = verify_dilation([fam], tampered, tol=1e-10)
     assert not check.passed
     assert check.element_defects[0][0] > 0.1  # defect localized at outcome 0
+
+
+def test_verify_dilation_fails_on_nan_projection():
+    fam = trine_povm()
+    d = naimark_single(fam)
+    bad = d.pvms[0][2].copy()
+    bad[0, 0] = np.nan
+    tampered = NaimarkDilation(pvms=(d.pvms[0][:2] + (bad,),), isometry=d.isometry, dims=d.dims)
+    check = verify_dilation([fam], tampered, tol=1e-10)
+    assert np.isnan(check.element_defects[0][2]) and np.isnan(check.completeness_defects[0])
+    assert not check.passed
 
 
 def test_identity_dilation_passes():
