@@ -109,12 +109,11 @@ def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
 
 
 def _target_vector(row_target: np.ndarray, aux: np.ndarray, dims) -> np.ndarray:
-    """Reorder (target (x) aux) into the (A~ A^ B~ B^ P) factor order."""
+    """(target (x) aux) in the (A~ A^ B~ B^ P) factor order, as one broadcast product
+    of ``row_target`` (a vector or the ``(A~, B~)`` matrix) and ``aux``."""
     d_ta, d_ha, d_tb, d_hb, d_p = dims
-    full = np.kron(row_target, aux)
-    return linalg.permute_systems(
-        full, (d_ta, d_tb, d_ha, d_hb, d_p), (0, 2, 1, 3, 4)
-    )
+    full = row_target.reshape(d_ta, 1, d_tb, 1) * aux.reshape(d_ha, 1, d_hb * d_p)
+    return full.reshape(-1)
 
 
 def _purified(s: Strategy) -> tuple[np.ndarray, int]:
@@ -168,30 +167,24 @@ def dilation_residuals(
         raise WitnessMismatch(
             f"aux purifier factor is {w.purifier_dim}, purification needs {d_p}"
         )
-    d_a, d_b = src.dims
+    dims3 = (*src.dims, d_p)
     dims5 = (w.dims_a[0], w.dims_a[1], w.dims_b[0], w.dims_b[1], d_p)
+    m_dst = psi_dst.reshape(dst.dims)
 
-    def row(e_a, e_b, t_a, t_b) -> float:
-        lhs = linalg.apply_factors(psi, (d_a, d_b, d_p), (e_a, e_b, None))
-        lhs = linalg.apply_factors(lhs, (d_a, d_b, d_p), (w.u_a, w.u_b, None))
-        tgt_row = linalg.apply_factors(psi_dst, dst.dims, (t_a, t_b))
-        rhs = _target_vector(tgt_row, w.aux, dims5)
-        return float(np.linalg.norm(lhs - rhs))
+    def row(op_a, op_b, tgt_row) -> float:
+        lhs = linalg.apply_factors(psi, dims3, (op_a, op_b, None))
+        return float(np.linalg.norm(lhs - _target_vector(tgt_row, w.aux, dims5)))
 
-    state_res = row(None, None, None, None)
+    state_res = row(w.u_a, w.u_b, m_dst)
     alice_rows = tuple(
-        tuple(row(e, None, t, None) for e, t in zip(fam, dst_fam))
+        tuple(row(w.u_a @ e, w.u_b, t @ m_dst) for e, t in zip(fam, dst_fam))
         for fam, dst_fam in zip(src.alice, dst.alice)
     )
     bob_rows = tuple(
-        tuple(row(None, e, None, t) for e, t in zip(fam, dst_fam))
+        tuple(row(w.u_a, w.u_b @ e, m_dst @ t.T) for e, t in zip(fam, dst_fam))
         for fam, dst_fam in zip(src.bob, dst.bob)
     )
-    eps = max(
-        [state_res]
-        + [x for t in alice_rows for x in t]
-        + [x for t in bob_rows for x in t]
-    )
+    eps = max([state_res, *(x for t in alice_rows + bob_rows for x in t)])
     return ResidualReport(
         state_residual=state_res,
         alice_residuals=alice_rows,

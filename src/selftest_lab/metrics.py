@@ -10,16 +10,17 @@ Two scalar figures of merit aggregate per-element tables by maximum:
 Both vanish on full-rank-and-projective strategies and are invariant under
 attaching product ancillas and conjugating by local unitaries.
 
-The tables never form the joint density or a marginal.  With ``sigma`` the
-marginal of ``|psi>`` on the element's side and ``X = (E (x) 1)|psi>``:
+The tables never form the joint density, a marginal or any operator but the
+elements.  With ``M = psi.reshape(dA, dB)`` the state matrix, ``X = E M`` for
+an element of Alice and ``L`` her retained Schmidt vectors, which span the
+local support (Bob: ``M^T`` and ``R`` in their place):
 
-* ``||[Pi, E]||_sigma = || ((1 - Pi) (x) 1) X ||``;
-* ``<1 - E, E>_sigma = tr[(1 - E) E sigma] = <psi| X - (E (x) 1) X>``.
+* ``||[Pi, E]||_sigma = || X - L (L* X) ||``, the rank-``r`` complement;
+* ``<1 - E, E>_sigma = tr[(1 - E) E sigma] = <M, X - E X>``.
 
-Each element acts on ``psi`` as one tensor factor (``E M`` for Alice and
-``M E^T`` for Bob on the state matrix ``M = psi.reshape(dA, dB)``), so an
-element costs three such applications, ``O(dA * dB * d_side)`` time and
-``O(dA * dB)`` memory.
+So an element costs two products with the state matrix, ``O(dA * dB * d)``
+time for its side's dimension ``d``, plus ``O(dA * dB * r)`` for Schmidt
+rank ``r``; besides the elements, memory stays ``O(dA * dB)``.
 """
 
 from __future__ import annotations
@@ -57,35 +58,24 @@ def state_overlap(x, y, sigma) -> complex:
     return complex(np.trace(x.conj().T @ y @ sigma))
 
 
-def _clip_or_raise(value: float, what: str) -> float:
-    if value < NEGATIVE_DUST:
-        raise InvalidPovm(f"{what} is {value:.3e} < {NEGATIVE_DUST}; element is not a valid POVM effect")
-    return max(value, 0.0)
-
-
-def _apply(e, psi, dims, side):
-    """``(E (x) 1)|psi>`` for Alice, ``(1 (x) E)|psi>`` for Bob."""
-    return linalg.apply_factors(psi, dims, (e, None) if side == "A" else (None, e))
-
-
-def _element_tables(families, pi, psi, dims, side):
-    """Per-element ``||[Pi, E]||_sigma`` and ``<1 - E, E>_sigma`` tables.
-
-    With ``X = (E (x) 1)|psi>`` the support entry is ``|| ((1 - Pi) (x) 1) X ||``,
-    the factored form of ``||[Pi, E]||^2_sigma = <psi|(E^2 - E Pi E) (x) 1|psi>``,
-    which stays accurate near zero (no cancellation under the square root).
-    The overlap entry is ``<psi|X - (E (x) 1) X>`` (real, clipped at zero).
-    """
-    comp = linalg.identity(pi.shape[0]) - pi
+def _element_tables(families, basis, m):
+    """``||[Pi, E]||_sigma`` and ``<1 - E, E>_sigma`` per element of the side whose
+    index is the rows of the state matrix ``m`` (``M^T`` for Bob), with ``basis``
+    its retained Schmidt vectors.  ``|| X - basis (basis* X) ||`` with ``X = E m``
+    factors ``<psi|(E^2 - E Pi E) (x) 1|psi>``, so it stays accurate near zero; the
+    overlap ``<m, X - E X>`` is real, and dust and negative roundoff read 0."""
+    basis_h = linalg.dagger(basis)
     comm, over = [], []
     for fam in families:
         comm_row, over_row = [], []
         for e in fam:
-            x = _apply(e, psi, dims, side)
-            comm_row.append(float(np.linalg.norm(_apply(comp, x, dims, side))))
-            val = _clip_or_raise(
-                float(np.real(np.vdot(psi, x - _apply(e, x, dims, side)))), "<1-E, E>"
-            )
+            x = e @ m
+            comm_row.append(float(np.linalg.norm(x - basis @ (basis_h @ x))))
+            val = float(np.real(np.vdot(m, x - e @ x)))
+            if val < NEGATIVE_DUST:
+                raise InvalidPovm(
+                    f"<1-E, E> is {val:.3e} < {NEGATIVE_DUST}; element is not a valid POVM effect"
+                )
             over_row.append(val if val >= DUST_FLOOR else 0.0)
         comm.append(tuple(comm_row))
         over.append(tuple(over_row))
@@ -106,9 +96,9 @@ def strategy_metrics(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> Strateg
     """All per-element tables plus the two aggregate defects of a pure strategy."""
     psi = s.pure_state()
     sd = schmidt.schmidt_decompose(psi, s.dims, rank_tol=rank_tol)
-    pi_a, pi_b = schmidt.local_supports(sd)
-    a_comm, a_over = _element_tables(s.alice, pi_a, psi, s.dims, "A")
-    b_comm, b_over = _element_tables(s.bob, pi_b, psi, s.dims, "B")
+    m = psi.reshape(s.dims)
+    a_comm, a_over = _element_tables(s.alice, sd.left, m)
+    b_comm, b_over = _element_tables(s.bob, sd.right, m.T.copy())
     support_eps = max((x for t in a_comm + b_comm for x in t), default=0.0)
     projective_eps = float(
         np.sqrt(max((x for t in a_over + b_over for x in t), default=0.0))

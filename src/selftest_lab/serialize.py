@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +41,28 @@ def strategy_to_jsonable(s: Strategy) -> dict:
     }
 
 
+def _field(obj, path: str):
+    """``obj[k1][k2]...`` for ``path = "k1.k2..."``; a :class:`ParseError` naming
+    ``path`` when a level is missing or not an object."""
+    try:
+        return functools.reduce(operator.getitem, path.split("."), obj)
+    except (KeyError, TypeError, IndexError):
+        raise ParseError(f"malformed strategy object: missing field {path}") from None
+
+
 def strategy_from_jsonable(obj) -> Strategy:
     try:
-        dims = (int(obj["dims"]["A"]), int(obj["dims"]["B"]))
-        kind = obj["state"]["kind"]
-        state = linalg.decode_complex_array(obj["state"]["data"])
+        dims = (int(_field(obj, "dims.A")), int(_field(obj, "dims.B")))
+        kind = _field(obj, "state.kind")
+        state = linalg.decode_complex_array(_field(obj, "state.data"))
         if kind not in ("pure", "mixed"):
             raise ParseError(f"unknown state kind {kind!r}")
         if kind == "pure" and state.ndim != 1:
             raise ParseError("pure state data must be a vector")
         if kind == "mixed" and state.ndim != 2:
             raise ParseError("mixed state data must be a matrix")
-        alice = [[linalg.decode_complex_array(e) for e in fam] for fam in obj["alice"]]
-        bob = [[linalg.decode_complex_array(e) for e in fam] for fam in obj["bob"]]
+        alice = [[linalg.decode_complex_array(e) for e in fam] for fam in _field(obj, "alice")]
+        bob = [[linalg.decode_complex_array(e) for e in fam] for fam in _field(obj, "bob")]
         return Strategy(state=state, dims=dims, alice=alice, bob=bob)
     except ParseError:
         raise
@@ -85,13 +96,12 @@ def witness_to_jsonable(w: DilationWitness, form: str = "vector") -> dict:
 def witness_arrays_from_jsonable(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Decode the raw witness arrays; factorizations are derived by callers
     from the destination strategy's dimensions.  Non-finite entries are a
-    :class:`ParseError`, found before ``re + 1j*im`` would warn on an infinity."""
+    :class:`ParseError`."""
     try:
-        raw = {key: np.asarray(obj[key], dtype=np.float64) for key in ("U_A", "U_B", "aux")}
-        for key, arr in raw.items():
+        u_a, u_b, aux = (linalg.decode_complex_array(obj[key]) for key in ("U_A", "U_B", "aux"))
+        for key, arr in (("U_A", u_a), ("U_B", u_b), ("aux", aux)):
             if not np.all(np.isfinite(arr)):
                 raise ParseError(f"witness {key} contains non-finite entries")
-        u_a, u_b, aux = (linalg.decode_complex_array(arr) for arr in raw.values())
         form = obj.get("form", "vector")
         if form not in ("vector", "matrix", "extraction"):
             raise ParseError(f"unknown witness form {form!r}")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +326,33 @@ def test_cli_rejects_non_finite_element(tmp_path, capsys, command, bad):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "non-finite" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_infinite_imaginary_part_is_one_error_line(tmp_path):
+    # a fresh process with default warning filters, as a user runs the CLI
+    def put(element):
+        element[0][1] = [0.0, float("inf")]
+
+    path = chsh_with_bob_entry(tmp_path, 1, 1, put)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "selftest_lab", "validate", path],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error:") and "non-finite" in lines[0]
+
+
+def test_cli_names_the_missing_strategy_field(capsys):
+    # a Naimark-dilation file has dims {"in", "out"}, not a strategy's {"A", "B"}
+    assert run(["validate", str(FIXTURES / "trine_minimal_naimark.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed strategy object: missing field dims.A\n"
 
 
 def test_cli_correlation_honours_tol(tmp_path, capsys):

@@ -87,6 +87,14 @@ def test_identity_witness_zero_residual():
     assert report.state_residual <= 1e-14
 
 
+def test_residuals_without_questions_are_the_state_row():
+    s = canonical_chsh()
+    bare = Strategy(state=s.state, dims=s.dims, alice=[], bob=[])
+    report = dilation_residuals(bare, bare, identity_witness(bare))
+    assert report.alice_residuals == () and report.bob_residuals == ()
+    assert report.eps == report.state_residual <= 1e-14
+
+
 def test_block_ancilla_witness_zero_residual():
     dst = canonical_chsh()
     aux_a = random_pure_state(RNG, 3)

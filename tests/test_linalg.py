@@ -1,11 +1,17 @@
+import math
+import warnings
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selftest_lab import linalg
 from selftest_lab.errors import DimensionMismatch, NotHermitian
 from selftest_lab.naimark import PAULI_X, PAULI_Z
 
-from helpers import haar_unitary, random_density, random_pure_state
+from helpers import haar_isometry, haar_unitary, random_density, random_pure_state
 
 RNG = np.random.default_rng(101)
 
@@ -161,6 +167,55 @@ def test_apply_factors_matches_kron():
     out = linalg.apply_factors(v, (2, 3), (None, iso))
     assert out.size == 10
     assert np.allclose(out, linalg.kron(np.eye(2), iso) @ v)
+
+
+@st.composite
+def factor_problems(draw):
+    """A vector on 1-4 factors of dimension 1-4 and one operator per factor:
+    None, square, a rectangular isometry, or a general rectangular matrix."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for d in dims:
+        kind = draw(st.sampled_from(["none", "square", "isometry", "matrix"]))
+        if kind == "none":
+            ops.append(None)
+        elif kind == "isometry":
+            ops.append(haar_isometry(rng, d + draw(st.integers(0, 3)), d))
+        else:
+            rows = d if kind == "square" else draw(st.integers(1, 5))
+            g = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+            ops.append(g / np.linalg.norm(g))
+    return random_pure_state(rng, math.prod(dims)), dims, ops
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(factor_problems())
+def test_apply_factors_matches_explicit_kron(problem):
+    vec, dims, ops = problem
+    full = reduce(np.kron, [np.eye(d) if op is None else op for d, op in zip(dims, ops)])
+    out = linalg.apply_factors(vec, dims, ops)
+    assert out.shape == (full.shape[0],)
+    assert np.max(np.abs(out - full @ vec)) <= 1e-12
+
+
+def test_apply_factors_checks_dimensions():
+    v = random_pure_state(RNG, 6)
+    with pytest.raises(DimensionMismatch):
+        linalg.apply_factors(v, (2, 2), (None, None))
+    with pytest.raises(DimensionMismatch):
+        linalg.apply_factors(v, (2, 3), (None, np.eye(2)))
+    with pytest.raises(DimensionMismatch):  # factor 1 keeps dimension 3 after factor 0 grows
+        linalg.apply_factors(v, (2, 3), (np.ones((3, 2)), np.eye(2)))
+
+
+def test_decode_infinite_imaginary_part_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = linalg.decode_complex_array([[0.0, math.inf], [-0.0, -0.0]])
+    assert out[0].real == 0.0 and out[0].imag == math.inf
+    # each part is stored as given, signed zeros included
+    assert math.copysign(1.0, out[1].real) == -1.0 and math.copysign(1.0, out[1].imag) == -1.0
 
 
 def test_complex_array_roundtrip():

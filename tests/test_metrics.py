@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selftest_lab import linalg
-from selftest_lab.errors import PureStateRequired
+from selftest_lab.errors import InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.metrics import (
     DUST_FLOOR,
+    NEGATIVE_DUST,
     hat_operators,
     projective_eps,
     state_dependent_norm,
@@ -389,4 +390,101 @@ def test_dilated_metrics_build_no_joint_density():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    assert m.projective_eps == 0.0
+
+
+def projection_oracle_tables(families, pi, psi, dims, side):
+    """Oracle tables from the ``d x d`` support projection ``pi``:
+    ``||((1 - Pi) (x) 1) X||`` and ``<psi|X - (E (x) 1) X>`` with
+    ``X = (E (x) 1)|psi>`` (Bob's side mirrored), clipped and floored alike."""
+    def apply(op, vec):
+        return linalg.apply_factors(vec, dims, (op, None) if side == "A" else (None, op))
+
+    comp = np.eye(pi.shape[0]) - pi
+    comm, over = [], []
+    for fam in families:
+        comm_row, over_row = [], []
+        for e in fam:
+            x = apply(e, psi)
+            comm_row.append(float(np.linalg.norm(apply(comp, x))))
+            val = float(np.real(np.vdot(psi, x - apply(e, x))))
+            assert val >= NEGATIVE_DUST
+            val = max(val, 0.0)
+            over_row.append(val if val >= DUST_FLOOR else 0.0)
+        comm.append(tuple(comm_row))
+        over.append(tuple(over_row))
+    return tuple(comm), tuple(over)
+
+
+def assert_tables_match_projection_oracle(s):
+    m = strategy_metrics(s)
+    pi_a, pi_b = local_supports(schmidt_decompose(s.state, s.dims))
+    for fams, pi, side, got in (
+        (s.alice, pi_a, "A", (m.alice_commutator_norms, m.alice_overlaps)),
+        (s.bob, pi_b, "B", (m.bob_commutator_norms, m.bob_overlaps)),
+    ):
+        want = projection_oracle_tables(fams, pi, s.state, s.dims, side)
+        for table, want_table in zip(got, want, strict=True):
+            for row, want_row in zip(table, want_table, strict=True):
+                assert np.max(np.abs(np.subtract(row, want_row))) <= 1e-12
+
+
+@pytest.mark.parametrize("d_a, d_b", [(1, 3), (2, 5), (4, 3), (5, 4)])
+def test_schmidt_vector_tables_match_projection_oracle_at_every_rank(d_a, d_b):
+    rng = np.random.default_rng(10 * d_a + d_b)
+    for rank in range(1, min(d_a, d_b) + 1):
+        s = Strategy(
+            state=random_bipartite_state(rng, d_a, d_b, rank=rank),
+            dims=(d_a, d_b),
+            alice=[random_povm(rng, d_a, m) for m in (2, 3)],
+            bob=[random_povm(rng, d_b, m) for m in (1, 2, 4)],
+        )
+        assert_tables_match_projection_oracle(s)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pure_strategies())
+def test_schmidt_vector_tables_match_projection_oracle(s):
+    assert_tables_match_projection_oracle(s)
+
+
+def test_schmidt_vector_tables_leaky_element():
+    assert_tables_match_projection_oracle(leaky_strategy(coupling=0.7))
+
+
+@pytest.mark.parametrize("excess, raises", [(1.0, True), (2e-10, True), (5e-11, False)])
+def test_overlap_below_negative_dust_raises(excess, raises):
+    # E = (1 + excess) |0><0| on |00>: <1-E, E> = -excess (1 + excess)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    e = np.diag([1.0 + excess, 0.0]).astype(complex)
+    s = Strategy(state=psi, dims=(2, 2), alice=[[e]], bob=[[np.eye(2, dtype=complex)]])
+    if raises:
+        with pytest.raises(InvalidPovm):
+            strategy_metrics(s)
+    else:
+        assert strategy_metrics(s).alice_overlaps == ((0.0,),)
+
+
+def test_metrics_on_d324_dilation_build_no_dilated_operator():
+    # Bob dilates to D = 3*2*2*3*3*3 = 324; one D x D complex operator is
+    # 1.6 MiB, while the 12 x 324 state matrix is 61 KiB
+    rng = np.random.default_rng(902)
+    s = Strategy(
+        state=random_bipartite_state(rng, 3, 3, rank=2),
+        dims=(3, 3),
+        alice=[random_povm(rng, 3, 2) for _ in range(2)],
+        bob=[random_povm(rng, 3, m) for m in (2, 2, 3, 3, 3)],
+    )
+    dilated, _, _ = naimark_strategy(s)
+    assert dilated.dims == (12, 324)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        m = strategy_metrics(dilated)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2**20
     assert m.projective_eps == 0.0

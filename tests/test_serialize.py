@@ -189,3 +189,22 @@ def test_encode_complex_array_matches_per_entry_conversion():
         assert repr(got) == repr(old_encode_complex_array(a))
         flat = np.asarray(got, dtype=object).ravel().tolist()
         assert all(type(x) is float for x in flat)
+
+
+@pytest.mark.parametrize(
+    "deleted, named",
+    [("dims", "dims.A"), ("dims.A", "dims.A"), ("dims.B", "dims.B"), ("state", "state.kind"),
+     ("state.kind", "state.kind"), ("state.data", "state.data"), ("alice", "alice"), ("bob", "bob")],
+)
+def test_strategy_parse_error_names_the_missing_field(deleted, named):
+    obj = serialize.strategy_to_jsonable(random_strategy(np.random.default_rng(5), 2, 2))
+    *parents, last = deleted.split(".")
+    del (obj[parents[0]] if parents else obj)[last]
+    with pytest.raises(serialize.ParseError) as info:
+        serialize.strategy_from_jsonable(obj)
+    assert str(info.value) == f"malformed strategy object: missing field {named}"
+
+
+def test_strategy_parse_error_on_a_non_object():
+    with pytest.raises(serialize.ParseError, match="missing field dims.A"):
+        serialize.strategy_from_jsonable([1, 2])
