@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, naimark, schmidt
+from . import games, linalg, naimark, schmidt
 from .errors import DimensionMismatch, FullRankRequired, WitnessMismatch
 from .games import Strategy
 
@@ -52,9 +52,7 @@ class DilationWitness:
         if aux.size % (dims_a[1] * dims_b[1]) != 0:
             raise WitnessMismatch("aux size is not a multiple of the hat dimensions")
         for name, val in (("u_a", u_a), ("u_b", u_b), ("aux", aux)):
-            arr = val.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, games._freeze(val))
         object.__setattr__(self, "dims_a", dims_a)
         object.__setattr__(self, "dims_b", dims_b)
 
@@ -70,7 +68,7 @@ def _require_isometry(u, name: str, rows: int, cols: int | None = None) -> np.nd
     if u.ndim != 2 or u.shape[0] != rows or cols not in (None, u.shape[1]):
         want = f"{rows} rows" if cols is None else (rows, cols)
         raise WitnessMismatch(f"{name} has shape {u.shape}, expected {want}")
-    defect = linalg.frobenius(u.conj().T @ u - linalg.identity(u.shape[1]))
+    defect = linalg._identity_defect(u.conj().T @ u)
     if not defect <= 1e-12 * max(1.0, u.shape[1]):  # a NaN defect fails too
         raise WitnessMismatch(f"{name} is not an isometry (defect {defect:.3e})")
     return u
@@ -197,6 +195,13 @@ def scalar_aux() -> np.ndarray:
     return np.ones(1, dtype=np.complex128)
 
 
+def _trivial_ancilla_witness(u_a: np.ndarray, u_b: np.ndarray) -> DilationWitness:
+    """Witness of ``U_A, U_B`` with one-dimensional hat factors and the scalar aux."""
+    return DilationWitness(
+        u_a=u_a, u_b=u_b, dims_a=(u_a.shape[0], 1), dims_b=(u_b.shape[0], 1), aux=scalar_aux()
+    )
+
+
 def restriction_embedding(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> DilationWitness:
     """Witness embedding the restriction of ``s`` back into ``s``.
 
@@ -204,9 +209,7 @@ def restriction_embedding(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> Di
     the support defect of ``s``.
     """
     _, u_a, u_b = schmidt.restrict(s, rank_tol=rank_tol)
-    return DilationWitness(
-        u_a=u_a, u_b=u_b, dims_a=(s.dims[0], 1), dims_b=(s.dims[1], 1), aux=scalar_aux()
-    )
+    return _trivial_ancilla_witness(u_a, u_b)
 
 
 def naimark_embedding(s: Strategy) -> DilationWitness:
@@ -216,33 +219,15 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     bounded by the projectivity defect of ``s``.
     """
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
-    v_a = naimark.naimark_isometry(s.alice)
-    v_b = naimark.naimark_isometry(s.bob)
-    return DilationWitness(
-        u_a=v_a,
-        u_b=v_b,
-        dims_a=(v_a.shape[0], 1),
-        dims_b=(v_b.shape[0], 1),
-        aux=scalar_aux(),
+    return _trivial_ancilla_witness(
+        naimark.naimark_isometry(s.alice), naimark.naimark_isometry(s.bob)
     )
 
 
 def _complete_isometry(v: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary by Gram-Schmidt on e_k."""
+    """Extend orthonormal columns ``v`` to a unitary by the null eigenvectors of ``v v*``."""
     n, m = v.shape
-    cols = [v[:, i].copy() for i in range(m)]
-    for k in range(n):
-        if len(cols) == n:
-            break
-        cand = linalg.basis_state(n, k)
-        for c in cols:
-            cand = cand - c * np.vdot(c, cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-7:
-            cols.append(cand / norm)
-    if len(cols) != n:
-        raise WitnessMismatch("failed to complete isometry to a unitary")
-    return np.column_stack(cols)
+    return np.hstack((v, np.linalg.eigh(v @ v.conj().T)[1][:, : n - m]))
 
 
 def _pad_map(n_prime: int, m: int, n_blocks: int) -> np.ndarray:

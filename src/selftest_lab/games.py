@@ -196,9 +196,7 @@ def _check_families(families, dim, side):
 
 
 def _completeness_defect(family) -> float:
-    total = sum(family)  # a new array, even for one element
-    total[np.diag_indices_from(total)] -= 1.0
-    return linalg.frobenius(total)
+    return linalg._identity_defect(sum(family))  # a new array, even for one element
 
 
 def _family_valid(family, tol: float) -> bool:
@@ -345,12 +343,14 @@ def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
 
 def _outcome_table(s: Strategy, n_a: int, n_b: int) -> np.ndarray:
     """Unclipped ``Re tr((A_sa (x) B_tb) rho)`` indexed ``[s, t, a, b]`` over
-    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; no gate.
+    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; shapes checked, no gate.
 
     The larger side's elements are reduced to operators on the smaller side
     (see the module docstring), so the roles swap when ``dA > dB``.
     """
     d_a, d_b = s.dims
+    _check_families(s.alice, d_a, "alice")
+    _check_families(s.bob, d_b, "bob")
     if s.is_pure:
         state, swap = s.state.reshape(d_a, d_b), (1, 0)
     else:

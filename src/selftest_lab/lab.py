@@ -7,7 +7,8 @@ measures Z, question 1 measures X; Bob question 0 measures (X+Z)/sqrt(2),
 question 1 measures (Z-X)/sqrt(2), and (in the extended strategy) question 2
 is the trine POVM.  Outcome 0 of a binary question is the +1 eigenprojector
 of its observable.  With these orderings the two Bell functionals evaluate to
-(2*sqrt(2), 1) on the extended strategy.
+(2*sqrt(2), 1) on the extended strategy.  They are linear functionals of the
+unclipped outcome table ``p(a,b|s,t)``, evaluated with no validity gate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, naimark
+from . import games, linalg, naimark
 from .errors import (
     DegenerateTopEigenvalue,
     DimensionMismatch,
@@ -89,16 +90,12 @@ class BetaValues:
     beta1: float
 
 
-def _observable(family) -> np.ndarray:
-    return linalg.as_complex(family[0]) - linalg.as_complex(family[1])
-
-
-def _pair_expectation(s: Strategy, op_a: np.ndarray, op_b: np.ndarray) -> float:
-    if s.is_pure:
-        val = np.vdot(s.state, linalg.apply_factors(s.state, s.dims, (op_a, op_b)))
-    else:
-        val = np.trace(np.kron(op_a, op_b) @ s.state)
-    return float(np.real(val))
+# Coefficients of p[s, t, a, b]: Alice's questions and Bob's first two are
+# binary, with outcome a read as the eigenvalue (-1)^a; Bob's third has three.
+_SIGN = np.array([1.0, -1.0, 0.0])
+_R3 = np.sqrt(3.0) / 2.0
+_BETA0 = np.einsum("st,a,b->stab", [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], _SIGN[:2], _SIGN)
+_BETA1 = np.einsum("t,a,sb->stab", [0.0, 0.0, 1.0], _SIGN[:2], [[1, -0.5, -0.5], [0, _R3, -_R3]])
 
 
 def beta_functionals(s: Strategy) -> BetaValues:
@@ -107,30 +104,17 @@ def beta_functionals(s: Strategy) -> BetaValues:
     ``beta0`` is the CHSH combination of the four binary questions using
     observables ``E_0 - E_1`` per question; ``beta1`` pairs Alice's
     observables with the elements of Bob's three-outcome question as
-    ``A0 F0 - (A0/2 - sqrt(3)A1/2) F1 - (A0/2 + sqrt(3)A1/2) F2``.
+    ``A0 F0 - (A0/2 - sqrt(3)A1/2) F1 - (A0/2 + sqrt(3)A1/2) F2``.  Both are
+    linear functionals of the unclipped outcome table, contracted with
+    constant coefficient tensors as :func:`games.win_probability` contracts
+    the game's weights; no validity gate is applied.
     """
     if len(s.alice) != 2 or any(len(f) != 2 for f in s.alice):
         raise DimensionMismatch("expected two binary Alice questions")
     if len(s.bob) != 3 or len(s.bob[0]) != 2 or len(s.bob[1]) != 2 or len(s.bob[2]) != 3:
         raise DimensionMismatch("expected two binary Bob questions plus one trine-like question")
-    a0, a1 = _observable(s.alice[0]), _observable(s.alice[1])
-    b0, b1 = _observable(s.bob[0]), _observable(s.bob[1])
-    f0, f1, f2 = s.bob[2]
-    beta0 = (
-        _pair_expectation(s, a0, b0)
-        + _pair_expectation(s, a0, b1)
-        + _pair_expectation(s, a1, b0)
-        - _pair_expectation(s, a1, b1)
-    )
-    r3 = np.sqrt(3.0)
-    beta1 = (
-        _pair_expectation(s, a0, f0)
-        - 0.5 * _pair_expectation(s, a0, f1)
-        + (r3 / 2.0) * _pair_expectation(s, a1, f1)
-        - 0.5 * _pair_expectation(s, a0, f2)
-        - (r3 / 2.0) * _pair_expectation(s, a1, f2)
-    )
-    return BetaValues(beta0=beta0, beta1=beta1)
+    p = games._outcome_table(s, 2, 3)
+    return BetaValues(beta0=float(np.vdot(_BETA0, p)), beta1=float(np.vdot(_BETA1, p)))
 
 
 @dataclass(frozen=True)

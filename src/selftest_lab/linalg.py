@@ -48,6 +48,12 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _identity_defect(x: np.ndarray) -> float:
+    """``||x - 1||_F`` for a square ``x``, whose diagonal it shifts in place."""
+    x.flat[:: x.shape[0] + 1] -= 1.0
+    return frobenius(x)
+
+
 def require_finite(a, what: str = "array") -> np.ndarray:
     a = as_complex(a)
     if not np.all(np.isfinite(a)):
@@ -167,7 +173,7 @@ def _shifted_cholesky_exists(h: np.ndarray, d: np.ndarray, tol: float) -> bool:
     overwrites ``d``."""
     d += h
     d *= 0.5
-    d[np.diag_indices_from(d)] += tol
+    d.flat[:: d.shape[0] + 1] += tol
     try:
         np.linalg.cholesky(d)
     except np.linalg.LinAlgError:

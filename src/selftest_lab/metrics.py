@@ -134,17 +134,12 @@ def hat_operators(s: Strategy, rank_tol: float = schmidt.RANK_TOL):
     psi = s.pure_state()
     sd = schmidt.schmidt_decompose(psi, s.dims, rank_tol=rank_tol)
     lam = sd.coefficients
-    left, right = sd.left, sd.right
 
-    def hat_of(e, from_left: bool) -> np.ndarray:
-        if from_left:
-            core = left.conj().T @ e @ left  # element in the e-basis
-            swapped = (lam[:, None] * core.T) / lam[None, :]
-            return right @ swapped @ right.conj().T
-        core = right.conj().T @ e @ right
+    def hat_of(e, basis, other) -> np.ndarray:
+        core = basis.conj().T @ e @ basis  # element in the element side's Schmidt basis
         swapped = (lam[:, None] * core.T) / lam[None, :]
-        return left @ swapped @ left.conj().T
+        return other @ swapped @ other.conj().T
 
-    alice_hats = tuple(tuple(hat_of(e, True) for e in fam) for fam in s.alice)
-    bob_hats = tuple(tuple(hat_of(e, False) for e in fam) for fam in s.bob)
+    alice_hats = tuple(tuple(hat_of(e, sd.left, sd.right) for e in fam) for fam in s.alice)
+    bob_hats = tuple(tuple(hat_of(e, sd.right, sd.left) for e in fam) for fam in s.bob)
     return alice_hats, bob_hats

@@ -225,41 +225,32 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     """Check ``R = V* P V``, projectivity, and completeness of a dilation.
 
     Raises ``DimensionMismatch`` when the families and the dilation differ in
-    family count, in element count per family, or in dimension (each ``R``
-    on the domain of ``V``, each ``P`` on its codomain).
+    family count, in element count per family (an empty family is one), or
+    in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
-    if len(povms) != len(d.pvms):
-        raise DimensionMismatch(f"{len(povms)} families against {len(d.pvms)} dilated ones")
-    for k, (family, dilated) in enumerate(zip(povms, d.pvms)):
-        if len(family) != len(dilated):
+    pvms = [[linalg.as_complex(p) for p in fam] for fam in d.pvms]
+    if len(povms) != len(pvms):
+        raise DimensionMismatch(f"{len(povms)} families against {len(pvms)} dilated ones")
+    for k, (family, dilated) in enumerate(zip(povms, pvms)):
+        if len(family) != len(dilated) or not family:
             raise DimensionMismatch(
                 f"family {k} has {len(family)} elements, its dilation {len(dilated)}"
             )
         for r, p in zip(family, dilated):
-            if r.shape != (v.shape[1],) * 2 or np.shape(p) != (v.shape[0],) * 2:
+            if r.shape != (v.shape[1],) * 2 or p.shape != (v.shape[0],) * 2:
                 raise DimensionMismatch(
-                    f"family {k} pairs elements of shape {r.shape} and {np.shape(p)} "
+                    f"family {k} pairs elements of shape {r.shape} and {p.shape} "
                     f"with an isometry of shape {v.shape}"
                 )
-    iso_defect = linalg.frobenius(v.conj().T @ v - linalg.identity(v.shape[1]))
-    element_defects = []
-    projection_defects = []
-    completeness = []
-    for family, dilated in zip(povms, d.pvms, strict=True):
-        row_el = []
-        row_pr = []
-        total = np.zeros((v.shape[0],) * 2, dtype=np.complex128)
-        for r, p in zip(family, dilated, strict=True):
-            p = linalg.as_complex(p)
-            row_el.append(linalg.frobenius(r - v.conj().T @ p @ v))
-            row_pr.append(linalg.projector_defect(p))
-            total += p
-        total[np.diag_indices_from(total)] -= 1.0
-        completeness.append(linalg.frobenius(total))
-        element_defects.append(tuple(row_el))
-        projection_defects.append(tuple(row_pr))
+    iso_defect = linalg._identity_defect(v.conj().T @ v)
+    element_defects = tuple(
+        tuple(linalg.frobenius(r - v.conj().T @ p @ v) for r, p in zip(family, dilated))
+        for family, dilated in zip(povms, pvms)
+    )
+    projection_defects = tuple(tuple(map(linalg.projector_defect, fam)) for fam in pvms)
+    completeness = [games._completeness_defect(fam) for fam in pvms]
     # np.max, unlike max, keeps a NaN defect, which then fails the verdict
     worst = np.max(
         [iso_defect]
@@ -270,8 +261,8 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     return DilationCheck(
         tol=tol,
         isometry_defect=iso_defect,
-        element_defects=tuple(element_defects),
-        projection_defects=tuple(projection_defects),
+        element_defects=element_defects,
+        projection_defects=projection_defects,
         completeness_defects=tuple(completeness),
         passed=bool(worst <= tol),
     )

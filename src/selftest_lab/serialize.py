@@ -250,16 +250,8 @@ def dumps_csv(rows) -> str:
     fields = list(rows[0].keys())
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([_format_cell(row[f]) for f in fields])
+        writer.writerow([row[f] for f in fields])
     return out.getvalue()
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return repr(v.item())
-    return v
 
 
 def emit_report(result, fmt: str = "json") -> bytes:

@@ -308,6 +308,52 @@ def test_cli_validate_report_bytes(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"validate_{name}.json").read_text()
 
 
+def assert_matches_golden(got, want, where="report"):
+    """Same structure, keys, strings, ints and bools; each float within 1e-15."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            assert_matches_golden(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-15, f"{where}: {got!r} vs {want!r}"
+    else:
+        assert got == want, where
+
+
+GOLDEN_REPORTS = [
+    *(
+        (f"{cmd}_{name}.json", [cmd, str(FIXTURES / f"{name}.json")])
+        for cmd in ("correlation", "metrics", "restrict")
+        for name in ("chsh", "trine")
+    ),
+    ("naimark_chsh.json", ["naimark", str(FIXTURES / "chsh.json")]),
+    *(
+        (f"repro_{target}.json", ["repro", target, "--seed", "0"])
+        for target in ("chsh", "trine", "moments", "pencil", "robustness")
+    ),
+    ("validate_trine.csv", ["validate", str(FIXTURES / "trine.json"), "--format", "csv"]),
+    ("repro_robustness.csv", ["repro", "robustness", "--format", "csv", "--seed", "0"]),
+]
+
+
+@pytest.mark.parametrize("golden,argv", GOLDEN_REPORTS, ids=[g for g, _ in GOLDEN_REPORTS])
+def test_cli_report_matches_golden(golden, argv, capsys):
+    # JSON reports up to float round-off, CSV reports byte for byte
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    want = (GOLDEN / golden).read_text()
+    if golden.endswith(".csv"):
+        assert captured.out == want
+    else:
+        assert_matches_golden(json.loads(captured.out), json.loads(want))
+
+
 def chsh_with_bob_entry(tmp_path, question, answer, edit):
     obj = json.loads((FIXTURES / "chsh.json").read_text())
     edit(obj["bob"][question][answer])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from selftest_lab import linalg
 from selftest_lab.dilation import (
     DilationWitness,
+    _complete_isometry,
     compose_witnesses,
     dilation_residuals,
     extraction_residual,
@@ -27,6 +28,7 @@ from selftest_lab.naimark import naimark_strategy, trine_povm
 from selftest_lab.schmidt import purify, restrict
 
 from helpers import (
+    haar_isometry,
     haar_unitary,
     random_bipartite_state,
     random_density,
@@ -85,6 +87,19 @@ def test_identity_witness_zero_residual():
     report = dilation_residuals(s, s, identity_witness(s))
     assert report.eps <= 1e-14
     assert report.state_residual <= 1e-14
+
+
+def test_witness_stores_read_only_arrays_apart_from_writable_inputs():
+    u_a, u_b, aux = np.eye(2, dtype=complex), haar_unitary(RNG, 2), scalar_aux()
+    w = DilationWitness(u_a=u_a, u_b=u_b, dims_a=(2, 1), dims_b=(2, 1), aux=aux)
+    stored = (w.u_a.copy(), w.u_b.copy(), w.aux.copy())
+    u_a[0, 0] = u_b[0, 0] = aux[0] = 7.0
+    for arr, before in zip((w.u_a, w.u_b, w.aux), stored):
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, before)
+    # a witness's own arrays qualify for adoption, as a strategy's do
+    again = DilationWitness(u_a=w.u_a, u_b=w.u_b, dims_a=w.dims_a, dims_b=w.dims_b, aux=w.aux)
+    assert again.u_a is w.u_a and again.u_b is w.u_b and again.aux is w.aux
 
 
 def test_residuals_without_questions_are_the_state_row():
@@ -640,3 +655,17 @@ def test_every_form_rejects_a_malformed_witness_alike(defect, form):
     src, dst, w, exc = _malformed(defect)
     with pytest.raises(exc):
         FORMS[form](src, dst, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**32 - 1),
+)
+def test_complete_isometry_is_a_unitary_extending_its_input(shape, seed):
+    n, m = shape
+    v = haar_isometry(np.random.default_rng(seed), n, m)
+    u = _complete_isometry(v)
+    assert u.shape == (n, n)
+    assert np.array_equal(u[:, :m], v)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12

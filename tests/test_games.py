@@ -16,7 +16,13 @@ from selftest_lab.games import (
     validate_strategy,
     win_probability,
 )
-from selftest_lab.lab import CHSH_QUANTUM_VALUE, canonical_chsh, chsh_game, trine_strategy
+from selftest_lab.lab import (
+    CHSH_QUANTUM_VALUE,
+    beta_functionals,
+    canonical_chsh,
+    chsh_game,
+    trine_strategy,
+)
 from selftest_lab.naimark import naimark_strategy, trine_povm
 
 from helpers import (
@@ -110,6 +116,22 @@ def test_win_probability_canonical():
     assert win_probability(chsh_game(), canonical_chsh()) == pytest.approx(
         (2 + np.sqrt(2)) / 4, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+@pytest.mark.parametrize("side", ["alice", "bob"])
+def test_ungated_table_rejects_a_wrong_element_shape(pure, side):
+    t = trine_strategy()
+    state = t.state if pure else t.density()
+    wrong = [np.eye(3, dtype=complex) / 2] * 2
+    alice = [t.alice[0], wrong] if side == "alice" else t.alice
+    bob = [t.bob[0], wrong, t.bob[2]] if side == "bob" else t.bob
+    s = Strategy(state=state, dims=t.dims, alice=alice, bob=bob)
+    with pytest.raises(DimensionMismatch):
+        beta_functionals(s)
+    chsh = Strategy(state=state, dims=t.dims, alice=alice, bob=bob[:2])
+    with pytest.raises(DimensionMismatch):
+        win_probability(chsh_game(), chsh)
 
 
 def test_win_probability_classical_deterministic():

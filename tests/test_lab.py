@@ -32,7 +32,13 @@ from selftest_lab.metrics import projective_eps, support_preserving_eps
 from selftest_lab.naimark import minimal_trine_dilation, naimark_strategy, trine_povm
 from selftest_lab.schmidt import schmidt_decompose
 
-from helpers import haar_unitary, random_povm, random_strategy
+from helpers import (
+    haar_unitary,
+    random_bipartite_state,
+    random_density,
+    random_povm,
+    random_strategy,
+)
 
 RNG = np.random.default_rng(707)
 
@@ -75,6 +81,50 @@ def test_beta_functionals_uniform_third_question():
     betas = beta_functionals(t)
     assert betas.beta1 == pytest.approx(0.0, abs=1e-12)
     assert betas.beta0 == pytest.approx(2 * SQRT2, abs=1e-12)
+
+
+def operator_beta_functionals(s):
+    """Reference: each correlator as <psi|(A (x) B)|psi>, or tr((A (x) B) rho)."""
+
+    def expect(op_a, op_b):
+        op = np.kron(op_a, op_b)
+        val = np.vdot(s.state, op @ s.state) if s.is_pure else np.trace(op @ s.state)
+        return float(np.real(val))
+
+    a0, a1 = (fam[0] - fam[1] for fam in s.alice)
+    b0, b1 = (fam[0] - fam[1] for fam in s.bob[:2])
+    f0, f1, f2 = s.bob[2]
+    r3 = np.sqrt(3.0)
+    beta0 = expect(a0, b0) + expect(a0, b1) + expect(a1, b0) - expect(a1, b1)
+    beta1 = (
+        expect(a0, f0)
+        - 0.5 * expect(a0, f1)
+        + (r3 / 2.0) * expect(a1, f1)
+        - 0.5 * expect(a0, f2)
+        - (r3 / 2.0) * expect(a1, f2)
+    )
+    return beta0, beta1
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_beta_functionals_match_operator_formula(d_a, d_b, mixed):
+    rng = np.random.default_rng(10 * d_a + d_b + 100 * mixed)
+    for _ in range(20):
+        if mixed:
+            state = random_density(rng, d_a * d_b, rank=int(rng.integers(1, d_a * d_b + 1)))
+        else:
+            state = random_bipartite_state(rng, d_a, d_b, rank=int(rng.integers(1, 3)))
+        s = Strategy(
+            state=state,
+            dims=(d_a, d_b),
+            alice=[random_povm(rng, d_a, 2) for _ in range(2)],
+            bob=[random_povm(rng, d_b, 2), random_povm(rng, d_b, 2), random_povm(rng, d_b, 3)],
+        )
+        betas = beta_functionals(s)
+        beta0, beta1 = operator_beta_functionals(s)
+        assert abs(betas.beta0 - beta0) <= 1e-14
+        assert abs(betas.beta1 - beta1) <= 1e-14
 
 
 def test_trine_strategy_metrics():

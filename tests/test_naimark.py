@@ -430,6 +430,8 @@ def _mismatched(kind):
         return [fam, fam], dil
     if kind == "element count":
         return [fam[:2]], dil
+    if kind == "empty family":
+        return [[]], NaimarkDilation(pvms=((),), isometry=dil.isometry, dims=dil.dims)
     if kind == "element dimension":
         return [[np.eye(3, dtype=complex) / 3] * 3], dil
     bad = (dil.pvms[0][:2] + (np.eye(5, dtype=complex),),)
@@ -437,7 +439,8 @@ def _mismatched(kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["family count", "element count", "element dimension", "projection dimension"]
+    "kind",
+    ["family count", "element count", "empty family", "element dimension", "projection dimension"],
 )
 def test_verify_dilation_rejects_mismatched_structure(kind):
     fams, dil = _mismatched(kind)
