@@ -2,17 +2,23 @@
 
 Exit codes: 0 on success or a passing check, 1 when a requested check fails,
 2 on malformed or invalid input.  All randomness derives from ``--seed``, so
-identical invocations produce identical bytes.
+identical invocations produce identical bytes.  Flag values are checked when
+the arguments are parsed: ``--tol`` must be finite and non-negative and
+``--seed`` non-negative.
+
+Each handler imports the submodule it calls, so a fresh process compiles
+only the modules its command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from . import dilation, lab, linalg, metrics, naimark, schmidt, serialize
+from . import linalg, serialize
 from .errors import LabError, ParseError
 from .games import correlation_of, game_operator, validate_strategy, win_probability
 
@@ -23,8 +29,11 @@ EXIT_INPUT_ERROR = 2
 
 def _write(payload: bytes, out_path: str | None):
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise LabError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(payload.decode())
 
@@ -44,12 +53,16 @@ def _cmd_correlation(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from . import metrics
+
     s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
     _write(serialize.emit_report(metrics.strategy_metrics(s), args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_restrict(args) -> int:
+    from . import schmidt
+
     s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
     restricted, u_a, u_b = schmidt.restrict(s)
     payload = {
@@ -62,6 +75,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_naimark(args) -> int:
+    from . import naimark
+
     s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
     dilated, v_a, v_b = naimark.naimark_strategy(s)
     payload = {
@@ -74,6 +89,8 @@ def _cmd_naimark(args) -> int:
 
 
 def _cmd_check_dilation(args) -> int:
+    from . import dilation
+
     src = serialize.parse_strategy_file(args.src, tol=args.tol)
     dst = serialize.parse_strategy_file(args.dst, tol=args.tol)
     u_a, u_b, aux, form = serialize.witness_arrays_from_jsonable(
@@ -100,6 +117,8 @@ def _cmd_check_dilation(args) -> int:
 
 
 def _repro_chsh(args):
+    from . import lab
+
     g = lab.chsh_game()
     s = lab.canonical_chsh()
     w = game_operator(g, s)
@@ -114,6 +133,8 @@ def _repro_chsh(args):
 
 
 def _repro_trine(args):
+    from . import lab
+
     s = lab.trine_strategy()
     betas = lab.beta_functionals(s)
     return {
@@ -124,6 +145,8 @@ def _repro_trine(args):
 
 
 def _repro_moments(args):
+    from . import lab
+
     s1, s2 = lab.minimal_dilation_strategies()
     word = [(2, 0), (1, 1), (2, 0)]
     m1 = lab.higher_order_moment(s1, [], word)
@@ -136,6 +159,8 @@ def _repro_moments(args):
 
 
 def _repro_pencil(args):
+    from . import lab
+
     rng = np.random.default_rng(args.seed)
     trials = 25
     results = []
@@ -153,6 +178,8 @@ def _repro_pencil(args):
 
 
 def _repro_robustness(args):
+    from . import lab
+
     g = lab.chsh_game()
     s = lab.canonical_chsh()
     w = game_operator(g, s)
@@ -201,9 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def tolerance(text):
+        tol = float(text)
+        if not math.isfinite(tol) or tol < 0:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
+        return tol
+
+    def seed(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+        return value
+
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=tolerance, default=1e-9)
+        p.add_argument("--seed", type=seed, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
 

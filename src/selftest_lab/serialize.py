@@ -21,14 +21,17 @@ import json
 import math
 import operator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
-from .dilation import DilationWitness
 from .errors import InvalidStrategy, LabError, ParseError
 from .games import NonlocalGame, Strategy, _is_valid, validate_strategy
-from .naimark import NaimarkDilation
+
+if TYPE_CHECKING:
+    from .dilation import DilationWitness
+    from .naimark import NaimarkDilation
 
 
 def strategy_to_jsonable(s: Strategy) -> dict:
@@ -41,13 +44,13 @@ def strategy_to_jsonable(s: Strategy) -> dict:
     }
 
 
-def _field(obj, path: str):
+def _field(obj, path: str, kind: str = "strategy"):
     """``obj[k1][k2]...`` for ``path = "k1.k2..."``; a :class:`ParseError` naming
-    ``path`` when a level is missing or not an object."""
+    the ``kind`` of object and ``path`` when a level is missing or not an object."""
     try:
         return functools.reduce(operator.getitem, path.split("."), obj)
     except (KeyError, TypeError, IndexError):
-        raise ParseError(f"malformed strategy object: missing field {path}") from None
+        raise ParseError(f"malformed {kind} object: missing field {path}") from None
 
 
 def strategy_from_jsonable(obj) -> Strategy:
@@ -77,9 +80,11 @@ def game_to_jsonable(g: NonlocalGame) -> dict:
 def game_from_jsonable(obj) -> NonlocalGame:
     try:
         return NonlocalGame(
-            pi=np.asarray(obj["pi"], dtype=np.float64),
-            predicate=np.asarray(obj["predicate"], dtype=np.float64),
+            pi=np.asarray(_field(obj, "pi", "game"), dtype=np.float64),
+            predicate=np.asarray(_field(obj, "predicate", "game"), dtype=np.float64),
         )
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError, LabError) as exc:
         raise ParseError(f"malformed game object: {exc}") from exc
 
@@ -98,7 +103,8 @@ def witness_arrays_from_jsonable(obj) -> tuple[np.ndarray, np.ndarray, np.ndarra
     from the destination strategy's dimensions.  Non-finite entries are a
     :class:`ParseError`."""
     try:
-        u_a, u_b, aux = (linalg.decode_complex_array(obj[key]) for key in ("U_A", "U_B", "aux"))
+        field = functools.partial(_field, obj, kind="witness")
+        u_a, u_b, aux = (linalg.decode_complex_array(field(key)) for key in ("U_A", "U_B", "aux"))
         for key, arr in (("U_A", u_a), ("U_B", u_b), ("aux", aux)):
             if not np.all(np.isfinite(arr)):
                 raise ParseError(f"witness {key} contains non-finite entries")
@@ -121,13 +127,16 @@ def dilation_to_jsonable(d: NaimarkDilation) -> dict:
 
 
 def dilation_from_jsonable(obj) -> NaimarkDilation:
+    from .naimark import NaimarkDilation
+
+    field = functools.partial(_field, obj, kind="dilation")
     try:
         return NaimarkDilation(
             pvms=tuple(
-                tuple(linalg.decode_complex_array(p) for p in fam) for fam in obj["pvms"]
+                tuple(linalg.decode_complex_array(p) for p in fam) for fam in field("pvms")
             ),
-            isometry=linalg.decode_complex_array(obj["isometry"]),
-            dims=(int(obj["dims"]["in"]), int(obj["dims"]["out"])),
+            isometry=linalg.decode_complex_array(field("isometry")),
+            dims=(int(field("dims.in")), int(field("dims.out"))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dilation object: {exc}") from exc

@@ -482,3 +482,46 @@ def test_cli_check_dilation_rejects_non_finite_witness(tmp_path, capsys, form, a
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: witness {array} contains non-finite entries\n"
+
+
+def test_cli_unwritable_out_is_one_error_line(capsys):
+    out = "/nonexistent/dir/x.json"
+    assert run(["validate", str(FIXTURES / "chsh.json"), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["repro", "pencil", "--seed", "-5"], ["repro", "robustness", "--seed", "-3"],
+     ["validate", str(FIXTURES / "chsh.json"), "--tol", "nan"],
+     ["correlation", str(FIXTURES / "chsh.json"), "--tol", "inf"],
+     ["validate", str(FIXTURES / "chsh.json"), "--tol=-1e-12"],
+     ["check-dilation", *(str(FIXTURES / "trine.json"),) * 3, "--tol", "-1"]],
+    ids=["seed-pencil", "seed-robustness", "tol-nan", "tol-inf", "tol-tiny-negative", "tol-negative"],
+)
+def test_cli_rejects_flag_values_when_parsing(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(a.split("=")[0] for a in argv if a.startswith("--"))
+    assert f"error: argument {flag}: must be " in captured.err
+
+
+def test_cli_tol_zero_is_accepted(capsys):
+    # the bound is tol >= 0, so the check runs; at 0 the fixture's round-off fails it
+    assert run(["validate", str(FIXTURES / "chsh.json"), "--tol", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
+def test_cli_names_the_missing_witness_field(capsys):
+    # a strategy file given as the witness
+    trine, chsh = str(FIXTURES / "trine.json"), str(FIXTURES / "chsh.json")
+    assert run(["check-dilation", trine, trine, chsh]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed witness object: missing field U_A\n"

@@ -14,8 +14,9 @@ from selftest_lab import linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import ResidualReport
 from selftest_lab.games import ValidationReport
+from selftest_lab.lab import chsh_game
 from selftest_lab.metrics import StrategyMetrics
-from selftest_lab.naimark import DilationCheck, naimark_strategy
+from selftest_lab.naimark import DilationCheck, minimal_trine_dilation, naimark_strategy
 
 from helpers import random_strategy
 
@@ -208,3 +209,42 @@ def test_strategy_parse_error_names_the_missing_field(deleted, named):
 def test_strategy_parse_error_on_a_non_object():
     with pytest.raises(serialize.ParseError, match="missing field dims.A"):
         serialize.strategy_from_jsonable([1, 2])
+
+
+def identity_witness_jsonable():
+    eye = linalg.encode_complex_array(np.eye(2, dtype=complex))
+    return {"U_A": eye, "U_B": eye, "aux": linalg.encode_complex_array(np.ones(1, dtype=complex))}
+
+
+PARSERS = {
+    "witness": (identity_witness_jsonable, serialize.witness_arrays_from_jsonable),
+    "game": (lambda: serialize.game_to_jsonable(chsh_game()), serialize.game_from_jsonable),
+    "dilation": (
+        lambda: serialize.dilation_to_jsonable(minimal_trine_dilation()),
+        serialize.dilation_from_jsonable,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, deleted",
+    [("witness", "U_A"), ("witness", "U_B"), ("witness", "aux"), ("game", "pi"),
+     ("game", "predicate"), ("dilation", "pvms"), ("dilation", "isometry"),
+     ("dilation", "dims.in"), ("dilation", "dims.out")],
+)
+def test_parse_error_names_the_missing_field(kind, deleted):
+    build, parse = PARSERS[kind]
+    obj = build()
+    parse(obj)  # complete, it parses
+    *parents, last = deleted.split(".")
+    del (obj[parents[0]] if parents else obj)[last]
+    with pytest.raises(serialize.ParseError) as info:
+        parse(obj)
+    assert str(info.value) == f"malformed {kind} object: missing field {deleted}"
+
+
+@pytest.mark.parametrize("kind, first", [("witness", "U_A"), ("game", "pi"), ("dilation", "pvms")])
+def test_parse_error_on_a_non_object_names_the_first_field(kind, first):
+    with pytest.raises(serialize.ParseError) as info:
+        PARSERS[kind][1]([1, 2])
+    assert str(info.value) == f"malformed {kind} object: missing field {first}"
