@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 on success or a passing check, 1 when a requested check fails,
-2 on malformed or invalid input.  All randomness derives from ``--seed``, so
-identical invocations produce identical bytes.  Flag values are checked when
-the arguments are parsed: ``--tol`` must be finite and non-negative and
+2 on malformed or invalid input.  All randomness derives from ``repro``'s
+``--seed``, so identical invocations produce identical bytes.  Each
+subcommand registers only the flags it reads, and their values are checked
+when the arguments are parsed: ``--tol`` must be finite and non-negative and
 ``--seed`` non-negative.
 
 Each handler imports the submodule it calls, so a fresh process compiles
-only the modules its command runs.
+only the modules its command runs.  A handler returns its report and exit
+code; :func:`run` writes the report.
 """
 
 from __future__ import annotations
@@ -38,57 +40,49 @@ def _write(payload: bytes, out_path: str | None):
         sys.stdout.write(payload.decode())
 
 
-def _cmd_validate(args) -> int:
-    s = serialize.parse_strategy_file(args.strategy, tol=None)
-    report = validate_strategy(s, args.tol)
-    _write(serialize.emit_report(report, args.format), args.out)
-    return EXIT_OK if report.valid else EXIT_CHECK_FAILED
+def _strategy(args):
+    return serialize.parse_strategy_file(args.strategy, tol=args.tol)
 
 
-def _cmd_correlation(args) -> int:
-    s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
-    corr = correlation_of(s, args.tol)
-    _write(serialize.emit_report({"p": corr.table.tolist()}, args.format), args.out)
-    return EXIT_OK
+def _cmd_validate(args):
+    report = validate_strategy(serialize.parse_strategy_file(args.strategy, tol=None), args.tol)
+    return report, EXIT_OK if report.valid else EXIT_CHECK_FAILED
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_correlation(args):
+    return {"p": correlation_of(_strategy(args), args.tol).table.tolist()}, EXIT_OK
+
+
+def _cmd_metrics(args):
     from . import metrics
 
-    s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
-    _write(serialize.emit_report(metrics.strategy_metrics(s), args.format), args.out)
-    return EXIT_OK
+    return metrics.strategy_metrics(_strategy(args)), EXIT_OK
 
 
-def _cmd_restrict(args) -> int:
+def _map_report(mapped, letter: str):
+    """Report of a strategy map ``(strategy, X_A, X_B)``, with the isometries
+    under the keys ``{letter}_A`` and ``{letter}_B``."""
+    strategy, x_a, x_b = mapped
+    return {
+        "strategy": serialize.strategy_to_jsonable(strategy),
+        f"{letter}_A": linalg.encode_complex_array(x_a),
+        f"{letter}_B": linalg.encode_complex_array(x_b),
+    }, EXIT_OK
+
+
+def _cmd_restrict(args):
     from . import schmidt
 
-    s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
-    restricted, u_a, u_b = schmidt.restrict(s)
-    payload = {
-        "strategy": serialize.strategy_to_jsonable(restricted),
-        "U_A": linalg.encode_complex_array(u_a),
-        "U_B": linalg.encode_complex_array(u_b),
-    }
-    _write(serialize.emit_report(payload, args.format), args.out)
-    return EXIT_OK
+    return _map_report(schmidt.restrict(_strategy(args)), "U")
 
 
-def _cmd_naimark(args) -> int:
+def _cmd_naimark(args):
     from . import naimark
 
-    s = serialize.parse_strategy_file(args.strategy, tol=args.tol)
-    dilated, v_a, v_b = naimark.naimark_strategy(s)
-    payload = {
-        "strategy": serialize.strategy_to_jsonable(dilated),
-        "V_A": linalg.encode_complex_array(v_a),
-        "V_B": linalg.encode_complex_array(v_b),
-    }
-    _write(serialize.emit_report(payload, args.format), args.out)
-    return EXIT_OK
+    return _map_report(naimark.naimark_strategy(_strategy(args)), "V")
 
 
-def _cmd_check_dilation(args) -> int:
+def _cmd_check_dilation(args):
     from . import dilation
 
     src = serialize.parse_strategy_file(args.src, tol=args.tol)
@@ -112,29 +106,29 @@ def _cmd_check_dilation(args) -> int:
     else:
         eps = dilation.extraction_residual(src, dst, u_a, u_b)
         payload = {"form": "extraction", "eps": eps}
-    _write(serialize.emit_report(payload, args.format), args.out)
-    return EXIT_OK if eps <= args.tol else EXIT_CHECK_FAILED
+    return payload, EXIT_OK if eps <= args.tol else EXIT_CHECK_FAILED
 
 
-def _repro_chsh(args):
-    from . import lab
-
+def _chsh_spectrum(lab):
+    """The CHSH game, its canonical strategy, game operator and descending eigenvalues."""
     g = lab.chsh_game()
     s = lab.canonical_chsh()
     w = game_operator(g, s)
-    spec = linalg.hermitian_eig(w)
+    return g, s, w, linalg.hermitian_eig(w).eigenvalues
+
+
+def _repro_chsh(lab, args):
+    g, s, _, eigenvalues = _chsh_spectrum(lab)
     betas = lab.beta_functionals(lab.trine_strategy())
     return {
         "omega": win_probability(g, s),
         "beta0": betas.beta0,
-        "spectrum": [float(x) for x in spec.eigenvalues],
-        "gap": float(spec.eigenvalues[0] - spec.eigenvalues[1]),
+        "spectrum": [float(x) for x in eigenvalues],
+        "gap": float(eigenvalues[0] - eigenvalues[1]),
     }
 
 
-def _repro_trine(args):
-    from . import lab
-
+def _repro_trine(lab, args):
     s = lab.trine_strategy()
     betas = lab.beta_functionals(s)
     return {
@@ -144,9 +138,7 @@ def _repro_trine(args):
     }
 
 
-def _repro_moments(args):
-    from . import lab
-
+def _repro_moments(lab, args):
     s1, s2 = lab.minimal_dilation_strategies()
     word = [(2, 0), (1, 1), (2, 0)]
     m1 = lab.higher_order_moment(s1, [], word)
@@ -158,9 +150,7 @@ def _repro_moments(args):
     }
 
 
-def _repro_pencil(args):
-    from . import lab
-
+def _repro_pencil(lab, args):
     rng = np.random.default_rng(args.seed)
     trials = 25
     results = []
@@ -177,15 +167,10 @@ def _repro_pencil(args):
     return {"cases": results, "all_rank_deficient": all_ok}
 
 
-def _repro_robustness(args):
-    from . import lab
-
-    g = lab.chsh_game()
-    s = lab.canonical_chsh()
-    w = game_operator(g, s)
-    spec = linalg.hermitian_eig(w)
-    lam0 = float(spec.eigenvalues[0])
-    gap = lam0 - float(spec.eigenvalues[1])
+def _repro_robustness(lab, args):
+    g, s, w, eigenvalues = _chsh_spectrum(lab)
+    lam0 = float(eigenvalues[0])
+    gap = lam0 - float(eigenvalues[1])
     magnitudes = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
     trials_per_magnitude = 8
     rows = []
@@ -207,17 +192,19 @@ def _repro_robustness(args):
     return {"constant": lab.robustness_constant(g), "gap": gap, "rows": rows}
 
 
-def _cmd_repro(args) -> int:
-    handlers = {
-        "chsh": _repro_chsh,
-        "trine": _repro_trine,
-        "moments": _repro_moments,
-        "pencil": _repro_pencil,
-        "robustness": _repro_robustness,
-    }
-    result = handlers[args.target](args)
-    _write(serialize.emit_report(result, args.format), args.out)
-    return EXIT_OK
+REPRO_TARGETS = {
+    "chsh": _repro_chsh,
+    "trine": _repro_trine,
+    "moments": _repro_moments,
+    "pencil": _repro_pencil,
+    "robustness": _repro_robustness,
+}
+
+
+def _cmd_repro(args):
+    from . import lab
+
+    return REPRO_TARGETS[args.target](lab, args), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,42 +227,36 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
         return value
 
-    def common(p):
-        p.add_argument("--tol", type=tolerance, default=1e-9)
-        p.add_argument("--seed", type=seed, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
-
-    for name, handler, info in (
-        ("validate", _cmd_validate, "check POVM and state invariants of a strategy file"),
-        ("correlation", _cmd_correlation, "emit the outcome table p(a,b|s,t)"),
-        ("metrics", _cmd_metrics, "emit support and projectivity defects"),
-        ("restrict", _cmd_restrict, "compress a pure strategy to its local supports"),
-        ("naimark", _cmd_naimark, "dilate a pure strategy to a projective one"),
+    # each subcommand's arguments, ahead of the --format and --out that all take
+    tol = {"--tol": {"type": tolerance, "default": 1e-9}}
+    strategy = {"strategy": {}, **tol}
+    for name, handler, info, arguments in (
+        ("validate", _cmd_validate, "check POVM and state invariants of a strategy file",
+         strategy),
+        ("correlation", _cmd_correlation, "emit the outcome table p(a,b|s,t)", strategy),
+        ("metrics", _cmd_metrics, "emit support and projectivity defects", strategy),
+        ("restrict", _cmd_restrict, "compress a pure strategy to its local supports", strategy),
+        ("naimark", _cmd_naimark, "dilate a pure strategy to a projective one", strategy),
+        ("check-dilation", _cmd_check_dilation, "evaluate dilation residuals for a witness",
+         {"src": {}, "dst": {}, "witness": {}, **tol}),
+        ("repro", _cmd_repro, "reproduce bundled quantitative examples",
+         {"target": {"choices": REPRO_TARGETS}, "--seed": {"type": seed, "default": 0}}),
     ):
         p = sub.add_parser(name, help=info)
-        p.add_argument("strategy")
-        common(p)
+        for arg, spec in arguments.items():
+            p.add_argument(arg, **spec)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None)
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser("check-dilation", help="evaluate dilation residuals for a witness")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.add_argument("witness")
-    common(p)
-    p.set_defaults(handler=_cmd_check_dilation)
-
-    p = sub.add_parser("repro", help="reproduce bundled quantitative examples")
-    p.add_argument("target", choices=("chsh", "trine", "moments", "pencil", "robustness"))
-    common(p)
-    p.set_defaults(handler=_cmd_repro)
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report, code = args.handler(args)
+        _write(serialize.emit_report(report, args.format), args.out)
+        return code
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

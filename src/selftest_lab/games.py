@@ -84,9 +84,10 @@ class Strategy:
     """Shared state plus per-question POVM families for Alice and Bob.
 
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
-    of dimension ``dims[0] * dims[1]``.  Construction checks the state's
-    shape and that the state and every element are finite; semantic validity
-    is checked by :func:`validate_strategy`.
+    of dimension ``dims[0] * dims[1]``.  Construction checks that both local
+    dimensions are at least 1, the state's shape, and that the state and
+    every element are finite; semantic validity is checked by
+    :func:`validate_strategy`.
 
     The state and the elements are stored read-only.  An input array that is
     already read-only, C-contiguous, complex128 and owns its memory (not a
@@ -101,6 +102,8 @@ class Strategy:
 
     def __post_init__(self):
         d_a, d_b = (int(self.dims[0]), int(self.dims[1]))
+        if min(d_a, d_b) < 1:
+            raise DimensionMismatch(f"local dimensions must be >= 1, not {(d_a, d_b)}")
         state = linalg.require_finite(self.state, "state")
         n = d_a * d_b
         if state.ndim == 1:

@@ -2,8 +2,8 @@
 
 Everything here works on plain ``numpy`` arrays of dtype complex128.  Vectors
 are 1-D, operators are square 2-D, and bipartite structure is always passed
-explicitly as a ``dims`` tuple.  Default tolerances: 1e-9 for semantic checks
-(Hermiticity, positivity, completeness) and 1e-12 for algebraic identities.
+explicitly as a ``dims`` tuple.  The default tolerance for semantic checks
+(Hermiticity, positivity, completeness) is 1e-9.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-9
-EXACT_TOL = 1e-12
 
 
 def as_complex(a) -> np.ndarray:

@@ -55,7 +55,9 @@ def _field(obj, path: str, kind: str = "strategy"):
 
 def strategy_from_jsonable(obj) -> Strategy:
     try:
-        dims = (int(_field(obj, "dims.A")), int(_field(obj, "dims.B")))
+        dims = (_field(obj, "dims.A"), _field(obj, "dims.B"))
+        if not all(type(d) is int for d in dims):  # bool, float and str are refused
+            raise ParseError(f"malformed strategy object: dims must be integers, not {dims!r}")
         kind = _field(obj, "state.kind")
         state = linalg.decode_complex_array(_field(obj, "state.data"))
         if kind not in ("pure", "mixed"):
@@ -251,7 +253,11 @@ def dumps_json(obj) -> str:
 
 
 def dumps_csv(rows) -> str:
-    """CSV with the key order of the first row; floats use repr round-trip."""
+    """CSV with the key order of the first row; floats use repr round-trip.
+
+    A cell holding a list or a dict is written as its JSON text (sorted keys),
+    so a reader can parse it back with ``json.loads``.
+    """
     if not rows:
         return "\n"
     out = io.StringIO()
@@ -259,7 +265,10 @@ def dumps_csv(rows) -> str:
     fields = list(rows[0].keys())
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([row[f] for f in fields])
+        cells = (row[f] for f in fields)
+        writer.writerow(
+            json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else v for v in cells
+        )
     return out.getvalue()
 
 

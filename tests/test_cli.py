@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -499,8 +502,12 @@ def test_cli_unwritable_out_is_one_error_line(capsys):
      ["validate", str(FIXTURES / "chsh.json"), "--tol", "nan"],
      ["correlation", str(FIXTURES / "chsh.json"), "--tol", "inf"],
      ["validate", str(FIXTURES / "chsh.json"), "--tol=-1e-12"],
-     ["check-dilation", *(str(FIXTURES / "trine.json"),) * 3, "--tol", "-1"]],
-    ids=["seed-pencil", "seed-robustness", "tol-nan", "tol-inf", "tol-tiny-negative", "tol-negative"],
+     ["check-dilation", *(str(FIXTURES / "trine.json"),) * 3, "--tol", "-1"],
+     ["repro", "chsh", "--seed", "-1"],
+     *([cmd, str(FIXTURES / "chsh.json"), "--tol", "-1"]
+       for cmd in ("metrics", "restrict", "naimark"))],
+    ids=["seed-pencil", "seed-robustness", "tol-nan", "tol-inf", "tol-tiny-negative",
+         "tol-negative", "seed-chsh", "tol-metrics", "tol-restrict", "tol-naimark"],
 )
 def test_cli_rejects_flag_values_when_parsing(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -525,3 +532,101 @@ def test_cli_names_the_missing_witness_field(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: malformed witness object: missing field U_A\n"
+
+
+CHSH = str(FIXTURES / "chsh.json")
+STRATEGY_COMMANDS = ("validate", "correlation", "metrics", "restrict", "naimark")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*([cmd, CHSH, "--seed", "0"] for cmd in STRATEGY_COMMANDS),
+     ["check-dilation", CHSH, CHSH, CHSH, "--seed", "0"],
+     ["repro", "chsh", "--tol", "1e-9"]],
+    ids=[*STRATEGY_COMMANDS, "check-dilation", "repro"],
+)
+def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: selftest-lab ")
+    flag = next(a for a in argv if a.startswith("--"))
+    assert f"error: unrecognized arguments: {flag} " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*([cmd, CHSH, "--tol", "1e-8"] for cmd in STRATEGY_COMMANDS),
+     *(["repro", target, "--seed", "5"]
+       for target in ("chsh", "trine", "moments", "pencil", "robustness"))],
+    ids=lambda argv: "-".join(a for a in argv if not a.endswith(".json")),
+)
+def test_cli_accepts_the_flags_its_subcommand_reads(argv, capsys):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    json.loads(captured.out)
+
+
+NESTED_CSV_CELLS = [
+    (["restrict", CHSH], "strategy"),
+    (["naimark", str(FIXTURES / "trine.json")], "strategy"),
+    (["repro", "pencil", "--seed", "2"], "cases"),
+]
+
+
+@pytest.mark.parametrize("argv, field", NESTED_CSV_CELLS, ids=[a[0] for a, _ in NESTED_CSV_CELLS])
+def test_cli_csv_writes_nested_cells_as_json(argv, field, capsys):
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert run([*argv, "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["key", "value"]
+    cells = dict(rows)
+    assert sorted(cells) == sorted(report)
+    assert json.loads(cells[field]) == report[field]
+
+
+def chsh_with_dims(tmp_path, dims, families=True):
+    obj = json.loads((FIXTURES / "chsh.json").read_text())
+    obj["dims"] = {"A": dims[0], "B": dims[1]}
+    if not families:
+        obj["alice"], obj["bob"] = [], []
+    return write_json(tmp_path, "dims.json", obj)
+
+
+@pytest.mark.parametrize(
+    "dims, families, message",
+    [((-2, -2), False, "local dimensions must be >= 1, not (-2, -2)"),
+     ((-2, -2), True, "local dimensions must be >= 1, not (-2, -2)"),
+     (("2", 2), True, "dims must be integers, not ('2', 2)"),
+     ((2.7, 2), True, "dims must be integers, not (2.7, 2)"),
+     ((2, 2.0), True, "dims must be integers, not (2, 2.0)"),
+     ((True, 4), True, "dims must be integers, not (True, 4)")],
+    ids=["negative-empty", "negative", "string", "fraction", "float", "bool"],
+)
+@pytest.mark.parametrize("command", ["validate", "metrics", "restrict"])
+def test_cli_refuses_strategy_dims_that_are_not_positive_integers(
+    tmp_path, capsys, command, dims, families, message
+):
+    assert run([command, chsh_with_dims(tmp_path, dims, families)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed strategy object: {message}\n"
+
+
+def readme_examples():
+    text = (FIXTURES.parent / "README.md").read_text()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.split("#")[0]) for line in block.splitlines() if line.strip()]
+    assert lines and all(words[0] == "selftest-lab" for words in lines)
+    return [words[1:] for words in lines]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_cli_readme_examples_run(argv, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""

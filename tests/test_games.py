@@ -97,6 +97,17 @@ def test_validate_dimension_mismatch_raises():
         validate_strategy(s)
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, 0), (-1, -4)])
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_strategy_rejects_local_dimension_below_one(dims, pure):
+    # the product matches the state's size, so only the sign check can refuse it
+    state = random_pure_state(RNG, 4)
+    if not pure:
+        state = np.outer(state, state.conj())
+    with pytest.raises(DimensionMismatch, match="local dimensions must be >= 1"):
+        Strategy(state=state, dims=dims, alice=[], bob=[])
+
+
 def test_game_operator_chsh_spectrum():
     w = game_operator(chsh_game(), canonical_chsh())
     assert linalg.hermiticity_defect(w) <= 1e-10
