@@ -95,16 +95,16 @@ def _cmd_check_dilation(args):
         raise ParseError("witness isometries do not factor over the dst dimensions")
     dims_a = (d_ta, u_a.shape[0] // d_ta)
     dims_b = (d_tb, u_b.shape[0] // d_tb)
+    w = dilation.DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
     if form == "vector":
-        w = dilation.DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
         payload = dilation.dilation_residuals(src, dst, w)
         eps = payload.eps
     elif form == "matrix":
-        sigma = np.outer(aux, aux.conj())
-        eps = dilation.matrix_form_residual(src, dst, u_a, u_b, dims_a, dims_b, sigma)
+        sigma = dilation.matrix_aux_from_vector(w)
+        eps = dilation.matrix_form_residual(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma)
         payload = {"form": "matrix", "eps": eps}
     else:
-        eps = dilation.extraction_residual(src, dst, u_a, u_b)
+        eps = dilation.extraction_residual(src, dst, w.u_a, w.u_b)
         payload = {"form": "extraction", "eps": eps}
     return payload, EXIT_OK if eps <= args.tol else EXIT_CHECK_FAILED
 
@@ -247,12 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg, **spec)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # the subcommand's usage names its flags; one before it is the top level's
+        owner = args.parser if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         report, code = args.handler(args)
         _write(serialize.emit_report(report, args.format), args.out)

@@ -95,9 +95,10 @@ def _check_pair(src: Strategy, dst: Strategy):
 
 
 def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
-    """The witness contract of all three forms, returning ``U_A, U_B`` as complex
-    arrays.  In order: :func:`_check_pair`; each ``U`` by :func:`_require_isometry`
-    with shape ``(prod(dims), src factor)``; target factors equal to ``dst.dims``."""
+    """The witness contract of all three forms and the converters, returning
+    ``U_A, U_B`` as complex arrays.  In order: :func:`_check_pair`; each ``U`` by
+    :func:`_require_isometry` with shape ``(prod(dims), src factor)``; target
+    factors equal to ``dst.dims``."""
     _check_pair(src, dst)
     u_a = _require_isometry(u_a, "U_A", dims_a[0] * dims_a[1], src.dims[0])
     u_b = _require_isometry(u_b, "U_B", dims_b[0] * dims_b[1], src.dims[1])
@@ -202,14 +203,15 @@ def _trivial_ancilla_witness(u_a: np.ndarray, u_b: np.ndarray) -> DilationWitnes
     )
 
 
-def restriction_embedding(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> DilationWitness:
+def restriction_embedding(s: Strategy) -> DilationWitness:
     """Witness embedding the restriction of ``s`` back into ``s``.
 
     Certifies ``restrict(s) -> s`` with trivial ancillas at epsilon bounded by
-    the support defect of ``s``.
+    the support defect of ``s``.  The isometries are the Schmidt vectors that
+    ``restrict`` returns, taken without compressing the elements.
     """
-    _, u_a, u_b = schmidt.restrict(s, rank_tol=rank_tol)
-    return _trivial_ancilla_witness(u_a, u_b)
+    sd = schmidt.schmidt_decompose(s.pure_state(), s.dims)
+    return _trivial_ancilla_witness(sd.left, sd.right)
 
 
 def naimark_embedding(s: Strategy) -> DilationWitness:
@@ -251,6 +253,7 @@ def reverse_witness(src: Strategy, dst: Strategy, w: DilationWitness) -> Dilatio
     purifier part).  The construction pads each side to the smallest common
     block size, so every per-row residual is preserved exactly.
     """
+    _fit_witness(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
     if w.purifier_dim != 1:
         raise WitnessMismatch("reverse construction applies to pure-source witnesses only")
     d_ha, d_hb = w.dims_a[1], w.dims_b[1]
@@ -423,6 +426,7 @@ def extraction_witness_from_vector(
     Splits ``aux`` in its Schmidt bases and cuts each isometry down to the
     support, which the dilation condition makes unitary.
     """
+    _fit_witness(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
     if w.purifier_dim != 1:
         raise WitnessMismatch("extraction form applies to pure sources only")
     sd = schmidt.schmidt_decompose(w.aux, (w.dims_a[1], w.dims_b[1]))

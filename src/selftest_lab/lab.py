@@ -183,11 +183,11 @@ def eigengap_analysis(w, canonical_psi, candidate, delta_eff: float) -> Eigengap
     )
 
 
-def _numerical_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:
+def _numerical_rank(m: np.ndarray) -> int:
     sing = np.linalg.svd(m, compute_uv=False)
     if sing.size == 0 or sing[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sing > rel_tol * sing[0]))
+    return int(np.count_nonzero(sing > 1e-8 * sing[0]))
 
 
 def rank_deficient_combination(phi, psi, d: int):

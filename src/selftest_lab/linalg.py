@@ -60,10 +60,10 @@ def require_finite(a, what: str = "array") -> np.ndarray:
     return a
 
 
-def require_square(a, what: str = "operator") -> np.ndarray:
+def require_square(a) -> np.ndarray:
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{what} must be a square matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"operator must be a square matrix, got shape {a.shape}")
     return a
 
 
@@ -78,12 +78,13 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_complex(a), as_complex(b))
 
 
-def partial_trace(op, dims: tuple[int, int], keep) -> np.ndarray:
+def partial_trace(op, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator.
 
-    ``dims = (dA, dB)`` declares the factorization; ``keep`` is ``"A"``/``0``
-    or ``"B"``/``1``.  The traced result preserves the total trace and
-    Hermiticity of the input.
+    ``dims = (dA, dB)`` declares the factorization; ``keep`` names the factor
+    that stays, ``"A"`` or ``"B"`` (anything else raises
+    :class:`DimensionMismatch`).  The traced result preserves the total trace
+    and Hermiticity of the input.
     """
     op = require_square(as_complex(op))
     d_a, d_b = dims
@@ -92,9 +93,9 @@ def partial_trace(op, dims: tuple[int, int], keep) -> np.ndarray:
             f"operator of dimension {op.shape[0]} does not factor as {d_a}x{d_b}"
         )
     t = op.reshape(d_a, d_b, d_a, d_b)
-    if keep in (0, "A", "a"):
+    if keep == "A":
         return np.einsum("ijkj->ik", t)
-    if keep in (1, "B", "b"):
+    if keep == "B":
         return np.einsum("ijil->jl", t)
     raise DimensionMismatch(f"keep must designate subsystem A or B, got {keep!r}")
 
@@ -124,15 +125,15 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def hermitian_eig(h, tol: float = DEFAULT_TOL) -> SpectralData:
+def hermitian_eig(h) -> SpectralData:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises :class:`NotHermitian` when the input is not Hermitian within
-    ``tol`` (relative to its Frobenius norm).  Eigenvector phases follow the
+    ``DEFAULT_TOL`` (relative to its Frobenius norm).  Eigenvector phases follow the
     convention of :func:`_fix_column_phases` so the output is deterministic.
     """
     h = require_square(require_finite(h, "matrix"))
-    if hermiticity_defect(h) > tol * max(1.0, frobenius(h)):
+    if hermiticity_defect(h) > DEFAULT_TOL * max(1.0, frobenius(h)):
         raise NotHermitian(
             f"matrix is not Hermitian within tolerance: defect {hermiticity_defect(h):.3e}"
         )

@@ -92,10 +92,10 @@ class StrategyMetrics:
     bob_overlaps: tuple[tuple[float, ...], ...]
 
 
-def strategy_metrics(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> StrategyMetrics:
+def strategy_metrics(s: Strategy) -> StrategyMetrics:
     """All per-element tables plus the two aggregate defects of a pure strategy."""
     psi = s.pure_state()
-    sd = schmidt.schmidt_decompose(psi, s.dims, rank_tol=rank_tol)
+    sd = schmidt.schmidt_decompose(psi, s.dims)
     m = psi.reshape(s.dims)
     a_comm, a_over = _element_tables(s.alice, sd.left, m)
     b_comm, b_over = _element_tables(s.bob, sd.right, m.T.copy())
@@ -113,9 +113,9 @@ def strategy_metrics(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> Strateg
     )
 
 
-def support_preserving_eps(s: Strategy, rank_tol: float = schmidt.RANK_TOL) -> float:
+def support_preserving_eps(s: Strategy) -> float:
     """Max over all elements of the support-commutator norm; 0 for full rank."""
-    return strategy_metrics(s, rank_tol=rank_tol).support_eps
+    return strategy_metrics(s).support_eps
 
 
 def projective_eps(s: Strategy) -> float:
@@ -123,7 +123,7 @@ def projective_eps(s: Strategy) -> float:
     return strategy_metrics(s).projective_eps
 
 
-def hat_operators(s: Strategy, rank_tol: float = schmidt.RANK_TOL):
+def hat_operators(s: Strategy):
     """Swap each element to the other side through the state.
 
     For Alice's ``E`` the returned operator ``hat(E)`` acts on Bob's space and
@@ -132,7 +132,7 @@ def hat_operators(s: Strategy, rank_tol: float = schmidt.RANK_TOL):
     retained coefficients; the result is zero off the support.
     """
     psi = s.pure_state()
-    sd = schmidt.schmidt_decompose(psi, s.dims, rank_tol=rank_tol)
+    sd = schmidt.schmidt_decompose(psi, s.dims)
     lam = sd.coefficients
 
     def hat_of(e, basis, other) -> np.ndarray:

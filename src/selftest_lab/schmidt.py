@@ -68,17 +68,18 @@ def marginals(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
     return sigma_a, sigma_b
 
 
-def restrict(s: Strategy, rank_tol: float = RANK_TOL) -> tuple[Strategy, np.ndarray, np.ndarray]:
+def restrict(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     """Compress a pure strategy to the local supports of its state.
 
     Returns the full-rank restricted strategy together with the isometries
-    ``U_A, U_B`` (columns = Schmidt vectors) mapping the compressed spaces
-    back into the original ones.  Elements become ``U* E U`` and the state
+    ``U_A, U_B`` mapping the compressed spaces back into the original ones:
+    their columns are the Schmidt vectors of :func:`schmidt_decompose` at its
+    default ``RANK_TOL``.  Elements become ``U* E U`` and the state
     ``(U_A* (x) U_B*) psi``, which is the diagonal vector of Schmidt
     coefficients.  Completeness on the support is exact: ``U* (sum E) U = 1``.
     """
     psi = s.pure_state()
-    sd = schmidt_decompose(psi, s.dims, rank_tol=rank_tol)
+    sd = schmidt_decompose(psi, s.dims)
     u_a, u_b = sd.left, sd.right
     alice = [[u_a.conj().T @ e @ u_a for e in fam] for fam in s.alice]
     bob = [[u_b.conj().T @ e @ u_b for e in fam] for fam in s.bob]
@@ -88,11 +89,11 @@ def restrict(s: Strategy, rank_tol: float = RANK_TOL) -> tuple[Strategy, np.ndar
     return restricted, u_a, u_b
 
 
-def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
+def purify(rho) -> np.ndarray:
     """Spectral purification ``sum_i sqrt(p_i) |v_i>|i>_P`` of a density operator.
 
     The purifying factor comes last and has dimension equal to the numerical
-    rank of ``rho`` (eigenvalues above ``rank_tol`` times the largest).
+    rank of ``rho``: the number of eigenvalues above 1e-12 times the largest.
     """
     rho = linalg.require_square(linalg.require_finite(rho, "density operator"))
     if linalg.hermiticity_defect(rho) > 1e-9 * max(1.0, linalg.frobenius(rho)):
@@ -103,7 +104,7 @@ def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
     if spec.eigenvalues[-1] < -1e-9:
         raise InvalidState("density operator must be positive semidefinite")
     top = spec.eigenvalues[0]
-    keep = spec.eigenvalues > rank_tol * max(top, 0.0)
+    keep = spec.eigenvalues > 1e-12 * max(top, 0.0)
     rank = int(np.count_nonzero(keep))
     d = rho.shape[0]
     psi = np.zeros((d, rank), dtype=np.complex128)

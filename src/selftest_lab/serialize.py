@@ -129,17 +129,22 @@ def dilation_to_jsonable(d: NaimarkDilation) -> dict:
 
 
 def dilation_from_jsonable(obj) -> NaimarkDilation:
+    """Decode a Naimark-dilation file, whose ``dims.in`` and ``dims.out`` must be the
+    isometry's columns and rows as JSON integers (else :class:`ParseError`)."""
     from .naimark import NaimarkDilation
 
     field = functools.partial(_field, obj, kind="dilation")
     try:
-        return NaimarkDilation(
-            pvms=tuple(
-                tuple(linalg.decode_complex_array(p) for p in fam) for fam in field("pvms")
-            ),
-            isometry=linalg.decode_complex_array(field("isometry")),
-            dims=(int(field("dims.in")), int(field("dims.out"))),
-        )
+        pvms = tuple(tuple(linalg.decode_complex_array(p) for p in fam) for fam in field("pvms"))
+        isometry = linalg.decode_complex_array(field("isometry"))
+        declared = (field("dims.in"), field("dims.out"))
+        dims = isometry.shape[::-1]
+        if isometry.ndim != 2 or any(type(d) is not int or d != n for d, n in zip(declared, dims)):
+            raise ParseError(
+                f"malformed dilation object: dims {declared!r} do not match "
+                f"the isometry of shape {isometry.shape}"
+            )
+        return NaimarkDilation(pvms=pvms, isometry=isometry, dims=dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed dilation object: {exc}") from exc
 

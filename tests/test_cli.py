@@ -244,6 +244,56 @@ def test_cli_check_dilation_mixed_source(tmp_path, capsys):
     assert out["eps"] <= 1e-10
 
 
+def _mixed_source_case(tmp_path):
+    """A mixed source ``dst (x) sigma`` (sigma of rank 2 on the ancillas), the
+    canonical CHSH destination and the vector witness whose aux carries the
+    purifier factor, each written to ``tmp_path``."""
+    from helpers import random_density
+    from selftest_lab.dilation import vector_witness_from_matrix_form
+
+    rng = np.random.default_rng(17)
+    dst = canonical_chsh()
+    sigma = random_density(rng, 4, rank=2)
+    rho = linalg.permute_systems(
+        np.kron(np.outer(dst.state, dst.state.conj()), sigma), (2, 2, 2, 2), (0, 2, 1, 3)
+    )
+    alice = [[np.kron(e, np.eye(2)) for e in fam] for fam in dst.alice]
+    bob = [[np.kron(e, np.eye(2)) for e in fam] for fam in dst.bob]
+    src = Strategy(state=rho, dims=(4, 4), alice=alice, bob=bob)
+    w = vector_witness_from_matrix_form(
+        src, dst, np.eye(4, dtype=complex), np.eye(4, dtype=complex), (2, 2), (2, 2)
+    )
+    assert w.purifier_dim == 2
+    return (write_json(tmp_path, "src.json", serialize.strategy_to_jsonable(src)),
+            write_json(tmp_path, "dst.json", serialize.strategy_to_jsonable(dst)),
+            serialize.witness_to_jsonable(w))
+
+
+def test_cli_check_dilation_matrix_form_traces_out_the_purifier(tmp_path, capsys):
+    # the witness of test_cli_check_dilation_mixed_source passes the matrix
+    # form too: its ancilla state is |aux><aux| with the purifier traced out
+    src, dst, payload = _mixed_source_case(tmp_path)
+    wit = write_json(tmp_path, "w.json", {**payload, "form": "matrix"})
+    assert run(["check-dilation", src, dst, wit, "--tol", "1e-8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["eps"] <= 1e-10
+
+
+@pytest.mark.parametrize("form", ["matrix", "extraction"])
+def test_cli_check_dilation_checks_aux_in_every_form(tmp_path, capsys, form):
+    # aux of norm 2 is refused as input, as the vector form refuses it, not
+    # turned into a residual or ignored
+    chsh = str(FIXTURES / "chsh.json")
+    eye = linalg.encode_complex_array(np.eye(2, dtype=complex))
+    wit = write_json(tmp_path, "w.json",
+                     {"U_A": eye, "U_B": eye, "aux": [[2.0, 0.0]], "form": form})
+    assert run(["check-dilation", chsh, chsh, wit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: aux must be a normalized vector\n"
+
+
 def test_cli_repro_targets_deterministic(capsys):
     assert run(["repro", "trine"]) == 0
     first = capsys.readouterr().out
@@ -552,8 +602,19 @@ def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: selftest-lab ")
+    assert captured.err.split()[:3] == ["usage:", "selftest-lab", argv[0]]
     flag = next(a for a in argv if a.startswith("--"))
     assert f"error: unrecognized arguments: {flag} " in captured.err
+
+
+def test_cli_flag_before_the_subcommand_gets_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["--bogus", "validate", CHSH, "--seed", "0"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    commands = "{validate,correlation,metrics,restrict,naimark,check-dilation,repro}"
+    assert err.split()[:4] == ["usage:", "selftest-lab", "[-h]", commands]
+    assert err.endswith("error: unrecognized arguments: --bogus --seed 0\n")
 
 
 @pytest.mark.parametrize(

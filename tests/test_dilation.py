@@ -195,6 +195,20 @@ def test_restriction_embedding_bound_random():
         assert report.eps <= support_preserving_eps(s) + 1e-10
 
 
+def test_restriction_embedding_isometries_equal_restrict():
+    for rank in (1, 2, 3):
+        s = Strategy(
+            state=random_bipartite_state(RNG, 3, 4, rank=rank),
+            dims=(3, 4),
+            alice=[random_povm(RNG, 3, 2)],
+            bob=[random_povm(RNG, 4, 3)],
+        )
+        _, u_a, u_b = restrict(s)
+        w = restriction_embedding(s)
+        assert np.array_equal(w.u_a, u_a)
+        assert np.array_equal(w.u_b, u_b)
+
+
 def test_naimark_embedding_projective():
     s = canonical_chsh()
     dilated, _, _ = naimark_strategy(s)
@@ -306,6 +320,20 @@ def test_reverse_witness_rejects_entangled_aux():
     src, w = exact_instance(dst, 2, 2, entangled_aux=True, seed=11)
     with pytest.raises(WitnessMismatch):
         reverse_witness(src, dst, w)
+
+
+@pytest.mark.parametrize("convert", [reverse_witness, extraction_witness_from_vector])
+def test_converters_refuse_a_witness_for_another_pair(convert):
+    # the witness fits src -> dst; the swapped pair and a pair whose answer
+    # counts differ are refused before any conversion
+    dst = random_strategy(RNG, 2, 2, outcomes=2)
+    src, w = exact_instance(dst, 2, 2, entangled_aux=convert is extraction_witness_from_vector,
+                            seed=31)
+    convert(src, dst, w)
+    with pytest.raises(WitnessMismatch, match="U_A has shape"):
+        convert(dst, src, w)
+    with pytest.raises(DimensionMismatch, match="answer counts"):
+        convert(src, random_strategy(RNG, 2, 2, outcomes=3), w)
 
 
 def test_transitivity_of_witnesses():

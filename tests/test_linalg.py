@@ -86,6 +86,12 @@ def test_partial_trace_dimension_error():
         linalg.partial_trace(np.eye(5), (2, 2), "A")
 
 
+@pytest.mark.parametrize("keep", [0, 1, "a", "b", "AB"])
+def test_partial_trace_keeps_only_a_or_b(keep):
+    with pytest.raises(DimensionMismatch, match="keep must designate subsystem A or B"):
+        linalg.partial_trace(np.eye(4), (2, 2), keep)
+
+
 def test_hermitian_eig_identity_and_z():
     spec = linalg.hermitian_eig(np.eye(2))
     assert np.allclose(spec.eigenvalues, [1, 1])

@@ -243,6 +243,17 @@ def test_parse_error_names_the_missing_field(kind, deleted):
     assert str(info.value) == f"malformed {kind} object: missing field {deleted}"
 
 
+@pytest.mark.parametrize("field", ["in", "out"])
+@pytest.mark.parametrize("value", [2.7, True, "2", 5, 2.0, None])
+def test_dilation_dims_must_repeat_the_isometry_shape(field, value):
+    # the isometry is 3 x 2, so dims must read in 2, out 3
+    obj = serialize.dilation_to_jsonable(minimal_trine_dilation())
+    assert serialize.dilation_from_jsonable(obj).dims == (2, 3)
+    obj["dims"][field] = value
+    with pytest.raises(serialize.ParseError, match=r"the isometry of shape \(3, 2\)"):
+        serialize.dilation_from_jsonable(obj)
+
+
 @pytest.mark.parametrize("kind, first", [("witness", "U_A"), ("game", "pi"), ("dilation", "pvms")])
 def test_parse_error_on_a_non_object_names_the_first_field(kind, first):
     with pytest.raises(serialize.ParseError) as info:
