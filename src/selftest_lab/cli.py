@@ -5,7 +5,8 @@ Exit codes: 0 on success or a passing check, 1 when a requested check fails,
 ``--seed``, so identical invocations produce identical bytes.  Each
 subcommand registers only the flags it reads, and their values are checked
 when the arguments are parsed: ``--tol`` must be finite and non-negative and
-``--seed`` non-negative.
+``--seed`` non-negative.  A flag placed before the subcommand is refused by
+name.
 
 Each handler imports the submodule it calls, so a fresh process compiles
 only the modules its command runs.  A handler returns its report and exit
@@ -207,6 +208,36 @@ def _cmd_repro(args):
     return REPRO_TARGETS[args.target](lab, args), EXIT_OK
 
 
+def _tolerance(text):
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
+    return tol
+
+
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+    return value
+
+
+# each subcommand's arguments, ahead of the --format and --out that all take
+_TOL = {"--tol": {"type": _tolerance, "default": 1e-9}}
+_STRATEGY = {"strategy": {}, **_TOL}
+_COMMANDS = {
+    "validate": (_cmd_validate, "check POVM and state invariants of a strategy file", _STRATEGY),
+    "correlation": (_cmd_correlation, "emit the outcome table p(a,b|s,t)", _STRATEGY),
+    "metrics": (_cmd_metrics, "emit support and projectivity defects", _STRATEGY),
+    "restrict": (_cmd_restrict, "compress a pure strategy to its local supports", _STRATEGY),
+    "naimark": (_cmd_naimark, "dilate a pure strategy to a projective one", _STRATEGY),
+    "check-dilation": (_cmd_check_dilation, "evaluate dilation residuals for a witness",
+                       {"src": {}, "dst": {}, "witness": {}, **_TOL}),
+    "repro": (_cmd_repro, "reproduce bundled quantitative examples",
+              {"target": {"choices": REPRO_TARGETS}, "--seed": {"type": _seed, "default": 0}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selftest-lab",
@@ -214,34 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dilation residual checks, and worked reproductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def tolerance(text):
-        tol = float(text)
-        if not math.isfinite(tol) or tol < 0:
-            raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
-        return tol
-
-    def seed(text):
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
-        return value
-
-    # each subcommand's arguments, ahead of the --format and --out that all take
-    tol = {"--tol": {"type": tolerance, "default": 1e-9}}
-    strategy = {"strategy": {}, **tol}
-    for name, handler, info, arguments in (
-        ("validate", _cmd_validate, "check POVM and state invariants of a strategy file",
-         strategy),
-        ("correlation", _cmd_correlation, "emit the outcome table p(a,b|s,t)", strategy),
-        ("metrics", _cmd_metrics, "emit support and projectivity defects", strategy),
-        ("restrict", _cmd_restrict, "compress a pure strategy to its local supports", strategy),
-        ("naimark", _cmd_naimark, "dilate a pure strategy to a projective one", strategy),
-        ("check-dilation", _cmd_check_dilation, "evaluate dilation residuals for a witness",
-         {"src": {}, "dst": {}, "witness": {}, **tol}),
-        ("repro", _cmd_repro, "reproduce bundled quantitative examples",
-         {"target": {"choices": REPRO_TARGETS}, "--seed": {"type": seed, "default": 0}}),
-    ):
+    for name, (handler, info, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=info)
         for arg, spec in arguments.items():
             p.add_argument(arg, **spec)
@@ -254,6 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    first, second = (argv + ["", ""])[:2]
+    if first.startswith("-") and first not in ("-h", "--help") and second not in _COMMANDS:
+        # argparse would take the token after the flag for the subcommand
+        parser.error(f"flag {first} goes after the subcommand")
     args, extras = parser.parse_known_args(argv)
     if extras:
         # the subcommand's usage names its flags; one before it is the top level's

@@ -15,7 +15,6 @@ between exact witnesses of the different forms are provided.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,26 +231,14 @@ def _complete_isometry(v: np.ndarray) -> np.ndarray:
     return np.hstack((v, np.linalg.eigh(v @ v.conj().T)[1][:, : n - m]))
 
 
-def _pad_map(n_prime: int, m: int, n_blocks: int) -> np.ndarray:
-    """Isometry C^{n'} -> C^m (x) C^q sending the first m basis vectors to
-    e_k (x) e_0 and the rest injectively into the remaining product basis."""
-    q = n_blocks
-    out = np.zeros((m * q, n_prime), dtype=np.complex128)
-    for k in range(min(m, n_prime)):
-        out[k * q, k] = 1.0
-    spare = [(i, j) for j in range(1, q) for i in range(m)]
-    for idx, k in enumerate(range(m, n_prime)):
-        i, j = spare[idx]
-        out[i * q + j, k] = 1.0
-    return out
-
-
 def reverse_witness(src: Strategy, dst: Strategy, w: DilationWitness) -> DilationWitness:
     """Turn a product-ancilla witness for ``src -> dst`` into one for ``dst -> src``.
 
     Requires ``w.aux`` to be a product state across the hat factors (no
-    purifier part).  The construction pads each side to the smallest common
-    block size, so every per-row residual is preserved exactly.
+    purifier part).  Each side maps ``v`` to ``u_ext* (v (x) aux)``, with
+    ``u_ext`` a unitary completion of ``U``, zero-padded to ``m q`` rows for
+    ``q = ceil(U.shape[0] / m)`` and laid out on ``C^m (x) C^q``, so every
+    per-row residual is preserved exactly.
     """
     _fit_witness(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
     if w.purifier_dim != 1:
@@ -266,20 +253,17 @@ def reverse_witness(src: Strategy, dst: Strategy, w: DilationWitness) -> Dilatio
     aux_b = vh[0, :]
 
     m_a, m_b = src.dims
-    lcm = math.lcm(m_a, m_b)
-    need = max(w.u_a.shape[0], w.u_b.shape[0])
-    n_pp = lcm * math.ceil(need / lcm)
 
-    def one_side(u, d_target, d_hat, aux_vec, m):
-        n_prime = u.shape[0]
+    def one_side(u, d_target, aux_vec, m):
         iota = np.kron(linalg.identity(d_target), aux_vec.reshape(-1, 1))  # v -> v (x) aux
-        u_ext = _complete_isometry(u)
-        pad = _pad_map(n_prime, m, n_pp // m)
-        return pad @ u_ext.conj().T @ iota
+        rows = _complete_isometry(u).conj().T @ iota
+        q = -(-rows.shape[0] // m)  # ceil
+        padded = np.pad(rows, ((0, m * q - rows.shape[0]), (0, 0)))
+        # row k lands on e_(k mod m) (x) e_(k div m): the source space on e_k (x) e_0
+        return padded.reshape(q, m, -1).transpose(1, 0, 2).reshape(m * q, -1), q
 
-    v_a = one_side(w.u_a, w.dims_a[0], d_ha, aux_a, m_a)
-    v_b = one_side(w.u_b, w.dims_b[0], d_hb, aux_b, m_b)
-    q_a, q_b = n_pp // m_a, n_pp // m_b
+    v_a, q_a = one_side(w.u_a, w.dims_a[0], aux_a, m_a)
+    v_b, q_b = one_side(w.u_b, w.dims_b[0], aux_b, m_b)
     aux_back = np.kron(linalg.basis_state(q_a, 0), linalg.basis_state(q_b, 0))
     return DilationWitness(
         u_a=v_a, u_b=v_b, dims_a=(m_a, q_a), dims_b=(m_b, q_b), aux=aux_back

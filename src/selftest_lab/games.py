@@ -44,11 +44,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze_families(families, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
-    return tuple(
-        tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in fam)
-        for fam in families
-    )
+def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``raw`` as tuples of :func:`_freeze`-d elements.  An empty family raises
+    :class:`InvalidStrategy`; an element not finite or not ``dim x dim``,
+    :class:`DimensionMismatch`."""
+    families = []
+    for q, family in enumerate(raw):
+        family = tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in family)
+        if not family:
+            raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
+        for e in family:
+            if e.shape != (dim, dim):
+                raise DimensionMismatch(
+                    f"{side} element has shape {e.shape}, expected {(dim, dim)}"
+                )
+        families.append(family)
+    return tuple(families)
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,9 @@ class Strategy:
 
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
     of dimension ``dims[0] * dims[1]``.  Construction checks that both local
-    dimensions are at least 1, the state's shape, and that the state and
-    every element are finite; semantic validity is checked by
+    dimensions are at least 1, the state's shape, that the state and every
+    element are finite, and that every family is non-empty with elements of
+    its side's ``d x d`` shape; semantic validity is checked by
     :func:`validate_strategy`.
 
     The state and the elements are stored read-only.  An input array that is
@@ -118,8 +130,8 @@ class Strategy:
             raise DimensionMismatch("state must be a vector or a density matrix")
         object.__setattr__(self, "state", _freeze(state))
         object.__setattr__(self, "dims", (d_a, d_b))
-        object.__setattr__(self, "alice", _freeze_families(self.alice, "alice"))
-        object.__setattr__(self, "bob", _freeze_families(self.bob, "bob"))
+        object.__setattr__(self, "alice", _families(self.alice, d_a, "alice"))
+        object.__setattr__(self, "bob", _families(self.bob, d_b, "bob"))
 
     @property
     def is_pure(self) -> bool:
@@ -187,17 +199,6 @@ class ValidationReport:
     valid: bool
 
 
-def _check_families(families, dim, side):
-    for q, family in enumerate(families):
-        if not family:
-            raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
-        for e in family:
-            if e.shape != (dim, dim):
-                raise DimensionMismatch(
-                    f"{side} element has shape {e.shape}, expected {(dim, dim)}"
-                )
-
-
 def _completeness_defect(family) -> float:
     return linalg._identity_defect(sum(family))  # a new array, even for one element
 
@@ -213,12 +214,9 @@ def _family_valid(family, tol: float) -> bool:
 def _is_valid(s: Strategy, tol: float) -> bool:
     """Validity of ``s`` at ``tol``; returns at the first failed check.
 
-    Empty families and wrong shapes raise.  Per family: :func:`_family_valid`;
-    last the state's norm (pure), or its trace, Hermiticity and
-    :func:`linalg.is_psd` (mixed).  No spectrum is computed.
+    Per family: :func:`_family_valid`; last the state's norm (pure), or its
+    trace, Hermiticity and :func:`linalg.is_psd` (mixed).  No spectrum is computed.
     """
-    _check_families(s.alice, s.dims[0], "alice")
-    _check_families(s.bob, s.dims[1], "bob")
     if not all(_family_valid(family, tol) for family in s.alice + s.bob):
         return False
     if s.is_pure:
@@ -346,14 +344,12 @@ def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
 
 def _outcome_table(s: Strategy, n_a: int, n_b: int) -> np.ndarray:
     """Unclipped ``Re tr((A_sa (x) B_tb) rho)`` indexed ``[s, t, a, b]`` over
-    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; shapes checked, no gate.
+    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; no gate.
 
     The larger side's elements are reduced to operators on the smaller side
     (see the module docstring), so the roles swap when ``dA > dB``.
     """
     d_a, d_b = s.dims
-    _check_families(s.alice, d_a, "alice")
-    _check_families(s.bob, d_b, "bob")
     if s.is_pure:
         state, swap = s.state.reshape(d_a, d_b), (1, 0)
     else:

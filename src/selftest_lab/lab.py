@@ -254,8 +254,7 @@ def effective_measurement(elements, u, dims: tuple[int, int], sigma) -> list[np.
         raise DimensionMismatch("sigma must act on the ancilla factor")
     sand = np.kron(linalg.identity(d_t), linalg.psd_sqrt(sigma))
     out = []
-    for f in elements:
-        f = linalg.as_complex(f)
+    for f in games._families([elements], u.shape[1], "measurement")[0]:
         big = sand @ (u @ f @ u.conj().T) @ sand
         out.append(linalg.partial_trace(big, (d_t, d_anc), "A"))
     return out

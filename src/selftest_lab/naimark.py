@@ -53,14 +53,14 @@ class NaimarkDilation:
 def _step_isometries(povms) -> tuple[list[np.ndarray], np.ndarray]:
     """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``.
 
-    Elements must be finite, of one square shape (else :class:`DimensionMismatch`);
-    each family must pass ``games._family_valid`` at the default tolerance (else
-    :class:`InvalidPovm`)."""
-    povms = [[linalg.require_finite(e, "POVM element") for e in family] for family in povms]
+    Needs non-empty families (else :class:`InvalidPovm`), built by ``games._families`` at
+    the first element's dimension; each must pass ``games._family_valid`` at the
+    default tolerance (else :class:`InvalidPovm`)."""
+    povms = [list(family) for family in povms]
     if not povms or not all(povms):
         raise InvalidPovm("need at least one POVM family, each with at least one element")
-    d = povms[0][0].shape[0]
-    games._check_families(povms, d, "POVM")
+    d = np.atleast_1d(povms[0][0]).shape[0]
+    povms = games._families(povms, d, "POVM")
     for k, family in enumerate(povms):
         if not games._family_valid(family, linalg.DEFAULT_TOL):
             raise InvalidPovm(f"POVM family {k} fails the validity gate")

@@ -691,3 +691,57 @@ def test_cli_readme_examples_run(argv, monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES.parent)
     assert run(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--tol", "1e-9", "validate", CHSH], ["--seed", "0", "repro", "chsh"]],
+    ids=["tol", "seed"],
+)
+def test_cli_names_a_flag_placed_before_the_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[0] in captured.err.splitlines()[-1]
+    assert "invalid choice" not in captured.err
+
+
+def test_cli_accepts_a_state_normalized_within_tol(tmp_path, capsys):
+    # the validity gate decides normalization at --tol; no kernel re-decides it
+    obj = json.loads((FIXTURES / "trine.json").read_text())
+    obj["state"]["data"] = [[x * (1 + 1e-10) for x in pair] for pair in obj["state"]["data"]]
+    path = write_json(tmp_path, "scaled.json", obj)
+    for command in STRATEGY_COMMANDS:
+        assert run([command, path]) == 0, command
+        assert capsys.readouterr().err == ""
+
+
+def chsh_with_bob_family(tmp_path, family):
+    obj = json.loads((FIXTURES / "chsh.json").read_text())
+    obj["bob"][1] = family
+    return write_json(tmp_path, "family.json", obj)
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [([linalg.encode_complex_array(np.eye(3) / 2)] * 2,
+      "bob element has shape (3, 3), expected (2, 2)"),
+     ([], "bob question 1 has an empty measurement family")],
+    ids=["3x3-element", "empty-family"],
+)
+@pytest.mark.parametrize(
+    "command", [*STRATEGY_COMMANDS, "check-dilation-src", "check-dilation-dst"]
+)
+def test_cli_refuses_a_malformed_family_in_one_line(tmp_path, capsys, command, family, message):
+    path = chsh_with_bob_family(tmp_path, family)
+    if command == "check-dilation-src":
+        argv = ["check-dilation", path, CHSH, CHSH]
+    elif command == "check-dilation-dst":
+        argv = ["check-dilation", CHSH, path, CHSH]
+    else:
+        argv = [command, path]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed strategy object: {message}\n"

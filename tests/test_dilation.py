@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,7 +301,7 @@ def test_reverse_witness_restriction_case():
 
 
 def test_reverse_witness_asymmetric_dimensions():
-    # source sides of different dimension exercise the common-block padding
+    # source sides of different dimension get different hat dimensions
     for _ in range(5):
         s = Strategy(
             state=random_bipartite_state(RNG, 2, 3, rank=2),
@@ -313,6 +315,21 @@ def test_reverse_witness_asymmetric_dimensions():
         back = reverse_witness(s, dilated, w)
         rev = dilation_residuals(dilated, s, back).eps
         assert abs(rev - fwd) <= 1e-10
+
+
+def test_reverse_witness_pads_each_side_to_its_own_block_count():
+    rng = np.random.default_rng(23)
+    s = Strategy(
+        state=random_bipartite_state(rng, 2, 3, rank=2),
+        dims=(2, 3),
+        alice=[random_povm(rng, 2, 2)],
+        bob=[random_povm(rng, 3, 3)],
+    )
+    dilated, _, _ = naimark_strategy(s)
+    w = naimark_embedding(s)
+    back = reverse_witness(s, dilated, w)
+    assert back.dims_a == (2, math.ceil(w.u_a.shape[0] / 2))
+    assert back.dims_b == (3, math.ceil(w.u_b.shape[0] / 3))
 
 
 def test_reverse_witness_rejects_entangled_aux():

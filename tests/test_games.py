@@ -87,13 +87,13 @@ def test_validate_rejects_overcomplete_family():
 
 
 def test_validate_dimension_mismatch_raises():
-    s = Strategy(
-        state=random_pure_state(RNG, 4),
-        dims=(2, 2),
-        alice=[[np.eye(3, dtype=complex)]],
-        bob=[[np.eye(2, dtype=complex)]],
-    )
     with pytest.raises(DimensionMismatch):
+        s = Strategy(
+            state=random_pure_state(RNG, 4),
+            dims=(2, 2),
+            alice=[[np.eye(3, dtype=complex)]],
+            bob=[[np.eye(2, dtype=complex)]],
+        )
         validate_strategy(s)
 
 
@@ -137,11 +137,11 @@ def test_ungated_table_rejects_a_wrong_element_shape(pure, side):
     wrong = [np.eye(3, dtype=complex) / 2] * 2
     alice = [t.alice[0], wrong] if side == "alice" else t.alice
     bob = [t.bob[0], wrong, t.bob[2]] if side == "bob" else t.bob
-    s = Strategy(state=state, dims=t.dims, alice=alice, bob=bob)
     with pytest.raises(DimensionMismatch):
+        s = Strategy(state=state, dims=t.dims, alice=alice, bob=bob)
         beta_functionals(s)
-    chsh = Strategy(state=state, dims=t.dims, alice=alice, bob=bob[:2])
     with pytest.raises(DimensionMismatch):
+        chsh = Strategy(state=state, dims=t.dims, alice=alice, bob=bob[:2])
         win_probability(chsh_game(), chsh)
 
 
@@ -416,6 +416,30 @@ def test_strategy_rejects_non_finite_element(bad):
     with pytest.raises(DimensionMismatch, match="non-finite"):
         Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice,
                  bob=[chsh.bob[0], [chsh.bob[1][0], e]])
+
+
+_MALFORMED_FAMILIES = {
+    # defect: (family replacing question 1, exception, message with {side})
+    "wrong shape": ([np.eye(3) / 2] * 2, DimensionMismatch,
+                    "{side} element has shape (3, 3), expected (2, 2)"),
+    "1-D element": ([np.ones(2), np.zeros(2)], DimensionMismatch,
+                    "{side} element has shape (2,), expected (2, 2)"),
+    "empty family": ([], InvalidStrategy, "{side} question 1 has an empty measurement family"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_MALFORMED_FAMILIES))
+@pytest.mark.parametrize("side", ["alice", "bob"])
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_strategy_refuses_a_malformed_family(defect, side, pure):
+    chsh = canonical_chsh()
+    family, exc, message = _MALFORMED_FAMILIES[defect]
+    families = {"alice": list(chsh.alice), "bob": list(chsh.bob)}
+    families[side][1] = family
+    state = chsh.state if pure else chsh.density()
+    with pytest.raises(exc) as info:
+        Strategy(state=state, dims=chsh.dims, **families)
+    assert str(info.value) == message.format(side=side)
 
 
 def _strategy_arrays(s):

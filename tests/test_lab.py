@@ -3,7 +3,7 @@ import pytest
 
 from selftest_lab import linalg
 from selftest_lab.dilation import naimark_embedding, reverse_witness
-from selftest_lab.errors import DegenerateTopEigenvalue, LabError
+from selftest_lab.errors import DegenerateTopEigenvalue, DimensionMismatch, LabError
 from selftest_lab.games import (
     Strategy,
     correlation_of,
@@ -243,6 +243,11 @@ def test_effective_measurement_trivial_embedding():
     g = effective_measurement(m, np.eye(2, dtype=complex), (2, 1), np.ones((1, 1)))
     for got, want in zip(g, m):
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_effective_measurement_refuses_an_element_off_the_isometry_domain():
+    with pytest.raises(DimensionMismatch, match=r"has shape \(3, 3\), expected \(2, 2\)"):
+        effective_measurement([np.eye(3)], np.eye(2), (2, 1), np.ones((1, 1)))
 
 
 def test_effective_measurement_uniform_elements():

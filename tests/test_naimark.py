@@ -65,6 +65,11 @@ def test_family_rejects_invalid_povm():
         naimark_family([bad])
 
 
+def test_family_refuses_an_element_that_is_not_a_matrix():
+    with pytest.raises(DimensionMismatch, match=r"POVM element has shape \(\), expected \(1, 1\)"):
+        naimark_family([[1.0]])
+
+
 @pytest.mark.parametrize("excess, accepted", [(0.5e-9, True), (2e-9, False)])
 def test_family_completeness_checked_at_tol(excess, accepted):
     # the completeness defect is excess * sqrt(3) on C^4: below the gate's
