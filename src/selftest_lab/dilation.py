@@ -217,12 +217,15 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     """Witness embedding ``s`` into its constructed Naimark dilation.
 
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
-    bounded by the projectivity defect of ``s``.
+    bounded by the projectivity defect of ``s``.  After
+    ``naimark_strategy(s)`` the isometries it left on ``s`` are used, and
+    nothing is built.
     """
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
-    return _trivial_ancilla_witness(
-        naimark.naimark_isometry(s.alice), naimark.naimark_isometry(s.bob)
-    )
+    built = games._recall(s, "_naimark_isometries")
+    if built is None:
+        built = naimark.naimark_isometry(s.alice), naimark.naimark_isometry(s.bob)
+    return _trivial_ancilla_witness(*built)
 
 
 def _complete_isometry(v: np.ndarray) -> np.ndarray:

@@ -105,6 +105,14 @@ class Strategy:
     already read-only, C-contiguous, complex128 and owns its memory (not a
     view) is adopted without a copy; any other input is copied, so later
     writes to the caller's arrays never reach the strategy.
+
+    A strategy records the smallest ``tol`` at which it passed the validity
+    gate (see :func:`_is_valid`; a Naimark-built one, proven from its factors
+    at ``D D_k^2`` per family instead of a ``D^3/3`` Cholesky per element),
+    and ``naimark.naimark_strategy`` leaves its two isometries on the source.
+    The records are plain instance attributes, not fields, so equality,
+    ``dataclasses.fields`` and reports ignore them; making the state or an
+    element writable again voids them.
     """
 
     state: np.ndarray
@@ -200,7 +208,10 @@ class ValidationReport:
 
 
 def _completeness_defect(family) -> float:
-    return linalg._identity_defect(sum(family))  # a new array, even for one element
+    total = family[0].copy()  # a new array, even for one element
+    for e in family[1:]:
+        total += e
+    return linalg._identity_defect(total)
 
 
 def _family_valid(family, tol: float) -> bool:
@@ -211,7 +222,48 @@ def _family_valid(family, tol: float) -> bool:
     return _completeness_defect(family) <= tol
 
 
+# Facts a Strategy remembers about itself, as plain instance attributes (not
+# dataclass fields): the smallest tol at which it passed the gate, and the
+# isometries ``naimark.naimark_strategy`` built for it.
+_RECORDS = ("_valid_tol", "_naimark_isometries")
+
+
+def _read_only(s: Strategy) -> bool:
+    return not s.state.flags.writeable and not any(
+        e.flags.writeable for family in s.alice + s.bob for e in family
+    )
+
+
+def _recall(s: Strategy, name: str):
+    """The record ``name`` of ``s``, or None.  A writable state or element
+    voids every record of ``s``."""
+    if not _read_only(s):
+        for record in _RECORDS:
+            s.__dict__.pop(record, None)
+        return None
+    return s.__dict__.get(name)
+
+
 def _is_valid(s: Strategy, tol: float) -> bool:
+    """Validity of ``s`` at ``tol``: :func:`_dense_gate`, or the record.
+
+    The smallest ``tol`` that passed is recorded on ``s`` as ``_valid_tol``
+    and answers any ``tol`` at or above it with no check: validity is
+    monotone in ``tol`` and the arrays are read-only.  A failed check records
+    nothing.  ``naimark.naimark_strategy`` records what it proves of its
+    output from the factors, ``D D_k^2`` per family against a ``D^3/3``
+    Cholesky per element in the gate; a ``tol`` under that record runs the gate.
+    """
+    proven = _recall(s, "_valid_tol")
+    if proven is not None and tol >= proven:
+        return True
+    valid = _dense_gate(s, tol)
+    if valid and _read_only(s):
+        object.__setattr__(s, "_valid_tol", tol)
+    return valid
+
+
+def _dense_gate(s: Strategy, tol: float) -> bool:
     """Validity of ``s`` at ``tol``; returns at the first failed check.
 
     Per family: :func:`_family_valid`; last the state's norm (pure), or its

@@ -247,6 +247,8 @@ def effective_measurement(elements, u, dims: tuple[int, int], sigma) -> list[np.
     """
     u = linalg.as_complex(u)
     d_t, d_anc = (int(dims[0]), int(dims[1]))
+    if u.ndim != 2:
+        raise DimensionMismatch(f"isometry must be a matrix, got shape {u.shape}")
     if u.shape[0] != d_t * d_anc:
         raise DimensionMismatch("isometry codomain does not match dims")
     sigma = linalg.require_square(sigma)

@@ -20,6 +20,11 @@ The second form of ``P_k0`` is the telescoped sum of the defects
 ``W (1 - V2 V2*) W* + (1 - W W*) = 1 - (W V2)(W V2)*``.  The last family is
 ``1 (x) |j><j|``.  Family ``k`` costs ``D^2 D_k`` (one Gram product per
 projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
+
+:func:`naimark_strategy` proves its output valid from the same factors:
+``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``) and a GEMM rounding
+term bound the spectrum of every stored ``P_kj`` near ``[0, 1]``, in place
+of the gate's ``D^3/3`` Cholesky per element (see :func:`_proven_dilation`).
 """
 
 from __future__ import annotations
@@ -50,19 +55,19 @@ class NaimarkDilation:
     dims: tuple[int, int]
 
 
-def _step_isometries(povms) -> tuple[list[np.ndarray], np.ndarray]:
+def _step_isometries(povms, gate: bool = True) -> tuple[list[np.ndarray], np.ndarray]:
     """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``.
 
     Needs non-empty families (else :class:`InvalidPovm`), built by ``games._families`` at
-    the first element's dimension; each must pass ``games._family_valid`` at the
-    default tolerance (else :class:`InvalidPovm`)."""
+    the first element's dimension; with ``gate``, each must pass ``games._family_valid``
+    at the default tolerance (else :class:`InvalidPovm`)."""
     povms = [list(family) for family in povms]
     if not povms or not all(povms):
         raise InvalidPovm("need at least one POVM family, each with at least one element")
     d = np.atleast_1d(povms[0][0]).shape[0]
     povms = games._families(povms, d, "POVM")
     for k, family in enumerate(povms):
-        if not games._family_valid(family, linalg.DEFAULT_TOL):
+        if gate and not games._family_valid(family, linalg.DEFAULT_TOL):
             raise InvalidPovm(f"POVM family {k} fails the validity gate")
 
     dim_now = d
@@ -88,6 +93,28 @@ def naimark_isometry(povms) -> np.ndarray:
     return _step_isometries(povms)[1]
 
 
+def _factored_families(steps: list[np.ndarray], dim: int):
+    """Yield each dilated family, the last first, with its factor ``W_k``:
+    ``None`` for the last family ``1 (x) |j><j|``.  Every projection is read-only."""
+    w = None  # W_k; the identity for the last family
+    for v2 in reversed(steps):
+        dim_prev = v2.shape[1]
+        m = v2.shape[0] // dim_prev
+        if w is None:
+            fam = [_outcome_projector(dim, m, j) for j in range(m)]
+        else:
+            blocks = w.reshape(dim, dim_prev, m)
+            tail = [blocks[:, :, j] @ blocks[:, :, j].conj().T for j in range(1, m)]
+            first = linalg.identity(dim)
+            for p in tail:
+                first -= p
+            fam = [first] + tail
+        for p in fam:
+            p.setflags(write=False)
+        yield tuple(fam), w
+        w = v2 if w is None else w @ v2
+
+
 def naimark_family(povms) -> NaimarkDilation:
     """Dilate a list of POVM families on a common space simultaneously.
 
@@ -100,30 +127,11 @@ def naimark_family(povms) -> NaimarkDilation:
     a :class:`Strategy` built from them stores them without a copy.
     """
     steps, v_total = _step_isometries(povms)
-    dim = v_total.shape[0]
-    pvms = []
-    w = None  # W_k; the identity for the last family
-    for v2 in reversed(steps):
-        dim_prev = v2.shape[1]
-        m = v2.shape[0] // dim_prev
-        if w is None:
-            fam = [_outcome_projector(dim, m, j) for j in range(m)]
-            w = v2
-        else:
-            blocks = w.reshape(dim, dim_prev, m)
-            tail = [blocks[:, :, j] @ blocks[:, :, j].conj().T for j in range(1, m)]
-            first = linalg.identity(dim)
-            for p in tail:
-                first -= p
-            fam = [first] + tail
-            w = w @ v2
-        for p in fam:
-            p.setflags(write=False)
-        pvms.append(tuple(fam))
+    pvms = [fam for fam, _ in _factored_families(steps, v_total.shape[0])]
     return NaimarkDilation(
         pvms=tuple(reversed(pvms)),
         isometry=v_total,
-        dims=(v_total.shape[1], dim),
+        dims=(v_total.shape[1], v_total.shape[0]),
     )
 
 
@@ -140,23 +148,82 @@ def naimark_single(povm) -> NaimarkDilation:
     return naimark_family([povm])
 
 
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1 - n * _U)
+
+
+def _proven_dilation(povms, gate: bool):
+    """The dilated families of :func:`naimark_family`, the isometry ``V``, and
+    a ``tol`` at which the dense gate ``games._family_valid`` passes on every
+    family, proven from the factors.
+
+    Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
+    outcome ``j``, ``f = ||B||_F^2`` and ``delta = ||B* B - 1||_F``.  A
+    complex GEMM with inner dimension at most ``D`` errs entrywise by at most
+    ``g |X||Y|``, ``g = gamma(D + 2)``, so the computed Gram product
+    understates ``delta`` by at most ``g f`` (plus its norm's relative
+    rounding), and each stored ``P_j = fl(B_j B_j*)`` is within
+    ``g ||B_j||_F^2`` of ``B_j B_j* >= 0`` in Frobenius norm, with
+    ``||B_j||^2 <= ||B||^2 <= 1 + delta``.  ``P_0`` is ``1 - sum_{j>=1} P_j``
+    plus the rounding of ``m - 1 <= D`` subtractions, at most
+    ``g (sqrt(D) + 2f)``, and that exact part lies in ``[1 - B B*, 1]``.  So
+    the Hermitian part of every stored element has its spectrum in
+    ``[-beta, 1 + beta]`` with ``beta = delta + g (sqrt(D) + 4f)``; ``5f``
+    also covers the rounding of ``f``.  The Gram product costs ``D D_k^2``.
+    The last family has 0/1 diagonals summing to the identity: ``beta = 0``.
+
+    The Cholesky test of ``H + t 1`` passes when ``lambda_min(H) + t``
+    exceeds its backward error, ``n u ||H + t 1||`` as :func:`linalg.is_psd`
+    states; doubled for forming the shifted Hermitian part, that holds for
+    ``t >= (beta + c (1 + beta)) / (1 - c)`` with ``c = 2 D u``.
+    Hermiticity and completeness defects are measured on the stored arrays,
+    as the gate measures them, at ``O(D^2)`` each; the last family's are 0.
+    """
+    steps, v = _step_isometries(povms, gate)
+    dim = v.shape[0]
+    c = 2 * dim * _U
+    pvms, bounds = [], []
+    for fam, w in _factored_families(steps, dim):
+        beta = 0.0
+        if w is not None:
+            g = linalg.dagger(w) @ w
+            f = float(np.trace(g).real)
+            delta = linalg._identity_defect(g) * (1 + _gamma(2 * g.size))
+            beta = delta + _gamma(dim + 2) * (dim**0.5 + 5 * f)
+            bounds.append(games._completeness_defect(fam))
+            bounds.extend(map(linalg.hermiticity_defect, fam))
+        bounds.append((beta + c * (1 + beta)) / (1 - c))
+        pvms.append(fam)
+    return tuple(reversed(pvms)), v, float(np.max(bounds))
+
+
 def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     """Dilate both players' families; the state is embedded as ``(V_A (x) V_B) psi``.
 
-    The returned strategy is projective and produces the same correlation as
-    the input.
+    The returned strategy is projective, produces the same correlation as
+    the input, and carries its validity: the largest of
+    :func:`_proven_dilation`'s two ``tol`` values and the state's norm
+    defect, so the gate answers any ``tol`` at or above it with no Cholesky.
+    ``V_A`` and ``V_B`` stay on ``s`` (read-only copies) for
+    ``dilation.naimark_embedding``.  A source that has passed the validity
+    gate (at any ``tol``) is dilated without gating its families again.
     """
     psi = s.pure_state()
-    dil_a = naimark_family(s.alice)
-    dil_b = naimark_family(s.bob)
-    v_a, v_b = dil_a.isometry, dil_b.isometry
-    psi_new = linalg.apply_factors(psi, s.dims, (v_a, v_b))
+    gate = games._recall(s, "_valid_tol") is None
+    pvms_a, v_a, tol_a = _proven_dilation(s.alice, gate)
+    pvms_b, v_b, tol_b = _proven_dilation(s.bob, gate)
     dilated = Strategy(
-        state=psi_new,
-        dims=(dil_a.dims[1], dil_b.dims[1]),
-        alice=dil_a.pvms,
-        bob=dil_b.pvms,
+        state=linalg.apply_factors(psi, s.dims, (v_a, v_b)),
+        dims=(v_a.shape[0], v_b.shape[0]),
+        alice=pvms_a,
+        bob=pvms_b,
     )
+    norm_defect = abs(float(np.linalg.norm(dilated.state)) - 1.0)
+    object.__setattr__(dilated, "_valid_tol", float(np.max([tol_a, tol_b, norm_defect])))
+    object.__setattr__(s, "_naimark_isometries", (games._freeze(v_a), games._freeze(v_b)))
     return dilated, v_a, v_b
 
 

@@ -135,6 +135,28 @@ def test_cli_restrict_and_naimark(tmp_path, capsys):
     assert np.max(np.abs(p0 - p1)) <= 1e-12
 
 
+def test_cli_naimark_dilates_what_validate_accepts_at_tol(tmp_path, capsys):
+    # chsh.json with one of Bob's eigenvalues at -5e-7 (completeness kept):
+    # refused at the default --tol by both commands, accepted by both at 1e-6
+    s = serialize.parse_strategy_file(FIXTURES / "chsh.json")
+    e0, e1 = s.bob[0]
+    v = linalg.hermitian_eig(e1).eigenvectors[:, 0]  # e0 v = 0, e1 v = v
+    dust = 5e-7 * np.outer(v, v.conj())
+    bob = [[e0 - dust, e1 + dust], list(s.bob[1])]
+    src = Strategy(state=s.state, dims=s.dims, alice=s.alice, bob=bob)
+    path = write_json(tmp_path, "dusty.json", serialize.strategy_to_jsonable(src))
+    assert run(["validate", path]) == 1
+    assert run(["naimark", path]) == 2
+    assert run(["validate", path, "--tol", "1e-6"]) == 0
+    out_path = tmp_path / "dilated.json"
+    assert run(["naimark", path, "--tol", "1e-6", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    dilated = serialize.strategy_from_jsonable(json.loads(out_path.read_text())["strategy"])
+    p0 = correlation_of(src, 1e-6).table
+    p1 = correlation_of(dilated, 1e-6).table
+    assert np.max(np.abs(p0 - p1)) <= 1e-6
+
+
 def test_cli_check_dilation_exact_witness(tmp_path, capsys):
     s = canonical_chsh()
     w = DilationWitness(

@@ -250,6 +250,12 @@ def test_effective_measurement_refuses_an_element_off_the_isometry_domain():
         effective_measurement([np.eye(3)], np.eye(2), (2, 1), np.ones((1, 1)))
 
 
+@pytest.mark.parametrize("u", [np.ones(2), np.ones((2, 1, 1)), np.array(1.0)])
+def test_effective_measurement_refuses_an_isometry_that_is_not_a_matrix(u):
+    with pytest.raises(DimensionMismatch, match="isometry must be a matrix"):
+        effective_measurement([np.eye(2)], u, (2, 1), np.ones((1, 1)))
+
+
 def test_effective_measurement_uniform_elements():
     sigma = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
     u = np.eye(4, dtype=complex)  # C^4 = C^2 (x) C^2

@@ -489,3 +489,48 @@ def test_naimark_strategy_peak_memory_near_its_output():
     assert dilated.dims == (12, 324)
     element_bytes = sum(e.nbytes for fam in dilated.alice + dilated.bob for e in fam)
     assert peak - start < 1.25 * element_bytes
+
+
+def _deep_source(seed):
+    # Bob dilates to D = 3*2*2*3*3*3 = 324
+    rng = np.random.default_rng(seed)
+    return Strategy(
+        state=random_bipartite_state(rng, 3, 3, rank=2),
+        dims=(3, 3),
+        alice=[random_povm(rng, 3, 2) for _ in range(2)],
+        bob=[random_povm(rng, 3, m) for m in (2, 2, 3, 3, 3)],
+    )
+
+
+def test_embedding_after_strategy_builds_nothing(monkeypatch):
+    s = _deep_source(903)
+    _, v_a, v_b = naimark_strategy(s)
+    calls = []
+    real = linalg.psd_sqrt
+    monkeypatch.setattr(linalg, "psd_sqrt", lambda h: calls.append(1) or real(h))
+    w = naimark_embedding(s)
+    assert calls == []
+    assert np.array_equal(w.u_a, v_a) and np.array_equal(w.u_b, v_b)
+    # the other order builds the isometries itself, to the same bits
+    other = _deep_source(903)
+    w_first = naimark_embedding(other)
+    assert calls
+    _, v_a2, v_b2 = naimark_strategy(other)
+    for x, y in ((w_first.u_a, v_a), (w_first.u_b, v_b), (v_a2, v_a), (v_b2, v_b)):
+        assert np.array_equal(x, y)
+
+
+def test_naimark_strategy_leaves_only_the_isometries_on_the_source():
+    s = _deep_source(904)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        dilated, v_a, v_b = naimark_strategy(s)
+        isometry_bytes = v_a.nbytes + v_b.nbytes
+        del dilated, v_a, v_b
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # O(d D): the two isometries (16 KiB at D = 324) and small change, far
+    # below one D x D array (1.6 MiB) or the last step isometry (0.5 MiB)
+    assert held - start < 2 * isometry_bytes
