@@ -116,10 +116,15 @@ def _target_vector(row_target: np.ndarray, aux: np.ndarray, dims) -> np.ndarray:
 
 def _purified(s: Strategy) -> tuple[np.ndarray, int]:
     """The state as a vector and its purifier dimension: ``s.state`` and 1 when
-    pure, else the spectral purification."""
+    pure, else the spectral purification.  A source that has passed the
+    validity gate (at any ``tol``) is purified without :func:`schmidt.purify`'s
+    fixed checks of the state, which the gate has made at that ``tol``."""
     if s.is_pure:
         return s.state, 1
-    psi = schmidt.purify(s.state)
+    if games._recall(s, "_valid_tol") is None:
+        psi = schmidt.purify(s.state)
+    else:  # the Hermitian part, which hermitian_eig takes anyway, to the same bits
+        psi = schmidt._purification(linalg.hermitian_eig((s.state + linalg.dagger(s.state)) / 2))
     return psi, psi.size // (s.dims[0] * s.dims[1])
 
 

@@ -21,14 +21,19 @@ The second form of ``P_k0`` is the telescoped sum of the defects
 ``1 (x) |j><j|``.  Family ``k`` costs ``D^2 D_k`` (one Gram product per
 projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
 
-:func:`naimark_strategy` proves its output valid from the same factors:
-``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``) and a GEMM rounding
-term bound the spectrum of every stored ``P_kj`` near ``[0, 1]``, in place
-of the gate's ``D^3/3`` Cholesky per element (see :func:`_proven_dilation`).
+:func:`naimark_family` and :func:`naimark_strategy` prove their output valid
+from the same factors: ``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``)
+and a GEMM rounding term bound the spectrum of every stored ``P_kj`` near
+``[0, 1]``, in place of the gate's ``D^3/3`` Cholesky per element, and bound
+each ``||P_kj^2 - P_kj||_F``, which is recorded for the array (see
+:func:`_proven_dilation`).  :func:`verify_dilation` reads that record in
+place of a dense ``P @ P`` for every projection built here; a dilation given
+as matrices is measured.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +129,11 @@ def naimark_family(povms) -> NaimarkDilation:
     construction's ``W_k0 W_k0*`` plus the telescoped identity defects
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
     family on the dilated dimension ``D``.  The projections are read-only, so
-    a :class:`Strategy` built from them stores them without a copy.
+    a :class:`Strategy` built from them stores them without a copy, and each
+    carries the projectivity bound of :func:`_proven_dilation`.
     """
-    steps, v_total = _step_isometries(povms)
-    pvms = [fam for fam, _ in _factored_families(steps, v_total.shape[0])]
-    return NaimarkDilation(
-        pvms=tuple(reversed(pvms)),
-        isometry=v_total,
-        dims=(v_total.shape[1], v_total.shape[0]),
-    )
+    pvms, v, _ = _proven_dilation(povms, gate=True)
+    return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
 
 
 def _outcome_projector(dim: int, m: int, j: int) -> np.ndarray:
@@ -143,11 +144,6 @@ def _outcome_projector(dim: int, m: int, j: int) -> np.ndarray:
     return proj
 
 
-def naimark_single(povm) -> NaimarkDilation:
-    """Dilate one POVM; the dilated space is ``C^d (x) C^m``."""
-    return naimark_family([povm])
-
-
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
@@ -155,49 +151,88 @@ def _gamma(n: int) -> float:
     return n * _U / (1 - n * _U)
 
 
+# ``id(p)`` -> (a weak reference to ``p``, a proven upper bound on
+# ``linalg.projector_defect(p)``) for each projection :func:`_proven_dilation`
+# built; the entry leaves with its array.  Each access is one dict operation,
+# so threads need no lock.
+_PROJECTIVITY: dict[int, tuple[weakref.ref, float]] = {}
+
+
+def _record_projectivity(p: np.ndarray, bound: float) -> None:
+    key = id(p)
+    _PROJECTIVITY[key] = (weakref.ref(p, lambda _: _PROJECTIVITY.pop(key, None)), bound)
+
+
 def _proven_dilation(povms, gate: bool):
     """The dilated families of :func:`naimark_family`, the isometry ``V``, and
     a ``tol`` at which the dense gate ``games._family_valid`` passes on every
-    family, proven from the factors.
+    family, proven from the factors; each projection's record bounds its
+    :func:`linalg.projector_defect`.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
-    outcome ``j``, ``f = ||B||_F^2`` and ``delta = ||B* B - 1||_F``.  A
-    complex GEMM with inner dimension at most ``D`` errs entrywise by at most
-    ``g |X||Y|``, ``g = gamma(D + 2)``, so the computed Gram product
-    understates ``delta`` by at most ``g f`` (plus its norm's relative
-    rounding), and each stored ``P_j = fl(B_j B_j*)`` is within
-    ``g ||B_j||_F^2`` of ``B_j B_j* >= 0`` in Frobenius norm, with
-    ``||B_j||^2 <= ||B||^2 <= 1 + delta``.  ``P_0`` is ``1 - sum_{j>=1} P_j``
-    plus the rounding of ``m - 1 <= D`` subtractions, at most
-    ``g (sqrt(D) + 2f)``, and that exact part lies in ``[1 - B B*, 1]``.  So
-    the Hermitian part of every stored element has its spectrum in
-    ``[-beta, 1 + beta]`` with ``beta = delta + g (sqrt(D) + 4f)``; ``5f``
-    also covers the rounding of ``f``.  The Gram product costs ``D D_k^2``.
-    The last family has 0/1 diagonals summing to the identity: ``beta = 0``.
+    outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
+    the exact ``B_j B_j*`` (``j >= 1``) or ``1 - sum_{j>=1} X_j`` (``j = 0``).
+    A complex GEMM with inner dimension ``p`` errs entrywise by at most
+    ``gamma(p + 2) |X||Y|``, so the computed Gram product (``p = D``)
+    understates ``||B* B - 1||_F`` by at most ``g f``, ``g = gamma(D + 2)``,
+    plus its norm's relative rounding: ``delta`` below bounds it, with ``2f``
+    covering the rounding of ``f`` itself.  Each stored ``P_j = fl(B_j B_j*)``
+    is within ``gamma(n + 2) ||B_j||_F^2`` of ``X_j``; the stored ``P_0`` adds
+    those errors to the rounding of ``m - 1`` subtractions,
+    ``gamma(m - 1) (sqrt(D) + f)``.  So every stored element is within
+    ``e = gamma(n + m + 1) (sqrt(D) + 2f)`` of its ``X_j`` in Frobenius norm.
 
-    The Cholesky test of ``H + t 1`` passes when ``lambda_min(H) + t``
-    exceeds its backward error, ``n u ||H + t 1||`` as :func:`linalg.is_psd`
-    states; doubled for forming the shifted Hermitian part, that holds for
+    *Spectrum.*  ``X_j`` lies in ``[0, ||B_j||^2]`` for ``j >= 1`` and ``X_0``
+    in ``[1 - B B*, 1]``, with ``||B_j||^2 <= ||B||^2 <= 1 + delta``.  So the
+    Hermitian part of every stored element has its spectrum in
+    ``[-beta, 1 + beta]``, ``beta = delta + e``.  The Cholesky test of
+    ``H + t 1`` passes when ``lambda_min(H) + t`` exceeds its backward error,
+    ``n u ||H + t 1||`` as :func:`linalg.is_psd` states; doubled for forming
+    the shifted Hermitian part, that holds for
     ``t >= (beta + c (1 + beta)) / (1 - c)`` with ``c = 2 D u``.
     Hermiticity and completeness defects are measured on the stored arrays,
-    as the gate measures them, at ``O(D^2)`` each; the last family's are 0.
+    as the gate measures them, at ``O(D^2)`` each.
+
+    *Projectivity.*  ``X_j^2 - X_j = B_j (B_j* B_j - 1) B_j*`` for ``j >= 1``,
+    and ``X_0^2 - X_0`` is the same with ``B_j`` the tail ``[B_1 ... B_{m-1}]``;
+    ``B_j* B_j - 1`` is a principal block of ``B* B - 1``, so
+    ``||X_j^2 - X_j||_F <= (1 + delta) delta``, and with ``P = X_j + E``,
+    ``||P^2 - P||_F <= (1 + delta) delta + (3 + 2 delta) e + e^2``.  The dense
+    check rounds its ``P @ P`` by at most ``g ||P||_F^2 <= g D (1 + beta)^2``
+    and its difference and norm by a relative ``gamma(2 D^2 + 2)``
+    (``gamma(2 D^2 + 16)`` also covers evaluating this bound); the record, the
+    largest of that and the measured Hermiticity defect, is at least what
+    :func:`linalg.projector_defect` returns.  The Gram product
+    costs ``D D_k^2``.  The last family has 0/1 diagonals summing to the
+    identity: every bound is 0.
     """
     steps, v = _step_isometries(povms, gate)
     dim = v.shape[0]
     c = 2 * dim * _U
-    pvms, bounds = [], []
+    g = _gamma(dim + 2)
+    pvms, tols = [], []
     for fam, w in _factored_families(steps, dim):
         beta = 0.0
+        bounds = [0.0] * len(fam)
         if w is not None:
-            g = linalg.dagger(w) @ w
-            f = float(np.trace(g).real)
-            delta = linalg._identity_defect(g) * (1 + _gamma(2 * g.size))
-            beta = delta + _gamma(dim + 2) * (dim**0.5 + 5 * f)
-            bounds.append(games._completeness_defect(fam))
-            bounds.extend(map(linalg.hermiticity_defect, fam))
-        bounds.append((beta + c * (1 + beta)) / (1 - c))
+            m = len(fam)
+            gram = linalg.dagger(w) @ w
+            f = float(np.trace(gram).real)
+            delta = linalg._identity_defect(gram) * (1 + _gamma(2 * gram.size)) + 2 * g * f
+            e = _gamma(w.shape[1] // m + m + 1) * (dim**0.5 + 2 * f)
+            beta = delta + e
+            square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
+            square *= 1 + _gamma(2 * dim * dim + 16)
+            herm = [linalg.hermiticity_defect(p) for p in fam]
+            # np.max, unlike max, keeps a NaN, which no tol then admits
+            bounds = [float(np.max([square, h])) for h in herm]
+            tols.append(games._completeness_defect(fam))
+            tols.extend(herm)
+        tols.append((beta + c * (1 + beta)) / (1 - c))
+        for p, bound in zip(fam, bounds):
+            _record_projectivity(p, bound)
         pvms.append(fam)
-    return tuple(reversed(pvms)), v, float(np.max(bounds))
+    return tuple(reversed(pvms)), v, float(np.max(tols))
 
 
 def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
@@ -278,7 +313,13 @@ def minimal_trine_dilation() -> NaimarkDilation:
 
 @dataclass(frozen=True)
 class DilationCheck:
-    """Defect tables from verifying a claimed Naimark dilation."""
+    """Defect tables from verifying a claimed Naimark dilation.
+
+    Each ``projection_defects`` entry is the measured
+    :func:`linalg.projector_defect`, or, for a read-only projection that
+    :func:`naimark_family` or :func:`naimark_strategy` built, the upper bound
+    on it proven when it was built, whenever that bound is at most ``tol``.
+    """
 
     tol: float
     isometry_defect: float
@@ -294,6 +335,8 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     Raises ``DimensionMismatch`` when the families and the dilation differ in
     family count, in element count per family (an empty family is one), or
     in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
+    A projection's record (see :func:`_proven_dilation`) stands in for its
+    dense ``P @ P`` when it is at most ``tol``: the verdict is the dense one.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
@@ -316,7 +359,7 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
         tuple(linalg.frobenius(r - v.conj().T @ p @ v) for r, p in zip(family, dilated))
         for family, dilated in zip(povms, pvms)
     )
-    projection_defects = tuple(tuple(map(linalg.projector_defect, fam)) for fam in pvms)
+    projection_defects = tuple(tuple(_projection_defect(p, tol) for p in fam) for fam in pvms)
     completeness = [games._completeness_defect(fam) for fam in pvms]
     # np.max, unlike max, keeps a NaN defect, which then fails the verdict
     worst = np.max(
@@ -333,3 +376,15 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
         completeness_defects=tuple(completeness),
         passed=bool(worst <= tol),
     )
+
+
+def _projection_defect(p: np.ndarray, tol: float) -> float:
+    """The record of ``p`` when it is at most ``tol``, else the measured
+    :func:`linalg.projector_defect`.  A writable ``p`` voids its record."""
+    ref, bound = _PROJECTIVITY.get(id(p), (None, None))
+    if ref is not None and ref() is p:
+        if p.flags.writeable:
+            _PROJECTIVITY.pop(id(p), None)
+        elif bound <= tol:
+            return bound
+    return linalg.projector_defect(p)

@@ -101,10 +101,15 @@ def purify(rho) -> np.ndarray:
     spec = linalg.hermitian_eig(rho)
     if spec.eigenvalues[-1] < -1e-9:
         raise InvalidState("density operator must be positive semidefinite")
+    return _purification(spec)
+
+
+def _purification(spec: linalg.SpectralData) -> np.ndarray:
+    """:func:`purify` from the spectrum of ``rho``, with no check of ``rho``."""
     top = spec.eigenvalues[0]
     keep = spec.eigenvalues > 1e-12 * max(top, 0.0)
     rank = int(np.count_nonzero(keep))
-    d = rho.shape[0]
+    d = spec.eigenvectors.shape[0]
     psi = np.zeros((d, rank), dtype=np.complex128)
     for i in range(rank):
         psi[:, i] = np.sqrt(spec.eigenvalues[i]) * spec.eigenvectors[:, i]

@@ -266,10 +266,11 @@ def test_cli_check_dilation_mixed_source(tmp_path, capsys):
     assert out["eps"] <= 1e-10
 
 
-def _mixed_source_case(tmp_path):
+def _mixed_source_case(tmp_path, scale=1.0):
     """A mixed source ``dst (x) sigma`` (sigma of rank 2 on the ancillas), the
     canonical CHSH destination and the vector witness whose aux carries the
-    purifier factor, each written to ``tmp_path``."""
+    purifier factor, each written to ``tmp_path``; the source file holds the
+    density matrix times ``scale``."""
     from helpers import random_density
     from selftest_lab.dilation import vector_witness_from_matrix_form
 
@@ -286,6 +287,7 @@ def _mixed_source_case(tmp_path):
         src, dst, np.eye(4, dtype=complex), np.eye(4, dtype=complex), (2, 2), (2, 2)
     )
     assert w.purifier_dim == 2
+    src = Strategy(state=rho * scale, dims=(4, 4), alice=alice, bob=bob)
     return (write_json(tmp_path, "src.json", serialize.strategy_to_jsonable(src)),
             write_json(tmp_path, "dst.json", serialize.strategy_to_jsonable(dst)),
             serialize.witness_to_jsonable(w))
@@ -300,6 +302,20 @@ def test_cli_check_dilation_matrix_form_traces_out_the_purifier(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["eps"] <= 1e-10
+
+
+def test_cli_check_dilation_mixed_source_at_the_parse_tol(tmp_path, capsys):
+    # a trace defect of 1e-7 passes the parse gate at 1e-6; the purification
+    # applies no fixed unit-trace check of its own
+    src, dst, payload = _mixed_source_case(tmp_path, scale=1 + 1e-7)
+    wit = write_json(tmp_path, "w.json", payload)
+    assert run(["validate", src, "--tol", "1e-6"]) == 0
+    assert run(["check-dilation", src, dst, wit, "--tol", "1e-9"]) == 2
+    capsys.readouterr()
+    assert run(["check-dilation", src, dst, wit, "--tol", "1e-6"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["eps"] <= 1e-6
 
 
 @pytest.mark.parametrize("form", ["matrix", "extraction"])

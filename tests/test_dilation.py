@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import linalg
+from selftest_lab import dilation, games, linalg
 from selftest_lab.dilation import (
     DilationWitness,
     _complete_isometry,
@@ -551,6 +551,18 @@ def test_matrix_form_rejects_witness_of_wrong_shape():
     with pytest.raises(WitnessMismatch, match="target factors"):
         matrix_form_residual(s, s, np.eye(2), np.eye(2), (1, 2), (2, 1), np.eye(2) / 2)
 
+
+def test_a_gated_mixed_source_is_purified_to_the_bits_of_purify():
+    # past the gate, _purified skips purify's fixed checks, not its arithmetic
+    rng = np.random.default_rng(31)
+    g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    rho = g @ g.conj().T
+    rho = (rho + 1e-12j * np.eye(6)) / np.trace(rho).real  # not exactly Hermitian
+    s = Strategy(state=rho, dims=(2, 3), alice=[[np.eye(2)]], bob=[[np.eye(3)]])
+    want = purify(s.state)
+    assert games._is_valid(s, 1e-9)
+    psi, d_p = dilation._purified(s)
+    assert d_p == 3 and np.array_equal(psi, want)
 
 
 def probe_rows(src, dst, w, probes, seed):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import linalg
+from selftest_lab import linalg, naimark
 from selftest_lab.dilation import naimark_embedding
 from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, correlation_of, validate_strategy
@@ -15,7 +16,6 @@ from selftest_lab.naimark import (
     NaimarkDilation,
     minimal_trine_dilation,
     naimark_family,
-    naimark_single,
     naimark_strategy,
     trine_povm,
     trine_projector_vectors,
@@ -28,7 +28,7 @@ RNG = np.random.default_rng(505)
 
 def test_single_pvm_dilation():
     fam = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
-    d = naimark_single(fam)
+    d = naimark_family([fam])
     assert d.dims == (2, 4)
     check = verify_dilation([fam], d, tol=1e-12)
     assert check.passed
@@ -36,7 +36,7 @@ def test_single_pvm_dilation():
 
 def test_single_trine_dilation():
     fam = trine_povm()
-    d = naimark_single(fam)
+    d = naimark_family([fam])
     assert d.dims == (2, 6)
     v = d.isometry
     for r, p in zip(fam, d.pvms[0]):
@@ -45,7 +45,7 @@ def test_single_trine_dilation():
 
 def test_single_element_povm():
     fam = [np.eye(3, dtype=complex)]
-    d = naimark_single(fam)
+    d = naimark_family([fam])
     assert d.dims == (3, 3)  # one outcome adds no ancilla dimension
     assert np.allclose(d.pvms[0][0], np.eye(3))
     assert np.allclose(d.isometry.conj().T @ d.isometry, np.eye(3))
@@ -94,7 +94,7 @@ def test_family_rejects_non_hermitian_element():
 
 def test_projective_family_commutes_on_range():
     fam = random_pvm(RNG, 4, 3)
-    d = naimark_single(fam)
+    d = naimark_family([fam])
     v = d.isometry
     proj_range = v @ v.conj().T
     for p in d.pvms[0]:
@@ -127,7 +127,7 @@ def test_random_families_verify():
 
 def test_tampered_dilation_fails():
     fam = trine_povm()
-    d = naimark_single(fam)
+    d = naimark_family([fam])
     bad_pvms = (tuple([np.eye(6, dtype=complex)] + list(d.pvms[0][1:])),)
     tampered = NaimarkDilation(pvms=bad_pvms, isometry=d.isometry, dims=d.dims)
     check = verify_dilation([fam], tampered, tol=1e-10)
@@ -137,7 +137,7 @@ def test_tampered_dilation_fails():
 
 def test_verify_dilation_fails_on_nan_projection():
     fam = trine_povm()
-    d = naimark_single(fam)
+    d = naimark_family([fam])
     bad = d.pvms[0][2].copy()
     bad[0, 0] = np.nan
     tampered = NaimarkDilation(pvms=(d.pvms[0][:2] + (bad,),), isometry=d.isometry, dims=d.dims)
@@ -218,7 +218,7 @@ def test_minimal_dilations_related_by_unitary():
     # compress the square-root construction to its minimal subspace and find
     # the explicit unitary onto the rank-1-vector construction.
     m = trine_povm()
-    generic = naimark_single(m)
+    generic = naimark_family([m])
     v6 = generic.isometry
     # each block span{P_j V phi} is one-dimensional (rank-1 effects), spanned
     # by u_j (x) e_j with u_j the range direction of sqrt(M_j)
@@ -534,3 +534,98 @@ def test_naimark_strategy_leaves_only_the_isometries_on_the_source():
     # O(d D): the two isometries (16 KiB at D = 324) and small change, far
     # below one D x D array (1.6 MiB) or the last step isometry (0.5 MiB)
     assert held - start < 2 * isometry_bytes
+
+
+def _counting_projector_defect(monkeypatch):
+    calls = []
+    real = linalg.projector_defect
+    monkeypatch.setattr(linalg, "projector_defect", lambda p: calls.append(1) or real(p))
+    return calls
+
+
+def _dense_worst(fams, dil):
+    """The largest entry of ``dil``'s defect tables, checked on copies of its
+    projections, which carry no record: the dense path's verdict is
+    ``worst <= tol``."""
+    copied = tuple(tuple(p.copy() for p in fam) for fam in dil.pvms)
+    check = verify_dilation(fams, NaimarkDilation(copied, dil.isometry, dil.dims))
+    return np.max(
+        [check.isometry_defect, *check.completeness_defects]
+        + [x for t in check.element_defects + check.projection_defects for x in t]
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
+    d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
+    state = random_bipartite_state(np.random.default_rng(seed), d_a, d_b)
+    s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
+    dilated, v_a, v_b = naimark_strategy(s)
+    cases = [
+        (fams_a, naimark_family(fams_a)),
+        (s.alice, NaimarkDilation(dilated.alice, v_a, (d_a, v_a.shape[0]))),
+        (s.bob, NaimarkDilation(dilated.bob, v_b, (d_b, v_b.shape[0]))),
+    ]
+    for fams, dil in cases:
+        for fam in dil.pvms:
+            for p in fam:
+                assert naimark._PROJECTIVITY[id(p)][1] >= linalg.projector_defect(p)
+        worst = _dense_worst(fams, dil)
+        for tol in (1e-12, 1e-10, 1e-8):
+            assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
+
+
+def test_verify_reads_the_records_of_a_deep_strategy(monkeypatch):
+    s = _deep_source(906)
+    dilated, v_a, v_b = naimark_strategy(s)
+    assert dilated.dims == (12, 324)
+    calls = _counting_projector_defect(monkeypatch)
+    for fams, pvms, v in ((s.alice, dilated.alice, v_a), (s.bob, dilated.bob, v_b)):
+        dil = NaimarkDilation(pvms, v, (v.shape[1], v.shape[0]))
+        assert verify_dilation(fams, dil, tol=1e-10).passed
+    assert calls == []
+
+
+def test_a_copied_writable_or_loosely_proven_projection_is_measured(monkeypatch):
+    fams = [trine_povm(), trine_povm()]
+    dil = naimark_family(fams)
+    p = dil.pvms[0][1]
+    bound = naimark._PROJECTIVITY[id(p)][1]
+    assert 0 < bound <= 1e-10
+    calls = _counting_projector_defect(monkeypatch)
+
+    def defect(q, tol):
+        calls.clear()
+        pvms = (dil.pvms[0][:1] + (q,) + dil.pvms[0][2:], dil.pvms[1])
+        check = verify_dilation(fams, NaimarkDilation(pvms, dil.isometry, dil.dims), tol)
+        return check.projection_defects[0][1], len(calls)
+
+    assert defect(p, 1e-10) == (bound, 0)
+    measured = linalg.projector_defect(p)
+    assert measured <= bound
+    assert defect(p, bound / 2)[0] == measured  # its siblings share the bound: measured too
+    assert defect(p.copy(), 1e-10) == (measured, 1)
+    p.setflags(write=True)
+    assert defect(p, 1e-10) == (measured, 1)
+    p.setflags(write=False)
+    assert defect(p, 1e-10) == (measured, 1)  # writable once, the record is gone
+
+
+def test_a_nan_record_is_not_read(monkeypatch):
+    fams = [trine_povm(), trine_povm()]
+    dil = naimark_family(fams)
+    naimark._record_projectivity(dil.pvms[0][1], float("nan"))
+    calls = _counting_projector_defect(monkeypatch)
+    check = verify_dilation(fams, dil, tol=1e-10)
+    assert calls == [1] and check.passed
+    assert not np.isnan(check.projection_defects[0][1])
+
+
+def test_the_records_leave_with_their_arrays():
+    dil = naimark_family([trine_povm(), trine_povm()])
+    keys = {id(p) for fam in dil.pvms for p in fam}
+    assert keys <= set(naimark._PROJECTIVITY)
+    del dil
+    gc.collect()
+    assert not keys & set(naimark._PROJECTIVITY)
