@@ -121,7 +121,7 @@ def _purified(s: Strategy) -> tuple[np.ndarray, int]:
     fixed checks of the state, which the gate has made at that ``tol``."""
     if s.is_pure:
         return s.state, 1
-    if games._recall(s, "_valid_tol") is None:
+    if games._recall(s, "valid_tol") is None:
         psi = schmidt.purify(s.state)
     else:  # the Hermitian part, which hermitian_eig takes anyway, to the same bits
         psi = schmidt._purification(linalg.hermitian_eig((s.state + linalg.dagger(s.state)) / 2))
@@ -223,11 +223,11 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
 
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
     bounded by the projectivity defect of ``s``.  After
-    ``naimark_strategy(s)`` the isometries it left on ``s`` are used, and
-    nothing is built.
+    ``naimark_strategy(s)`` the isometries it kept as a fact of ``s`` are
+    used, and nothing is built.
     """
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
-    built = games._recall(s, "_naimark_isometries")
+    built = games._recall(s, "naimark_isometries")
     if built is None:
         built = naimark.naimark_isometry(s.alice), naimark.naimark_isometry(s.bob)
     return _trivial_ancilla_witness(*built)

@@ -18,6 +18,7 @@ game operator.  Intermediates are at most the size of the state.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +107,12 @@ class Strategy:
     view) is adopted without a copy; any other input is copied, so later
     writes to the caller's arrays never reach the strategy.
 
-    A strategy records the smallest ``tol`` at which it passed the validity
-    gate (see :func:`_is_valid`; a Naimark-built one, proven from its factors
-    at ``D D_k^2`` per family instead of a ``D^3/3`` Cholesky per element),
-    and ``naimark.naimark_strategy`` leaves its two isometries on the source.
-    The records are plain instance attributes, not fields, so equality,
-    ``dataclasses.fields`` and reports ignore them; making the state or an
-    element writable again voids them.
+    Facts proven of a strategy or a read-only array (``valid_tol``, see
+    :func:`_is_valid`; the ``naimark_isometries`` and ``projectivity`` of
+    ``naimark.naimark_strategy``) live in one table held by weak reference
+    (:func:`_remember`, :func:`_recall`), never on the object, so equality,
+    copies and reports ignore them.  An entry leaves with its object and is
+    voided once an array of it is seen writable.
     """
 
     state: np.ndarray
@@ -222,44 +222,57 @@ def _family_valid(family, tol: float) -> bool:
     return _completeness_defect(family) <= tol
 
 
-# Facts a Strategy remembers about itself, as plain instance attributes (not
-# dataclass fields): the smallest tol at which it passed the gate, and the
-# isometries ``naimark.naimark_strategy`` built for it.
-_RECORDS = ("_valid_tol", "_naimark_isometries")
+# id(obj) -> (a weak reference to obj, {fact: value}) for each Strategy or
+# read-only array with a proven fact; the entry leaves as obj dies, before its
+# id can be reused.  See Strategy.
+_FACTS: dict[int, tuple[weakref.ref, dict]] = {}
 
 
-def _read_only(s: Strategy) -> bool:
-    return not s.state.flags.writeable and not any(
-        e.flags.writeable for family in s.alice + s.bob for e in family
-    )
+def _writable(obj) -> bool:
+    if isinstance(obj, Strategy):
+        return obj.state.flags.writeable or any(
+            e.flags.writeable for family in obj.alice + obj.bob for e in family
+        )
+    return obj.flags.writeable
 
 
-def _recall(s: Strategy, name: str):
-    """The record ``name`` of ``s``, or None.  A writable state or element
-    voids every record of ``s``."""
-    if not _read_only(s):
-        for record in _RECORDS:
-            s.__dict__.pop(record, None)
+def _remember(obj, **facts) -> None:
+    """Add ``facts`` to what is known of ``obj``, unless an array of it is writable."""
+    key = id(obj)
+    if _writable(obj):
+        _FACTS.pop(key, None)
+    elif key in _FACTS:
+        _FACTS[key][1].update(facts)
+    else:
+        _FACTS[key] = (weakref.ref(obj, lambda _: _FACTS.pop(key, None)), facts)
+
+
+def _recall(obj, name: str):
+    """The fact ``name`` of ``obj``, or None.  An array of ``obj`` seen
+    writable voids all its facts."""
+    entry = _FACTS.get(id(obj))
+    if entry is None:
         return None
-    return s.__dict__.get(name)
+    if _writable(obj):
+        _FACTS.pop(id(obj), None)
+        return None
+    return entry[1].get(name)
 
 
 def _is_valid(s: Strategy, tol: float) -> bool:
-    """Validity of ``s`` at ``tol``: :func:`_dense_gate`, or the record.
+    """Validity of ``s`` at ``tol``: :func:`_dense_gate`, or the fact ``valid_tol``.
 
-    The smallest ``tol`` that passed is recorded on ``s`` as ``_valid_tol``
-    and answers any ``tol`` at or above it with no check: validity is
-    monotone in ``tol`` and the arrays are read-only.  A failed check records
-    nothing.  ``naimark.naimark_strategy`` records what it proves of its
-    output from the factors, ``D D_k^2`` per family against a ``D^3/3``
-    Cholesky per element in the gate; a ``tol`` under that record runs the gate.
+    The smallest ``tol`` that passed is remembered and answers any ``tol`` at
+    or above it with no check: validity is monotone in ``tol``.  A failed check
+    records nothing; ``naimark.naimark_strategy`` proves ``valid_tol`` of its
+    output from the factors.
     """
-    proven = _recall(s, "_valid_tol")
+    proven = _recall(s, "valid_tol")
     if proven is not None and tol >= proven:
         return True
     valid = _dense_gate(s, tol)
-    if valid and _read_only(s):
-        object.__setattr__(s, "_valid_tol", tol)
+    if valid:
+        _remember(s, valid_tol=tol)
     return valid
 
 

@@ -16,6 +16,12 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-9
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+
+
+def _gamma(n: float) -> float:
+    """``n u / (1 - n u)``, the relative error bound of ``n`` roundings."""
+    return n * _U / (1 - n * _U)
 
 
 def as_complex(a) -> np.ndarray:

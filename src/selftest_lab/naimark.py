@@ -25,15 +25,13 @@ projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
 from the same factors: ``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``)
 and a GEMM rounding term bound the spectrum of every stored ``P_kj`` near
 ``[0, 1]``, in place of the gate's ``D^3/3`` Cholesky per element, and bound
-each ``||P_kj^2 - P_kj||_F``, which is recorded for the array (see
-:func:`_proven_dilation`).  :func:`verify_dilation` reads that record in
-place of a dense ``P @ P`` for every projection built here; a dilation given
-as matrices is measured.
+each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation`).  Both are kept as
+facts (see ``games.Strategy``); :func:`verify_dilation` reads the second in
+place of a dense ``P @ P``, and measures a dilation given as matrices.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,30 +142,11 @@ def _outcome_projector(dim: int, m: int, j: int) -> np.ndarray:
     return proj
 
 
-_U = np.finfo(np.float64).eps / 2  # unit roundoff
-
-
-def _gamma(n: int) -> float:
-    return n * _U / (1 - n * _U)
-
-
-# ``id(p)`` -> (a weak reference to ``p``, a proven upper bound on
-# ``linalg.projector_defect(p)``) for each projection :func:`_proven_dilation`
-# built; the entry leaves with its array.  Each access is one dict operation,
-# so threads need no lock.
-_PROJECTIVITY: dict[int, tuple[weakref.ref, float]] = {}
-
-
-def _record_projectivity(p: np.ndarray, bound: float) -> None:
-    key = id(p)
-    _PROJECTIVITY[key] = (weakref.ref(p, lambda _: _PROJECTIVITY.pop(key, None)), bound)
-
-
 def _proven_dilation(povms, gate: bool):
     """The dilated families of :func:`naimark_family`, the isometry ``V``, and
     a ``tol`` at which the dense gate ``games._family_valid`` passes on every
-    family, proven from the factors; each projection's record bounds its
-    :func:`linalg.projector_defect`.
+    family, proven from the factors; each projection's ``projectivity`` fact
+    bounds its :func:`linalg.projector_defect`.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
     outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
@@ -200,7 +179,7 @@ def _proven_dilation(povms, gate: bool):
     ``||P^2 - P||_F <= (1 + delta) delta + (3 + 2 delta) e + e^2``.  The dense
     check rounds its ``P @ P`` by at most ``g ||P||_F^2 <= g D (1 + beta)^2``
     and its difference and norm by a relative ``gamma(2 D^2 + 2)``
-    (``gamma(2 D^2 + 16)`` also covers evaluating this bound); the record, the
+    (``gamma(2 D^2 + 16)`` also covers evaluating this bound); the fact, the
     largest of that and the measured Hermiticity defect, is at least what
     :func:`linalg.projector_defect` returns.  The Gram product
     costs ``D D_k^2``.  The last family has 0/1 diagonals summing to the
@@ -208,8 +187,8 @@ def _proven_dilation(povms, gate: bool):
     """
     steps, v = _step_isometries(povms, gate)
     dim = v.shape[0]
-    c = 2 * dim * _U
-    g = _gamma(dim + 2)
+    c = 2 * dim * linalg._U
+    g = linalg._gamma(dim + 2)
     pvms, tols = [], []
     for fam, w in _factored_families(steps, dim):
         beta = 0.0
@@ -218,11 +197,11 @@ def _proven_dilation(povms, gate: bool):
             m = len(fam)
             gram = linalg.dagger(w) @ w
             f = float(np.trace(gram).real)
-            delta = linalg._identity_defect(gram) * (1 + _gamma(2 * gram.size)) + 2 * g * f
-            e = _gamma(w.shape[1] // m + m + 1) * (dim**0.5 + 2 * f)
+            delta = linalg._identity_defect(gram) * (1 + linalg._gamma(2 * gram.size)) + 2 * g * f
+            e = linalg._gamma(w.shape[1] // m + m + 1) * (dim**0.5 + 2 * f)
             beta = delta + e
             square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
-            square *= 1 + _gamma(2 * dim * dim + 16)
+            square *= 1 + linalg._gamma(2 * dim * dim + 16)
             herm = [linalg.hermiticity_defect(p) for p in fam]
             # np.max, unlike max, keeps a NaN, which no tol then admits
             bounds = [float(np.max([square, h])) for h in herm]
@@ -230,7 +209,7 @@ def _proven_dilation(povms, gate: bool):
             tols.extend(herm)
         tols.append((beta + c * (1 + beta)) / (1 - c))
         for p, bound in zip(fam, bounds):
-            _record_projectivity(p, bound)
+            games._remember(p, projectivity=bound)
         pvms.append(fam)
     return tuple(reversed(pvms)), v, float(np.max(tols))
 
@@ -242,12 +221,12 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     the input, and carries its validity: the largest of
     :func:`_proven_dilation`'s two ``tol`` values and the state's norm
     defect, so the gate answers any ``tol`` at or above it with no Cholesky.
-    ``V_A`` and ``V_B`` stay on ``s`` (read-only copies) for
+    ``V_A`` and ``V_B`` are kept as a fact of ``s`` (read-only copies) for
     ``dilation.naimark_embedding``.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
     """
     psi = s.pure_state()
-    gate = games._recall(s, "_valid_tol") is None
+    gate = games._recall(s, "valid_tol") is None
     pvms_a, v_a, tol_a = _proven_dilation(s.alice, gate)
     pvms_b, v_b, tol_b = _proven_dilation(s.bob, gate)
     dilated = Strategy(
@@ -257,8 +236,8 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
         bob=pvms_b,
     )
     norm_defect = abs(float(np.linalg.norm(dilated.state)) - 1.0)
-    object.__setattr__(dilated, "_valid_tol", float(np.max([tol_a, tol_b, norm_defect])))
-    object.__setattr__(s, "_naimark_isometries", (games._freeze(v_a), games._freeze(v_b)))
+    games._remember(dilated, valid_tol=float(np.max([tol_a, tol_b, norm_defect])))
+    games._remember(s, naimark_isometries=(games._freeze(v_a), games._freeze(v_b)))
     return dilated, v_a, v_b
 
 
@@ -316,9 +295,8 @@ class DilationCheck:
     """Defect tables from verifying a claimed Naimark dilation.
 
     Each ``projection_defects`` entry is the measured
-    :func:`linalg.projector_defect`, or, for a read-only projection that
-    :func:`naimark_family` or :func:`naimark_strategy` built, the upper bound
-    on it proven when it was built, whenever that bound is at most ``tol``.
+    :func:`linalg.projector_defect`, or the projection's ``projectivity`` fact
+    (see ``games.Strategy``) when that bound is at most ``tol``.
     """
 
     tol: float
@@ -335,8 +313,8 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     Raises ``DimensionMismatch`` when the families and the dilation differ in
     family count, in element count per family (an empty family is one), or
     in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
-    A projection's record (see :func:`_proven_dilation`) stands in for its
-    dense ``P @ P`` when it is at most ``tol``: the verdict is the dense one.
+    A projection's ``projectivity`` fact stands in for its dense ``P @ P``
+    when it is at most ``tol``: the verdict is the dense one.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
@@ -379,12 +357,9 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
 
 
 def _projection_defect(p: np.ndarray, tol: float) -> float:
-    """The record of ``p`` when it is at most ``tol``, else the measured
-    :func:`linalg.projector_defect`.  A writable ``p`` voids its record."""
-    ref, bound = _PROJECTIVITY.get(id(p), (None, None))
-    if ref is not None and ref() is p:
-        if p.flags.writeable:
-            _PROJECTIVITY.pop(id(p), None)
-        elif bound <= tol:
-            return bound
+    """The fact ``projectivity`` of ``p`` when it is at most ``tol``, else the
+    measured :func:`linalg.projector_defect`."""
+    bound = games._recall(p, "projectivity")
+    if bound is not None and bound <= tol:
+        return bound
     return linalg.projector_defect(p)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import linalg, naimark
+from selftest_lab import games, linalg, naimark
 from selftest_lab.dilation import naimark_embedding
 from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, correlation_of, validate_strategy
@@ -570,7 +570,7 @@ def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
     for fams, dil in cases:
         for fam in dil.pvms:
             for p in fam:
-                assert naimark._PROJECTIVITY[id(p)][1] >= linalg.projector_defect(p)
+                assert games._recall(p, "projectivity") >= linalg.projector_defect(p)
         worst = _dense_worst(fams, dil)
         for tol in (1e-12, 1e-10, 1e-8):
             assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
@@ -591,7 +591,7 @@ def test_a_copied_writable_or_loosely_proven_projection_is_measured(monkeypatch)
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     p = dil.pvms[0][1]
-    bound = naimark._PROJECTIVITY[id(p)][1]
+    bound = games._recall(p, "projectivity")
     assert 0 < bound <= 1e-10
     calls = _counting_projector_defect(monkeypatch)
 
@@ -615,17 +615,22 @@ def test_a_copied_writable_or_loosely_proven_projection_is_measured(monkeypatch)
 def test_a_nan_record_is_not_read(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
-    naimark._record_projectivity(dil.pvms[0][1], float("nan"))
+    games._remember(dil.pvms[0][1], projectivity=float("nan"))
     calls = _counting_projector_defect(monkeypatch)
     check = verify_dilation(fams, dil, tol=1e-10)
     assert calls == [1] and check.passed
     assert not np.isnan(check.projection_defects[0][1])
 
 
-def test_the_records_leave_with_their_arrays():
-    dil = naimark_family([trine_povm(), trine_povm()])
-    keys = {id(p) for fam in dil.pvms for p in fam}
-    assert keys <= set(naimark._PROJECTIVITY)
-    del dil
+@pytest.mark.parametrize("kind", ["projection", "strategy"])
+def test_facts_leave_with_their_objects(kind):
+    if kind == "projection":
+        objs = [p for fam in naimark_family([trine_povm(), trine_povm()]).pvms for p in fam]
+    else:
+        objs = [canonical_chsh()]
+        assert games._is_valid(objs[0], 1e-9)
+    keys = {id(x) for x in objs}
+    assert keys <= set(games._FACTS)
+    del objs
     gc.collect()
-    assert not keys & set(naimark._PROJECTIVITY)
+    assert not keys & set(games._FACTS)
