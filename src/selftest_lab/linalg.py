@@ -59,9 +59,18 @@ def _identity_defect(x: np.ndarray) -> float:
     return frobenius(x)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.all(np.isfinite(a))``, from one sum when that sum is finite: a sum
+    with a NaN or infinite term is not finite, and one that overflowed (or had
+    ``inf`` and ``-inf`` terms) is checked entry by entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    return bool(np.isfinite(total) or np.all(np.isfinite(a)))
+
+
 def require_finite(a, what: str = "array") -> np.ndarray:
     a = as_complex(a)
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise DimensionMismatch(f"{what} contains non-finite entries")
     return a
 
@@ -162,7 +171,7 @@ def is_psd(h, tol: float = DEFAULT_TOL) -> bool:
     reads one triangle and returns NaN there without raising.
     """
     h = require_square(as_complex(h))
-    if not np.all(np.isfinite(h)):
+    if not _all_finite(h):
         return False
     return _shifted_cholesky_exists(h, dagger(h), tol)
 

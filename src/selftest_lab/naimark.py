@@ -6,6 +6,15 @@ one ancilla factor per family.  Step ``k`` pushes family ``k`` forward
 through the isometry built so far (the identity defect ``1 - V V*`` joins
 outcome 0) and maps ``C^{D_{k-1}}`` into ``C^{D_{k-1}} (x) C^{m_k}`` by the
 square-root isometry ``V2_k``; the embedding is ``V = V2_n ... V2_1``.
+No square root is taken above the source dimension ``d``: for an isometry
+``V`` (``V* V = 1``, so ``V V*`` is a projection),
+
+    sqrt(V E V*)                 = V sqrt(E) V*
+    sqrt(V E_0 V* + 1 - V V*)    = V sqrt(E_0) V* + (1 - V V*)
+                                 = 1 + V (sqrt(E_0) - 1) V*
+
+so step ``k`` costs one ``d x d`` root per element and ``D_{k-1}^2 d`` per
+block of ``V2_k``, where the pushed elements' roots cost ``D_{k-1}^3`` each.
 
 The dilated projections are computed in closed form rather than by
 re-embedding every earlier family at each later step.  With
@@ -22,12 +31,18 @@ The second form of ``P_k0`` is the telescoped sum of the defects
 projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
 
 :func:`naimark_family` and :func:`naimark_strategy` prove their output valid
-from the same factors: ``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``)
-and a GEMM rounding term bound the spectrum of every stored ``P_kj`` near
-``[0, 1]``, in place of the gate's ``D^3/3`` Cholesky per element, and bound
-each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation`).  Both are kept as
-facts (see ``games.Strategy``); :func:`verify_dilation` reads the second in
-place of a dense ``P @ P``, and measures a dilation given as matrices.
+from the same factors, reading no projection once it is built:
+``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``) and a GEMM rounding
+term put every stored ``P_kj`` within ``e`` (Frobenius) of a Hermitian
+``X_kj`` with spectrum near ``[0, 1]``.  That bounds, in place of the gate's
+``D^3/3`` Cholesky and its ``O(D^2)`` Hermiticity and completeness passes per
+element, the spectrum, ``||P - P*||_F <= 2e``, each family's completeness
+defect (of order ``gamma(m) (sqrt(D) + f + e)``, ``f = ||W_k||_F^2``) and
+each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  The
+validity ``tol`` and the projectivity bounds are kept as facts (see
+``games.Strategy``); :func:`verify_dilation` reads the second in place of a
+dense ``P @ P``, and measures a dilation given as matrices.  The proof holds
+whatever ``V2_k`` is, because the Gram defect is measured on the stored ``W_k``.
 """
 
 from __future__ import annotations
@@ -59,7 +74,8 @@ class NaimarkDilation:
 
 
 def _step_isometries(povms, gate: bool = True) -> tuple[list[np.ndarray], np.ndarray]:
-    """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``.
+    """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``,
+    each block of ``V2_k`` from the ``d x d`` root of a source element (module docstring).
 
     Needs non-empty families (else :class:`InvalidPovm`), built by ``games._families`` at
     the first element's dimension; with ``gate``, each must pass ``games._family_valid``
@@ -78,15 +94,17 @@ def _step_isometries(povms, gate: bool = True) -> tuple[list[np.ndarray], np.nda
     steps = []
     for family in povms:
         m = len(family)
-        pushed = [v_total @ e @ v_total.conj().T for e in family]
-        pushed[0] = pushed[0] + (linalg.identity(dim_now) - v_total @ v_total.conj().T)
-        # v2: phi -> sum_j sqrt(pushed_j) phi (x) e_j, an isometry into dim_now*m
-        v2 = np.zeros((dim_now * m, dim_now), dtype=np.complex128)
-        v2_view = v2.reshape(dim_now, m, dim_now)
-        for j in range(m):
-            v2_view[:, j, :] = linalg.psd_sqrt(pushed[j])
-        steps.append(v2)
-        v_total = v2 @ v_total
+        # v2: phi -> sum_j sqrt(pushed_j) phi (x) e_j, an isometry into dim_now*m,
+        # with sqrt(pushed_j) = V sqrt(E_j) V*, and 1 + V (sqrt(E_0) - 1) V* at j = 0
+        roots = [v_total @ linalg.psd_sqrt(e) for e in family]
+        roots[0] -= v_total
+        v_h = linalg.dagger(v_total)
+        v2 = np.empty((dim_now, m, dim_now), dtype=np.complex128)
+        for j, r in enumerate(roots):
+            v2[:, j, :] = r @ v_h
+        v2[:, 0, :] += linalg.identity(dim_now)
+        steps.append(v2.reshape(dim_now * m, dim_now))
+        v_total = steps[-1] @ v_total
         dim_now *= m
     return steps, v_total
 
@@ -169,8 +187,24 @@ def _proven_dilation(povms, gate: bool):
     ``n u ||H + t 1||`` as :func:`linalg.is_psd` states; doubled for forming
     the shifted Hermitian part, that holds for
     ``t >= (beta + c (1 + beta)) / (1 - c)`` with ``c = 2 D u``.
-    Hermiticity and completeness defects are measured on the stored arrays,
-    as the gate measures them, at ``O(D^2)`` each.
+
+    *Hermiticity.*  Every ``X_j`` is Hermitian, so
+    ``||P - P*||_F <= ||P - X_j||_F + ||X_j - P*||_F <= 2e``; the gate's
+    difference and norm add the relative ``r = 1 + gamma(2 D^2 + 16)`` (see
+    below), so it measures at most ``2 e r``.
+
+    *Completeness.*  The stored ``P_0`` is ``1 - sum_{j>=1} P_j`` up to the
+    rounding of its ``m - 1`` subtractions, so the exact sum of the stored
+    family is ``1 + E`` with ``||E||_F <= gamma(m - 1) (sqrt(D) + sum_{j>=1}
+    ||P_j||_F)``.  The gate adds the ``m`` stored elements in order, which
+    errs by at most ``gamma(m - 1) (||P_0||_F + sum_{j>=1} ||P_j||_F)``, then
+    subtracts 1 and takes the norm (relative ``r``).  Here
+    ``sum_{j>=1} ||P_j||_F <= (1 + gamma(n + 2)) f <= 3f/2`` (the entrywise
+    GEMM bound, and ``sum_j ||B_j||_F^2 = f``) and
+    ``||P_0||_F <= ||X_0||_F + e <= sqrt(D) (1 + delta) + e``.  So the gate
+    measures at most ``gamma(m - 1) ((2 + delta) sqrt(D) + e + 3f) r``.
+    Neither bound reads a projection: the proof costs one Gram product
+    ``W_k* W_k`` (``D D_k^2``) per family.
 
     *Projectivity.*  ``X_j^2 - X_j = B_j (B_j* B_j - 1) B_j*`` for ``j >= 1``,
     and ``X_0^2 - X_0`` is the same with ``B_j`` the tail ``[B_1 ... B_{m-1}]``;
@@ -179,20 +213,21 @@ def _proven_dilation(povms, gate: bool):
     ``||P^2 - P||_F <= (1 + delta) delta + (3 + 2 delta) e + e^2``.  The dense
     check rounds its ``P @ P`` by at most ``g ||P||_F^2 <= g D (1 + beta)^2``
     and its difference and norm by a relative ``gamma(2 D^2 + 2)``
-    (``gamma(2 D^2 + 16)`` also covers evaluating this bound); the fact, the
-    largest of that and the measured Hermiticity defect, is at least what
-    :func:`linalg.projector_defect` returns.  The Gram product
-    costs ``D D_k^2``.  The last family has 0/1 diagonals summing to the
-    identity: every bound is 0.
+    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The fact is
+    that bound, ``square``; it is at least ``3 e r``, so it also covers the
+    Hermiticity term of :func:`linalg.projector_defect`.  A NaN in a factor
+    makes ``delta`` NaN, and every bound with it, which no ``tol`` admits.
+    The last family has 0/1 diagonals summing to the identity: every bound
+    is 0.
     """
     steps, v = _step_isometries(povms, gate)
     dim = v.shape[0]
     c = 2 * dim * linalg._U
     g = linalg._gamma(dim + 2)
+    r = 1 + linalg._gamma(2 * dim * dim + 16)
     pvms, tols = [], []
     for fam, w in _factored_families(steps, dim):
-        beta = 0.0
-        bounds = [0.0] * len(fam)
+        beta = square = 0.0
         if w is not None:
             m = len(fam)
             gram = linalg.dagger(w) @ w
@@ -201,15 +236,12 @@ def _proven_dilation(povms, gate: bool):
             e = linalg._gamma(w.shape[1] // m + m + 1) * (dim**0.5 + 2 * f)
             beta = delta + e
             square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
-            square *= 1 + linalg._gamma(2 * dim * dim + 16)
-            herm = [linalg.hermiticity_defect(p) for p in fam]
-            # np.max, unlike max, keeps a NaN, which no tol then admits
-            bounds = [float(np.max([square, h])) for h in herm]
-            tols.append(games._completeness_defect(fam))
-            tols.extend(herm)
+            square *= r
+            tols.append(2 * e * r)
+            tols.append(linalg._gamma(m - 1) * ((2 + delta) * dim**0.5 + e + 3 * f) * r)
         tols.append((beta + c * (1 + beta)) / (1 - c))
-        for p, bound in zip(fam, bounds):
-            games._remember(p, projectivity=bound)
+        for p in fam:
+            games._remember(p, projectivity=square)
         pvms.append(fam)
     return tuple(reversed(pvms)), v, float(np.max(tols))
 

@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selftest_lab import linalg
@@ -136,6 +136,42 @@ def test_is_psd_rejects_non_finite(bad, where):
     m = np.eye(2, dtype=complex)
     m[where] = bad
     assert not linalg.is_psd(m, 1e-9)
+
+
+PARTS = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = draw(st.sampled_from([(0,), (1,), (5,), (2, 2), (3, 4)]))
+    parts = st.lists(st.sampled_from(PARTS), min_size=math.prod(shape), max_size=math.prod(shape))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = np.reshape(draw(parts), shape)
+    out.imag = np.reshape(draw(parts), shape)
+    return out
+
+
+def _parts(re, im):
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(complex_arrays())
+@example(_parts([1.0, 2.0], [0.0, math.nan]))  # a NaN in an imaginary part only
+@example(_parts([math.inf, -math.inf], [0.0, 0.0]))  # infinities that cancel to NaN
+@example(_parts([1e308, 1e308, 1.0], [-1e308, -1e308, 0.0]))  # finite; the sum overflows
+def test_finiteness_verdict_is_entrywise(a):
+    want = bool(np.all(np.isfinite(a)))
+    assert linalg._all_finite(a) is want
+    if want:
+        assert linalg.require_finite(a) is a
+    else:
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            linalg.require_finite(a)
+        if a.ndim == 2 and a.shape[0] == a.shape[1]:
+            assert not linalg.is_psd(a)
 
 
 def test_is_psd_boundary_against_eigenvalues():

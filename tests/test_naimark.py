@@ -384,7 +384,8 @@ def test_closed_form_matches_reembedding_oracle(fams):
     dil = naimark_family(fams)
     pvms, v, dims = reembedding_oracle(fams)
     assert dil.dims == dims
-    assert np.array_equal(dil.isometry, v)
+    # the closed-form roots round differently from the oracle's D x D square roots
+    assert np.max(np.abs(dil.isometry - v)) <= 1e-12
     for fam, want in zip(dil.pvms, pvms, strict=True):
         for p, q in zip(fam, want, strict=True):
             assert np.max(np.abs(p - q)) <= 1e-12
@@ -574,6 +575,41 @@ def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
         worst = _dense_worst(fams, dil)
         for tol in (1e-12, 1e-10, 1e-8):
             assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_proven_tol_covers_the_measured_defects(fams_a, fams_b, seed):
+    # the Hermiticity and completeness defects the gate would measure on each
+    # dilated family are bounded in the proof, never measured there
+    d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
+    state = random_bipartite_state(np.random.default_rng(seed), d_a, d_b)
+    s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
+    dilated, _, _ = naimark_strategy(s)
+    pvms, _, tol = naimark._proven_dilation(fams_a, gate=True)  # naimark_family's proof
+    cases = [(pvms, tol), (dilated.alice + dilated.bob, games._recall(dilated, "valid_tol"))]
+    for families, proven in cases:
+        for fam in families:
+            assert games._completeness_defect(fam) <= proven
+            for p in fam:
+                assert linalg.hermiticity_defect(p) <= proven
+
+
+def test_naimark_strategy_roots_only_source_elements_and_reads_no_projection(monkeypatch):
+    s = _deep_source(907)
+    assert games._is_valid(s, linalg.DEFAULT_TOL)  # so the source is not gated again
+    calls, roots = [], []
+    for module, name in ((linalg, "hermiticity_defect"), (games, "_completeness_defect")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda a, real=real, name=name: calls.append(name) or real(a)
+        )
+    real_sqrt = linalg.psd_sqrt
+    monkeypatch.setattr(linalg, "psd_sqrt", lambda h: roots.append(h.shape[0]) or real_sqrt(h))
+    dilated, _, _ = naimark_strategy(s)
+    assert dilated.dims == (12, 324)
+    assert calls == []
+    assert len(roots) == 4 + 13 and max(roots) == 3  # one per source element, each d x d
 
 
 def test_verify_reads_the_records_of_a_deep_strategy(monkeypatch):
