@@ -97,6 +97,8 @@ def _cmd_check_dilation(args):
     dims_a = (d_ta, u_a.shape[0] // d_ta)
     dims_b = (d_tb, u_b.shape[0] // d_tb)
     w = dilation.DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
+    if form != "vector":  # dilation_residuals makes this check itself
+        dilation.fit_purifier(src, w)
     if form == "vector":
         payload = dilation.dilation_residuals(src, dst, w)
         eps = payload.eps

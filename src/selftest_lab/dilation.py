@@ -128,6 +128,17 @@ def _purified(s: Strategy) -> tuple[np.ndarray, int]:
     return psi, psi.size // (s.dims[0] * s.dims[1])
 
 
+def fit_purifier(src: Strategy, w: DilationWitness) -> tuple[np.ndarray, int]:
+    """:func:`_purified` of ``src``, once ``w.aux`` has a purifier factor of that
+    dimension (else :class:`WitnessMismatch`): the purifier check of every form."""
+    psi, d_p = _purified(src)
+    if w.purifier_dim != d_p:
+        raise WitnessMismatch(
+            f"aux purifier factor is {w.purifier_dim}, purification needs {d_p}"
+        )
+    return psi, d_p
+
+
 def _aux_component(rotated: np.ndarray, psi_dst: np.ndarray, dims) -> np.ndarray:
     """Recover aux as the normalized ``psi~``-component of a rotated state.
 
@@ -165,11 +176,7 @@ def dilation_residuals(
     """
     _fit_witness(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
     psi_dst = dst.pure_state()
-    psi, d_p = _purified(src)
-    if w.purifier_dim != d_p:
-        raise WitnessMismatch(
-            f"aux purifier factor is {w.purifier_dim}, purification needs {d_p}"
-        )
+    psi, d_p = fit_purifier(src, w)
     dims3 = (*src.dims, d_p)
     dims5 = (w.dims_a[0], w.dims_a[1], w.dims_b[0], w.dims_b[1], d_p)
     m_dst = psi_dst.reshape(dst.dims)

@@ -26,9 +26,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidState, InvalidStrategy, PureStateRequired
 
-# tr(rho^2) >= 1 - PURITY_TOL marks a density operator as numerically pure
-PURITY_TOL = 1e-9
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     """``a`` itself when it is a read-only, C-contiguous complex128 array that
@@ -112,7 +109,9 @@ class Strategy:
     ``naimark.naimark_strategy``) live in one table held by weak reference
     (:func:`_remember`, :func:`_recall`), never on the object, so equality,
     copies and reports ignore them.  An entry leaves with its object and is
-    voided once an array of it is seen writable.
+    voided once an array of it is seen writable.  Only a ``_recall`` looks: an
+    array made writable, edited and made read-only again between two of them
+    leaves the stale facts in place, so edit a copy, never a stored array.
     """
 
     state: np.ndarray
@@ -154,16 +153,6 @@ class Strategy:
         if self.is_pure:
             return np.outer(self.state, self.state.conj())
         return self.state
-
-    def purity(self) -> float:
-        rho = self.density()
-        return float(np.real(np.trace(rho @ rho)))
-
-    @property
-    def is_numerically_pure(self) -> bool:
-        """True for vector states and for density operators with tr(rho^2)
-        within :data:`PURITY_TOL` of one."""
-        return self.is_pure or self.purity() >= 1.0 - PURITY_TOL
 
 
 @dataclass(frozen=True)
@@ -270,7 +259,8 @@ def _is_valid(s: Strategy, tol: float) -> bool:
     proven = _recall(s, "valid_tol")
     if proven is not None and tol >= proven:
         return True
-    valid = _dense_gate(s, tol)
+    with np.errstate(over="ignore"):  # a huge finite entry's defect is inf, and fails
+        valid = _dense_gate(s, tol)
     if valid:
         _remember(s, valid_tol=tol)
     return valid
@@ -315,17 +305,18 @@ def validate_strategy(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Validatio
     computed.
     """
     valid = _is_valid(s, tol)
-    a_comp, a_min, a_herm = _family_defects(s.alice)
-    b_comp, b_min, b_herm = _family_defects(s.bob)
-    if s.is_pure:
-        trace_defect = abs(float(np.linalg.norm(s.state)) - 1.0)
-        state_min = 0.0
-        state_herm = 0.0
-    else:
-        rho = s.state
-        trace_defect = abs(float(np.real(np.trace(rho))) - 1.0)
-        state_herm = linalg.hermiticity_defect(rho)
-        state_min = _min_eigenvalue(rho)
+    with np.errstate(over="ignore"):  # as in the gate: a defect may read inf
+        a_comp, a_min, a_herm = _family_defects(s.alice)
+        b_comp, b_min, b_herm = _family_defects(s.bob)
+        if s.is_pure:
+            trace_defect = abs(float(np.linalg.norm(s.state)) - 1.0)
+            state_min = 0.0
+            state_herm = 0.0
+        else:
+            rho = s.state
+            trace_defect = abs(float(np.real(np.trace(rho))) - 1.0)
+            state_herm = linalg.hermiticity_defect(rho)
+            state_min = _min_eigenvalue(rho)
     return ValidationReport(
         tol=tol,
         alice_completeness=a_comp,
@@ -488,11 +479,6 @@ def _row_sum_bound(s: Strategy, tol: float, n_a: int, n_b: int) -> float:
     delta = eta + ((1.0 + t) ** 2 - 1.0) * nu
     a = nu * (1.0 + (2.5 * n_a + 1) * t) * (1.0 + (2.5 * n_b + 1) * t)
     return max(delta, (delta + a - 1.0) / 2)
-
-
-def optimality_gap(g: NonlocalGame, s: Strategy, omega_q: float) -> float:
-    """``omega_q - omega(S, G)``; negative if the supplied bound is not one."""
-    return float(omega_q) - win_probability(g, s)
 
 
 def attach_product_ancilla(s: Strategy, aux_a, aux_b) -> Strategy:

@@ -308,14 +308,6 @@ def minimal_dilation_strategies() -> tuple[Strategy, Strategy]:
     return s1, s2
 
 
-def seesaw_state(g: NonlocalGame, s: Strategy) -> tuple[np.ndarray, float]:
-    """Best state for fixed measurements: top eigenvector of the game operator."""
-    from .games import game_operator
-
-    spec = linalg.hermitian_eig(game_operator(g, s))
-    return spec.eigenvectors[:, 0].copy(), float(spec.eigenvalues[0])
-
-
 def perturb_state(psi, magnitude: float, rng: np.random.Generator) -> np.ndarray:
     """Mix a normalized vector toward a random direction and renormalize."""
     psi = linalg.as_complex(psi)
@@ -323,50 +315,6 @@ def perturb_state(psi, magnitude: float, rng: np.random.Generator) -> np.ndarray
     direction = direction / np.linalg.norm(direction)
     out = psi + magnitude * direction
     return out / np.linalg.norm(out)
-
-
-def _reproject_family(family, magnitude: float, rng: np.random.Generator):
-    """Perturb each element by a random Hermitian direction, clip to PSD, and
-    renormalize the family with T^{-1/2} E T^{-1/2} so it sums to identity."""
-    d = family[0].shape[0]
-    perturbed = []
-    for e in family:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (g + g.conj().T) / 2.0
-        h = h / np.linalg.norm(h)
-        m = linalg.as_complex(e) + magnitude * h
-        evals, evecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-        perturbed.append((evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T)
-    total = sum(perturbed)
-    evals, evecs = np.linalg.eigh((total + total.conj().T) / 2.0)
-    inv_root = (evecs * (1.0 / np.sqrt(np.clip(evals, 1e-12, None)))) @ evecs.conj().T
-    return [inv_root @ e @ inv_root for e in perturbed]
-
-
-def perturb_strategy(s: Strategy, magnitude: float, seed: int) -> Strategy:
-    """Seeded random perturbation that stays a valid strategy.
-
-    Magnitude 0 returns the strategy unchanged.  The state is mixed toward a
-    random direction; every measurement element is shifted by a random
-    Hermitian direction and the family reprojected to an exactly complete
-    POVM.  Deterministic for a fixed seed.
-    """
-    if not 0.0 <= magnitude <= 1.0:
-        raise InvalidState("magnitude must lie in [0, 1]")
-    if magnitude == 0.0:
-        return s
-    rng = np.random.default_rng(seed)
-    if s.is_pure:
-        state = perturb_state(s.state, magnitude, rng)
-    else:
-        d = s.state.shape[0]
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        noise = g @ g.conj().T
-        noise = noise / np.real(np.trace(noise))
-        state = (1.0 - magnitude) * s.state + magnitude * noise
-    alice = [_reproject_family(fam, magnitude, rng) for fam in s.alice]
-    bob = [_reproject_family(fam, magnitude, rng) for fam in s.bob]
-    return Strategy(state=state, dims=s.dims, alice=alice, bob=bob)
 
 
 def robustness_constant(g: NonlocalGame) -> float:

@@ -88,11 +88,6 @@ def hermiticity_defect(h) -> float:
     return frobenius(np.subtract(h, d, out=d))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the coarse index."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
 def partial_trace(op, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator.
 

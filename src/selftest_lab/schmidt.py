@@ -18,7 +18,7 @@ class SchmidtData:
     """Retained Schmidt coefficients (descending) with aligned local bases.
 
     ``left`` and ``right`` hold the Schmidt vectors as columns; only
-    coefficients above ``rank_tol`` times the largest one are retained.
+    coefficients above ``RANK_TOL`` times the largest one are retained.
     """
 
     coefficients: np.ndarray
@@ -27,7 +27,7 @@ class SchmidtData:
     rank: int
 
 
-def schmidt_decompose(psi, dims: tuple[int, int], rank_tol: float = RANK_TOL) -> SchmidtData:
+def schmidt_decompose(psi, dims: tuple[int, int]) -> SchmidtData:
     """SVD-based Schmidt decomposition of a bipartite vector, whose norm the caller checks.
 
     Phase convention: coefficients are real positive, and each left vector's
@@ -40,7 +40,7 @@ def schmidt_decompose(psi, dims: tuple[int, int], rank_tol: float = RANK_TOL) ->
         raise DimensionMismatch(f"state of size {psi.size} does not factor as {d_a}x{d_b}")
     m = psi.reshape(d_a, d_b)
     u, sing, vh = np.linalg.svd(m, full_matrices=False)
-    keep = sing > rank_tol * (sing[0] if sing.size else 0.0)
+    keep = sing > RANK_TOL * (sing[0] if sing.size else 0.0)
     rank = int(np.count_nonzero(keep))
     coeffs = sing[:rank].copy()
     left = u[:, :rank].copy()
@@ -58,21 +58,13 @@ def local_supports(sd: SchmidtData) -> tuple[np.ndarray, np.ndarray]:
     return pi_a, pi_b
 
 
-def marginals(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced density operators (sigma_A, sigma_B) of a strategy's state."""
-    rho = s.density()
-    sigma_a = linalg.partial_trace(rho, s.dims, "A")
-    sigma_b = linalg.partial_trace(rho, s.dims, "B")
-    return sigma_a, sigma_b
-
-
 def restrict(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     """Compress a pure strategy to the local supports of its state.
 
     Returns the full-rank restricted strategy together with the isometries
     ``U_A, U_B`` mapping the compressed spaces back into the original ones:
-    their columns are the Schmidt vectors of :func:`schmidt_decompose` at its
-    default ``RANK_TOL``.  Elements become ``U* E U`` and the state
+    their columns are the Schmidt vectors of :func:`schmidt_decompose` at
+    ``RANK_TOL``.  Elements become ``U* E U`` and the state
     ``(U_A* (x) U_B*) psi``, which is the diagonal vector of Schmidt
     coefficients.  Completeness on the support is exact: ``U* (sum E) U = 1``.
     """

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidStrategy, LabError, ParseError
-from .games import NonlocalGame, Strategy, _is_valid, validate_strategy
+from .games import Strategy, _is_valid, validate_strategy
 
 if TYPE_CHECKING:
     from .dilation import DilationWitness
@@ -73,22 +73,6 @@ def strategy_from_jsonable(obj) -> Strategy:
         raise
     except (KeyError, TypeError, ValueError, LabError) as exc:
         raise ParseError(f"malformed strategy object: {exc}") from exc
-
-
-def game_to_jsonable(g: NonlocalGame) -> dict:
-    return {"pi": g.pi.tolist(), "predicate": g.predicate.tolist()}
-
-
-def game_from_jsonable(obj) -> NonlocalGame:
-    try:
-        return NonlocalGame(
-            pi=np.asarray(_field(obj, "pi", "game"), dtype=np.float64),
-            predicate=np.asarray(_field(obj, "predicate", "game"), dtype=np.float64),
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, LabError) as exc:
-        raise ParseError(f"malformed game object: {exc}") from exc
 
 
 def witness_to_jsonable(w: DilationWitness, form: str = "vector") -> dict:

@@ -203,16 +203,6 @@ def test_cli_check_dilation_extraction_form(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["form"] == "extraction"
 
 
-def test_game_json_roundtrip():
-    from selftest_lab.lab import chsh_game
-
-    g = chsh_game()
-    text = serialize.dumps_json(serialize.game_to_jsonable(g))
-    back = serialize.game_from_jsonable(json.loads(text))
-    assert np.array_equal(back.pi, g.pi)
-    assert np.array_equal(back.predicate, g.predicate)
-
-
 def test_bundled_trine_beta_check():
     from selftest_lab.lab import beta_functionals
 
@@ -332,6 +322,20 @@ def test_cli_check_dilation_checks_aux_in_every_form(tmp_path, capsys, form):
     assert captured.err == "error: aux must be a normalized vector\n"
 
 
+@pytest.mark.parametrize("form", ["vector", "matrix", "extraction"])
+def test_cli_check_dilation_checks_the_purifier_in_every_form(tmp_path, capsys, form):
+    # a pure source needs no purifier factor; an aux of size 2 over one-dimensional
+    # hat factors claims one of 2, which no form may certify
+    chsh = str(FIXTURES / "chsh.json")
+    eye = linalg.encode_complex_array(np.eye(2, dtype=complex))
+    wit = write_json(tmp_path, "w.json",
+                     {"U_A": eye, "U_B": eye, "aux": [[1.0, 0.0], [0.0, 0.0]], "form": form})
+    assert run(["check-dilation", chsh, chsh, wit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: aux purifier factor is 2, purification needs 1\n"
+
+
 def test_cli_repro_targets_deterministic(capsys):
     assert run(["repro", "trine"]) == 0
     first = capsys.readouterr().out
@@ -445,6 +449,43 @@ def test_cli_report_matches_golden(golden, argv, capsys):
         assert_matches_golden(json.loads(captured.out), json.loads(want))
 
 
+def dilation_case(name):
+    """(src, dst, witness, form) of a ``check-dilation`` golden, built from the
+    trine fixture with no randomness: the restriction and Naimark vector
+    witnesses, or a fixed local unitary of trine in the matrix or extraction form."""
+    from selftest_lab import dilation, naimark, schmidt
+
+    trine = serialize.parse_strategy_file(FIXTURES / "trine.json")
+    if name == "restriction":
+        return schmidt.restrict(trine)[0], trine, dilation.restriction_embedding(trine), "vector"
+    if name == "naimark":
+        dilated = naimark.naimark_strategy(trine)[0]
+        return trine, dilated, dilation.naimark_embedding(trine), "vector"
+    c, s = np.cos(0.3), np.sin(0.3)
+    u_a = np.array([[c, -s], [s, c]], dtype=complex)
+    u_b = np.diag([1.0, 1j]) @ u_a
+    w = DilationWitness(u_a=u_a, u_b=u_b, dims_a=(2, 1), dims_b=(2, 1), aux=scalar_aux())
+    return trine, conjugate_strategy(trine, u_a, u_b), w, name
+
+
+@pytest.mark.parametrize(
+    "name, code", [("restriction", 0), ("naimark", 1), ("matrix", 0), ("extraction", 0)]
+)
+def test_cli_check_dilation_matches_golden(name, code, tmp_path, capsys):
+    # the Naimark witness fails at 1e-8: its eps is trine's projectivity defect, 1/3
+    src, dst, w, form = dilation_case(name)
+    argv = [
+        write_json(tmp_path, "src.json", serialize.strategy_to_jsonable(src)),
+        write_json(tmp_path, "dst.json", serialize.strategy_to_jsonable(dst)),
+        write_json(tmp_path, "w.json", serialize.witness_to_jsonable(w, form=form)),
+    ]
+    assert run(["check-dilation", *argv, "--tol", "1e-8"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    want = (GOLDEN / f"check_dilation_{name}.json").read_text()
+    assert_matches_golden(json.loads(captured.out), json.loads(want))
+
+
 def chsh_with_bob_entry(tmp_path, question, answer, edit):
     obj = json.loads((FIXTURES / "chsh.json").read_text())
     edit(obj["bob"][question][answer])
@@ -482,6 +523,33 @@ def test_cli_infinite_imaginary_part_is_one_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error:") and "non-finite" in lines[0]
+
+
+def chsh_with_a_huge_entry(tmp_path, where):
+    obj = json.loads((FIXTURES / "chsh.json").read_text())
+    if where == "state":
+        obj["state"]["data"] = [[1e200, 0.0] for _ in obj["state"]["data"]]
+    else:
+        obj["alice"][0][0][0][0] = [1e200, 0.0]
+    return write_json(tmp_path, "huge.json", obj)
+
+
+@pytest.mark.parametrize("where", ["state", "alice"])
+@pytest.mark.parametrize(
+    "command, code",
+    [("validate", 1), ("correlation", 2), ("metrics", 2), ("restrict", 2), ("naimark", 2)],
+)
+def test_cli_huge_finite_entry_fails_without_a_warning(tmp_path, capsys, command, code, where):
+    # (1e200)^2 overflows inside a defect's norm: the defect reads inf and fails
+    # the gate, and no RuntimeWarning escapes (the suite makes warnings errors)
+    assert run([command, chsh_with_a_huge_entry(tmp_path, where)]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "fails validation" in captured.err
 
 
 def test_cli_names_the_missing_strategy_field(capsys):

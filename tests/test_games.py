@@ -12,12 +12,10 @@ from selftest_lab.games import (
     conjugate_strategy,
     correlation_of,
     game_operator,
-    optimality_gap,
     validate_strategy,
     win_probability,
 )
 from selftest_lab.lab import (
-    CHSH_QUANTUM_VALUE,
     beta_functionals,
     canonical_chsh,
     chsh_game,
@@ -196,17 +194,6 @@ def test_correlation_rejects_invalid():
         correlation_of(s)
 
 
-def test_optimality_gap():
-    g = chsh_game()
-    assert optimality_gap(g, canonical_chsh(), CHSH_QUANTUM_VALUE) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    gap = optimality_gap(g, deterministic_chsh_strategy(), CHSH_QUANTUM_VALUE)
-    assert gap == pytest.approx(CHSH_QUANTUM_VALUE - 0.75, abs=1e-12)
-    omega = win_probability(g, canonical_chsh())
-    assert optimality_gap(g, canonical_chsh(), omega) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_correlation_of_mixed_state():
     zfam = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
     s = Strategy(
@@ -214,14 +201,6 @@ def test_correlation_of_mixed_state():
     )
     p = correlation_of(s).table
     assert np.allclose(p[0, 0], np.full((2, 2), 0.25), atol=1e-14)
-
-
-def test_optimality_gap_can_be_negative():
-    # a non-bound omega_q is returned as-is
-    g = chsh_game()
-    gap = optimality_gap(g, canonical_chsh(), 0.5)
-    assert gap == pytest.approx(0.5 - (2 + np.sqrt(2)) / 4, abs=1e-12)
-    assert gap < 0
 
 
 def test_omega_via_correlation_matches_trace_form():

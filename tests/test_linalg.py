@@ -16,46 +16,6 @@ from helpers import haar_isometry, haar_unitary, random_density, random_pure_sta
 RNG = np.random.default_rng(101)
 
 
-def naive_kron(a, b):
-    """Index-expansion oracle: out[(i*db+k),(j*db+l)] = a[i,j] b[k,l]."""
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            for k in range(db):
-                for l in range(db):
-                    out[i * db + k, j * db + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_kron_identity():
-    assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    assert np.allclose(linalg.kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_column_action():
-    # (X (x) X)|00> = |11>, by direct index expansion
-    xx = linalg.kron(PAULI_X, PAULI_X)
-    assert np.allclose(xx @ linalg.basis_state(4, 0), linalg.basis_state(4, 3))
-    a = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
-    b = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
-    assert np.allclose(linalg.kron(a, b), naive_kron(a, b), atol=1e-14)
-
-
-def test_kron_associativity_and_trace():
-    for _ in range(20):
-        dims = RNG.integers(2, 4, size=3)
-        ops = [RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)) for d in dims]
-        left = linalg.kron(linalg.kron(ops[0], ops[1]), ops[2])
-        right = linalg.kron(ops[0], linalg.kron(ops[1], ops[2]))
-        assert np.max(np.abs(left - right)) <= 1e-12
-        ab = linalg.kron(ops[0], ops[1])
-        assert abs(np.trace(ab) - np.trace(ops[0]) * np.trace(ops[1])) <= 1e-12
-
-
 def test_partial_trace_maximally_entangled():
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1 / np.sqrt(2)
@@ -68,7 +28,7 @@ def test_partial_trace_product_case():
     for _ in range(10):
         rho = random_density(RNG, 3)
         sig = random_density(RNG, 2)
-        big = linalg.kron(rho, sig)
+        big = np.kron(rho, sig)
         assert np.max(np.abs(linalg.partial_trace(big, (3, 2), "A") - rho)) <= 1e-12
         assert np.max(np.abs(linalg.partial_trace(big, (3, 2), "B") - sig)) <= 1e-12
 
@@ -203,12 +163,12 @@ def test_apply_factors_matches_kron():
     v = random_pure_state(RNG, 6)
     a = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     b = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
-    assert np.allclose(linalg.apply_factors(v, (2, 3), (a, b)), linalg.kron(a, b) @ v)
+    assert np.allclose(linalg.apply_factors(v, (2, 3), (a, b)), np.kron(a, b) @ v)
     iso = np.zeros((5, 3), dtype=complex)
     iso[:3, :3] = np.eye(3)
     out = linalg.apply_factors(v, (2, 3), (None, iso))
     assert out.size == 10
-    assert np.allclose(out, linalg.kron(np.eye(2), iso) @ v)
+    assert np.allclose(out, np.kron(np.eye(2), iso) @ v)
 
 
 @st.composite

@@ -7,7 +7,6 @@ from selftest_lab.games import Strategy, attach_product_ancilla, correlation_of,
 from selftest_lab.lab import canonical_chsh
 from selftest_lab.schmidt import (
     local_supports,
-    marginals,
     purify,
     restrict,
     schmidt_decompose,
@@ -208,7 +207,7 @@ def test_purify_pure_state():
     assert np.max(np.abs(np.outer(psi, psi.conj())[:4, :4] - rho)) <= 1e-10
     s = Strategy(state=rho, dims=(2, 2),
                  alice=[[np.eye(2, dtype=complex)]], bob=[[np.eye(2, dtype=complex)]])
-    assert not s.is_pure and s.is_numerically_pure
+    assert not s.is_pure
 
 
 def test_purify_maximally_mixed():
@@ -246,10 +245,3 @@ def test_purify_rejects_non_state():
         purify(np.eye(3, dtype=complex))  # trace 3
     with pytest.raises(InvalidState):
         purify(np.diag([1.5, -0.5]).astype(complex))  # trace 1 but not PSD
-
-
-def test_marginals_match_partial_trace():
-    s = canonical_chsh()
-    sigma_a, sigma_b = marginals(s)
-    assert np.allclose(sigma_a, np.eye(2) / 2, atol=1e-14)
-    assert np.allclose(sigma_b, np.eye(2) / 2, atol=1e-14)

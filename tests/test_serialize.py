@@ -14,7 +14,6 @@ from selftest_lab import linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import ResidualReport
 from selftest_lab.games import ValidationReport
-from selftest_lab.lab import chsh_game
 from selftest_lab.metrics import StrategyMetrics
 from selftest_lab.naimark import DilationCheck, minimal_trine_dilation, naimark_strategy
 
@@ -218,7 +217,6 @@ def identity_witness_jsonable():
 
 PARSERS = {
     "witness": (identity_witness_jsonable, serialize.witness_arrays_from_jsonable),
-    "game": (lambda: serialize.game_to_jsonable(chsh_game()), serialize.game_from_jsonable),
     "dilation": (
         lambda: serialize.dilation_to_jsonable(minimal_trine_dilation()),
         serialize.dilation_from_jsonable,
@@ -228,9 +226,8 @@ PARSERS = {
 
 @pytest.mark.parametrize(
     "kind, deleted",
-    [("witness", "U_A"), ("witness", "U_B"), ("witness", "aux"), ("game", "pi"),
-     ("game", "predicate"), ("dilation", "pvms"), ("dilation", "isometry"),
-     ("dilation", "dims.in"), ("dilation", "dims.out")],
+    [("witness", "U_A"), ("witness", "U_B"), ("witness", "aux"), ("dilation", "pvms"),
+     ("dilation", "isometry"), ("dilation", "dims.in"), ("dilation", "dims.out")],
 )
 def test_parse_error_names_the_missing_field(kind, deleted):
     build, parse = PARSERS[kind]
@@ -254,7 +251,7 @@ def test_dilation_dims_must_repeat_the_isometry_shape(field, value):
         serialize.dilation_from_jsonable(obj)
 
 
-@pytest.mark.parametrize("kind, first", [("witness", "U_A"), ("game", "pi"), ("dilation", "pvms")])
+@pytest.mark.parametrize("kind, first", [("witness", "U_A"), ("dilation", "pvms")])
 def test_parse_error_on_a_non_object_names_the_first_field(kind, first):
     with pytest.raises(serialize.ParseError) as info:
         PARSERS[kind][1]([1, 2])
