@@ -97,19 +97,13 @@ def _cmd_check_dilation(args):
     dims_a = (d_ta, u_a.shape[0] // d_ta)
     dims_b = (d_tb, u_b.shape[0] // d_tb)
     w = dilation.DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
-    if form != "vector":  # dilation_residuals makes this check itself
-        dilation.fit_purifier(src, w)
-    if form == "vector":
-        payload = dilation.dilation_residuals(src, dst, w)
-        eps = payload.eps
-    elif form == "matrix":
-        sigma = dilation.matrix_aux_from_vector(w)
-        eps = dilation.matrix_form_residual(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma)
-        payload = {"form": "matrix", "eps": eps}
+    report = dilation.check(src, dst, w, form)
+    if form == "vector":  # the rows, under the keys the vector form's report has always had
+        keys = ("state_residual", "alice_residuals", "bob_residuals")
+        payload = {**dict(zip(keys, report.rows)), "eps": report.eps}
     else:
-        eps = dilation.extraction_residual(src, dst, w.u_a, w.u_b)
-        payload = {"form": "extraction", "eps": eps}
-    return payload, EXIT_OK if eps <= args.tol else EXIT_CHECK_FAILED
+        payload = {"form": form, "eps": report.eps}
+    return payload, EXIT_OK if report.eps <= args.tol else EXIT_CHECK_FAILED
 
 
 def _chsh_spectrum(lab):

@@ -8,9 +8,10 @@ residual of each measurement row is
     || (U_A (x) U_B (x) 1_P) (E (x) 1 (x) 1_P) |psi>  -  perm(row~ (x) aux) ||
 
 and the reported epsilon is the maximum over the state row and all element
-rows.  The matrix and extraction forms are alternative conditions checked by
-:func:`matrix_form_residual` and :func:`extraction_residual`; converters
-between exact witnesses of the different forms are provided.
+rows.  The matrix and extraction forms are alternative conditions.
+:func:`check` checks a witness in any of the three forms and returns one
+:class:`ResidualReport`; converters between exact witnesses of the
+different forms are provided.
 """
 
 from __future__ import annotations
@@ -75,12 +76,27 @@ def _require_isometry(u, name: str, rows: int, cols: int | None = None) -> np.nd
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """State row, per-element rows, and their maximum."""
+    """The rows of one dilation form and their maximum ``eps`` (0 if there are none).
 
-    state_residual: float
-    alice_residuals: tuple[tuple[float, ...], ...]
-    bob_residuals: tuple[tuple[float, ...], ...]
+    The vector and extraction forms lay out ``rows`` as ``(state, alice[s][a],
+    bob[t][b])``: the state row, then one row per element of each side.  The
+    matrix form has one row per pair of elements, ``rows[s][a][t][b]``."""
+
+    form: str
+    rows: tuple
     eps: float
+
+
+def _report(form: str, rows) -> ResidualReport:
+    def flat(r) -> tuple:
+        return (r,) if isinstance(r, float) else tuple(x for item in r for x in flat(item))
+
+    return ResidualReport(form=form, rows=rows, eps=max(flat(rows), default=0.0))
+
+
+def _side_rows(fams, dst_fams, row) -> tuple:
+    """``row(E, E~)`` of each element ``E`` of one side and its image ``E~``, as ``[s][a]``."""
+    return tuple(tuple(map(row, fam, dst_fam)) for fam, dst_fam in zip(fams, dst_fams))
 
 
 def _check_pair(src: Strategy, dst: Strategy):
@@ -185,22 +201,31 @@ def dilation_residuals(
         lhs = linalg.apply_factors(psi, dims3, (op_a, op_b, None))
         return float(np.linalg.norm(lhs - _target_vector(tgt_row, w.aux, dims5)))
 
-    state_res = row(w.u_a, w.u_b, m_dst)
-    alice_rows = tuple(
-        tuple(row(w.u_a @ e, w.u_b, t @ m_dst) for e, t in zip(fam, dst_fam))
-        for fam, dst_fam in zip(src.alice, dst.alice)
-    )
-    bob_rows = tuple(
-        tuple(row(w.u_a, w.u_b @ e, m_dst @ t.T) for e, t in zip(fam, dst_fam))
-        for fam, dst_fam in zip(src.bob, dst.bob)
-    )
-    eps = max([state_res, *(x for t in alice_rows + bob_rows for x in t)])
-    return ResidualReport(
-        state_residual=state_res,
-        alice_residuals=alice_rows,
-        bob_residuals=bob_rows,
-        eps=eps,
-    )
+    return _report("vector", (
+        row(w.u_a, w.u_b, m_dst),
+        _side_rows(src.alice, dst.alice, lambda e, t: row(w.u_a @ e, w.u_b, t @ m_dst)),
+        _side_rows(src.bob, dst.bob, lambda e, t: row(w.u_a, w.u_b @ e, m_dst @ t.T)),
+    ))
+
+
+def check(
+    src: Strategy, dst: Strategy, w: DilationWitness, form: str = "vector"
+) -> ResidualReport:
+    """The report of ``w`` for ``src -> dst`` in ``form``: ``"vector"``,
+    ``"matrix"`` (``sigma`` from :func:`matrix_aux_from_vector`) or ``"extraction"``
+    (of ``w``'s isometries, factored as :func:`_extraction_dims`); every form
+    checks ``w``'s purifier factor once."""
+    if form == "vector":
+        return dilation_residuals(src, dst, w)
+    fit_purifier(src, w)
+    if form == "matrix":
+        sigma = matrix_aux_from_vector(w)
+        return _matrix_report(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma)
+    if form == "extraction":
+        if (w.dims_a, w.dims_b) != (dims := _extraction_dims(src, dst)):
+            raise WitnessMismatch(f"extraction needs factors {dims}, not {w.dims_a, w.dims_b}")
+        return extraction_residual(src, dst, w.u_a, w.u_b)
+    raise ValueError(f"unknown dilation form {form!r}")
 
 
 def scalar_aux() -> np.ndarray:
@@ -327,6 +352,10 @@ def matrix_form_residual(
     isometry and auxiliary state.  The witness must fit the pair as in the
     other two forms (:func:`_fit_witness`).
     """
+    return _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux).eps
+
+
+def _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux) -> ResidualReport:
     u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
     psi_dst = dst.pure_state()
     sigma_aux = linalg.require_square(linalg.require_finite(sigma_aux, "sigma_aux"))
@@ -337,20 +366,15 @@ def matrix_form_residual(
     rho = src.density()
     u = np.kron(u_a, u_b)
     tilde = np.outer(psi_dst, psi_dst.conj())
-    worst = 0.0
-    for qs in range(len(src.alice)):
-        for a in range(len(src.alice[qs])):
-            for qt in range(len(src.bob)):
-                for b in range(len(src.bob[qt])):
-                    lhs = u @ np.kron(src.alice[qs][a], src.bob[qt][b]) @ rho @ u.conj().T
-                    lhs = linalg.permute_systems(
-                        lhs, (d_ta, d_ha, d_tb, d_hb), (0, 2, 1, 3)
-                    )
-                    rhs = np.kron(
-                        np.kron(dst.alice[qs][a], dst.bob[qt][b]) @ tilde, sigma_aux
-                    )
-                    worst = max(worst, linalg.frobenius(lhs - rhs))
-    return worst
+
+    def row(e, f, e_dst, f_dst) -> float:
+        lhs = u @ np.kron(e, f) @ rho @ u.conj().T
+        lhs = linalg.permute_systems(lhs, (d_ta, d_ha, d_tb, d_hb), (0, 2, 1, 3))
+        return linalg.frobenius(lhs - np.kron(np.kron(e_dst, f_dst) @ tilde, sigma_aux))
+
+    return _report("matrix", _side_rows(src.alice, dst.alice, lambda e, e_dst: _side_rows(
+        src.bob, dst.bob, lambda f, f_dst: row(e, f, e_dst, f_dst)
+    )))
 
 
 def _extraction_dims(src: Strategy, dst: Strategy):
@@ -360,15 +384,14 @@ def _extraction_dims(src: Strategy, dst: Strategy):
     return tuple((t, d // t) for d, t in zip(src.dims, dst.dims))
 
 
-def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
-    """Residual of the unitary-extraction dilation condition on full-rank pairs.
+def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> ResidualReport:
+    """Residuals of the unitary-extraction dilation condition on full-rank pairs.
 
-    Checks ``U psi = psi~ (x) aux`` (aux recovered by projecting onto ``psi~``)
-    and ``U E U* = E~ (x) 1`` in Frobenius norm for every element; returns the
-    maximum.  Both strategies must be pure and full-rank; the witness must
-    fit the pair as in the other two forms (:func:`_fit_witness`), with the
-    factorizations of :func:`_extraction_dims`, so ``U_A, U_B`` are square
-    unitaries.
+    Rows ``||U psi - psi~ (x) aux||`` (aux recovered by projecting onto ``psi~``)
+    and, per element, ``||U E U* - E~ (x) 1||_F``.  Both strategies must be
+    pure and full-rank; the witness must fit the pair as in the other two
+    forms (:func:`_fit_witness`), with the factorizations of
+    :func:`_extraction_dims`, so ``U_A, U_B`` are square unitaries.
     """
     dims_a, dims_b = _extraction_dims(src, dst)
     u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
@@ -381,17 +404,17 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> float:
     dims5 = (*dims_a, *dims_b, 1)
     rotated = linalg.apply_factors(psi, src.dims, (u_a, u_b))
     aux = _aux_component(rotated, psi_dst, dims5)
-    worst = float(np.linalg.norm(rotated - _target_vector(psi_dst, aux, dims5)))
-    for fams, dst_fams, u, (_, d_hat) in (
-        (src.alice, dst.alice, u_a, dims_a),
-        (src.bob, dst.bob, u_b, dims_b),
-    ):
-        eye_hat = linalg.identity(d_hat)
-        for fam, dst_fam in zip(fams, dst_fams, strict=True):
-            for e, e_dst in zip(fam, dst_fam, strict=True):
-                lhs = u @ e @ u.conj().T
-                worst = max(worst, linalg.frobenius(lhs - np.kron(e_dst, eye_hat)))
-    return worst
+    state = float(np.linalg.norm(rotated - _target_vector(psi_dst, aux, dims5)))
+
+    def side(fams, dst_fams, u, d_hat) -> tuple:
+        eye = linalg.identity(d_hat)
+        return _side_rows(
+            fams, dst_fams, lambda e, t: linalg.frobenius(u @ e @ u.conj().T - np.kron(t, eye))
+        )
+
+    return _report("extraction", (
+        state, side(src.alice, dst.alice, u_a, dims_a[1]), side(src.bob, dst.bob, u_b, dims_b[1])
+    ))
 
 
 def vector_witness_from_matrix_form(

@@ -281,7 +281,8 @@ def _dense_gate(s: Strategy, tol: float) -> bool:
 
 
 def _min_eigenvalue(h) -> float:
-    return float(np.linalg.eigvalsh((h + linalg.dagger(h)) / 2.0)[0])
+    h = h / 2.0  # halved before the Hermitian part is added, so no finite entry overflows
+    return float(np.linalg.eigvalsh(h + linalg.dagger(h))[0])
 
 
 def _family_defects(families):

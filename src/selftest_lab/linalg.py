@@ -180,9 +180,9 @@ def _hermitian_psd(h: np.ndarray, tol: float) -> bool:
 
 def _shifted_cholesky_exists(h: np.ndarray, d: np.ndarray, tol: float) -> bool:
     """Whether ``(h + d)/2 + tol*1`` has a Cholesky factor, with ``d = dagger(h)``;
-    overwrites ``d``."""
-    d += h
+    overwrites ``d``, halving both terms first so that no finite sum overflows."""
     d *= 0.5
+    d += 0.5 * h
     d.flat[:: d.shape[0] + 1] += tol
     try:
         np.linalg.cholesky(d)

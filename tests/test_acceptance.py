@@ -300,6 +300,6 @@ def test_criterion_10_definition_equivalence():
             from selftest_lab.dilation import extraction_residual
 
             w_a, w_b = extraction_witness_from_vector(src, dst, w)
-            assert extraction_residual(src, dst, w_a, w_b) <= 1e-10
+            assert extraction_residual(src, dst, w_a, w_b).eps <= 1e-10
             w_vec = vector_witness_from_extraction(src, dst, w_a, w_b)
             assert dilation_residuals(src, dst, w_vec).eps <= 1e-10

@@ -529,19 +529,22 @@ def chsh_with_a_huge_entry(tmp_path, where):
     obj = json.loads((FIXTURES / "chsh.json").read_text())
     if where == "state":
         obj["state"]["data"] = [[1e200, 0.0] for _ in obj["state"]["data"]]
-    else:
+    elif where == "alice":
         obj["alice"][0][0][0][0] = [1e200, 0.0]
+    else:  # h + h* of this element overflows unless each term is halved first
+        obj["bob"][0][0][0][0] = [1e308, 0.0]
     return write_json(tmp_path, "huge.json", obj)
 
 
-@pytest.mark.parametrize("where", ["state", "alice"])
+@pytest.mark.parametrize("where", ["state", "alice", "bob at the float limit"])
 @pytest.mark.parametrize(
     "command, code",
     [("validate", 1), ("correlation", 2), ("metrics", 2), ("restrict", 2), ("naimark", 2)],
 )
 def test_cli_huge_finite_entry_fails_without_a_warning(tmp_path, capsys, command, code, where):
-    # (1e200)^2 overflows inside a defect's norm: the defect reads inf and fails
-    # the gate, and no RuntimeWarning escapes (the suite makes warnings errors)
+    # (1e200)^2 overflows inside a defect's norm, and 1e308 reads inf in a
+    # completeness defect: the defect fails the gate, and no RuntimeWarning
+    # escapes (the suite makes warnings errors)
     assert run([command, chsh_with_a_huge_entry(tmp_path, where)]) == code
     captured = capsys.readouterr()
     if code == 1:

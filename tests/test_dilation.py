@@ -88,7 +88,7 @@ def test_identity_witness_zero_residual():
     s = canonical_chsh()
     report = dilation_residuals(s, s, identity_witness(s))
     assert report.eps <= 1e-14
-    assert report.state_residual <= 1e-14
+    assert report.rows[0] <= 1e-14
 
 
 def test_witness_stores_read_only_arrays_apart_from_writable_inputs():
@@ -108,8 +108,9 @@ def test_residuals_without_questions_are_the_state_row():
     s = canonical_chsh()
     bare = Strategy(state=s.state, dims=s.dims, alice=[], bob=[])
     report = dilation_residuals(bare, bare, identity_witness(bare))
-    assert report.alice_residuals == () and report.bob_residuals == ()
-    assert report.eps == report.state_residual <= 1e-14
+    state, alice, bob = report.rows
+    assert alice == () and bob == ()
+    assert report.eps == state <= 1e-14
 
 
 def test_block_ancilla_witness_zero_residual():
@@ -136,7 +137,7 @@ def test_perturbed_state_residual_closed_form():
     perturbed = perturbed + np.sin(theta) * e01
     src = Strategy(state=perturbed, dims=(2, 2), alice=dst.alice, bob=dst.bob)
     report = dilation_residuals(src, dst, identity_witness(dst))
-    assert report.state_residual == pytest.approx(2 * abs(np.sin(theta / 2)), abs=1e-12)
+    assert report.rows[0] == pytest.approx(2 * abs(np.sin(theta / 2)), abs=1e-12)
 
 
 def test_exact_instances_have_zero_residual():
@@ -223,8 +224,9 @@ def test_naimark_embedding_trine_value():
     report = dilation_residuals(s, dilated, naimark_embedding(s))
     assert report.eps == pytest.approx(1 / 3, abs=1e-10)
     # the residual concentrates on the trine question
-    assert max(max(row) for row in report.bob_residuals[:2]) <= 1e-10
-    assert np.allclose(report.bob_residuals[2], [1 / 3] * 3, atol=1e-10)
+    bob = report.rows[2]
+    assert max(max(row) for row in bob[:2]) <= 1e-10
+    assert np.allclose(bob[2], [1 / 3] * 3, atol=1e-10)
 
 
 def test_naimark_embedding_trivial_povm():
@@ -253,10 +255,11 @@ def test_state_row_bounded_by_element_rows():
             dims=src.dims, alice=src.alice, bob=src.bob,
         )
         report = dilation_residuals(src, dst, w)
-        for q in range(len(report.alice_residuals)):
-            assert report.state_residual <= sum(report.alice_residuals[q]) + 1e-10
-        for q in range(len(report.bob_residuals)):
-            assert report.state_residual <= sum(report.bob_residuals[q]) + 1e-10
+        state, alice, bob = report.rows
+        for q in range(len(alice)):
+            assert state <= sum(alice[q]) + 1e-10
+        for q in range(len(bob)):
+            assert state <= sum(bob[q]) + 1e-10
 
 
 def test_reverse_witness_identity():
@@ -422,7 +425,7 @@ def test_matrix_form_mixed_source_roundtrip():
 
 def test_extraction_chsh_identity():
     s = canonical_chsh()
-    assert extraction_residual(s, s, np.eye(2), np.eye(2)) <= 1e-12
+    assert extraction_residual(s, s, np.eye(2), np.eye(2)).eps <= 1e-12
 
 
 def test_extraction_conjugated_chsh():
@@ -430,7 +433,7 @@ def test_extraction_conjugated_chsh():
     r_a = haar_unitary(RNG, 2)
     r_b = haar_unitary(RNG, 2)
     rotated = conjugate_strategy(s, r_a, r_b)
-    assert extraction_residual(rotated, s, r_a.conj().T, r_b.conj().T) <= 1e-10
+    assert extraction_residual(rotated, s, r_a.conj().T, r_b.conj().T).eps <= 1e-10
 
 
 def test_extraction_detects_nonprojective_mismatch():
@@ -444,7 +447,7 @@ def test_extraction_detects_nonprojective_mismatch():
     ]
     dst = Strategy(state=src.state, dims=(2, 2), alice=src.alice,
                    bob=list(src.bob[:2]) + [z3])
-    r = extraction_residual(src, dst, np.eye(2), np.eye(2))
+    r = extraction_residual(src, dst, np.eye(2), np.eye(2)).eps
     expected = max(
         np.linalg.norm(np.asarray(m) - np.asarray(z)) for m, z in zip(trine_povm(), z3)
     )
@@ -467,7 +470,7 @@ def test_extraction_vector_equivalence_both_ways():
         # entangled aux keeps the compressed witness square and unitary
         src, w = exact_instance(dst, 2, 2, entangled_aux=True, seed=seed + 50)
         w_a, w_b = extraction_witness_from_vector(src, dst, w)
-        assert extraction_residual(src, dst, w_a, w_b) <= 1e-10
+        assert extraction_residual(src, dst, w_a, w_b).eps <= 1e-10
         w_back = vector_witness_from_extraction(src, dst, w_a, w_b)
         assert dilation_residuals(src, dst, w_back).eps <= 1e-10
 
@@ -648,15 +651,63 @@ def test_rows_invariant_under_purifier_rotations(case):
     report = dilation_residuals(src, dst, w)
     assert w.purifier_dim >= 2
     for state_res, alice_rows, bob_rows in probe_rows(src, dst, w, probes=8, seed=seed):
-        assert abs(state_res - report.state_residual) <= 1e-12
-        for got, want in ((alice_rows, report.alice_residuals), (bob_rows, report.bob_residuals)):
+        assert abs(state_res - report.rows[0]) <= 1e-12
+        for got, want in ((alice_rows, report.rows[1]), (bob_rows, report.rows[2])):
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
+@st.composite
+def exact_pairs(draw):
+    """An ``exact_instance`` pair over a full-rank pure ``dst`` with an entangled
+    aux (so the extraction form applies too), exact or with a Haar-perturbed ``U_A``."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dst = random_strategy(rng, 2, 2, questions_a=draw(st.integers(1, 3)),
+                          questions_b=draw(st.integers(1, 3)), outcomes=draw(st.integers(2, 3)))
+    k = draw(st.integers(1, 2))
+    src, w = exact_instance(dst, k, k, entangled_aux=True, seed=seed)
+    if draw(st.booleans()):
+        w = DilationWitness(u_a=haar_unitary(rng, 2 * k) @ w.u_a, u_b=w.u_b,
+                            dims_a=w.dims_a, dims_b=w.dims_b, aux=w.aux)
+    return src, dst, w
+
+
+def _shape(rows):
+    """``rows`` with each float replaced by None: the nesting and the lengths alone."""
+    return None if isinstance(rows, float) else [_shape(r) for r in rows]
+
+
+def _leaves(rows):
+    return [rows] if isinstance(rows, float) else [x for r in rows for x in _leaves(r)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exact_pairs())
+def test_check_rows_follow_the_answer_counts_and_set_eps(case):
+    src, dst, w = case
+    per_side = [[[None] * len(fam) for fam in fams] for fams in (src.alice, src.bob)]
+    want = {
+        "vector": [None, *per_side],
+        "extraction": [None, *per_side],
+        "matrix": [[per_side[1] for _ in fam] for fam in src.alice],
+    }
+    for form, shape in want.items():
+        report = dilation.check(src, dst, w, form)
+        assert report.form == form and _shape(report.rows) == shape
+        assert report.eps == max(_leaves(report.rows))
+    sigma = matrix_aux_from_vector(w)
+    assert dilation.check(src, dst, w, "matrix").eps == matrix_form_residual(
+        src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma
+    )
+
+
+def _witness(w):
+    return DilationWitness(u_a=w["u_a"], u_b=w["u_b"], dims_a=w["dims_a"],
+                           dims_b=w["dims_b"], aux=w["aux"])
+
+
 def _vector_form(src, dst, w):
-    witness = DilationWitness(u_a=w["u_a"], u_b=w["u_b"], dims_a=w["dims_a"],
-                              dims_b=w["dims_b"], aux=w["aux"])
-    return dilation_residuals(src, dst, witness).eps
+    return dilation_residuals(src, dst, _witness(w)).eps
 
 
 def _matrix_form(src, dst, w):
@@ -664,14 +715,20 @@ def _matrix_form(src, dst, w):
 
 
 def _extraction_form(src, dst, w):
-    return extraction_residual(src, dst, w["u_a"], w["u_b"])
+    return extraction_residual(src, dst, w["u_a"], w["u_b"]).eps
 
 
+def _through_check(form):
+    return lambda src, dst, w: dilation.check(src, dst, _witness(w), form).eps
+
+
+# each form's kernel, and dilation.check of the same form, which owes the same errors
 FORMS = {"vector": _vector_form, "matrix": _matrix_form, "extraction": _extraction_form}
+FORMS.update({f"check {form}": _through_check(form) for form in list(FORMS)})
 NON_FINITE = [f"non-finite {key} {value}"
               for key in ("u_a", "u_b", "aux") for value in ("nan", "inf")]
-# the forms whose arguments can carry each defect: extraction takes no aux
-# and derives its target factors from dst
+# the forms whose arguments can carry each defect: the extraction kernel takes
+# no aux and derives its target factors from dst; check takes a whole witness
 MALFORMED = [
     (defect, form)
     for defect in NON_FINITE + ["wrong shape", "non-isometry", "wrong target factor",

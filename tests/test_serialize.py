@@ -108,9 +108,12 @@ reports = st.one_of(
     ),
     st.builds(
         ResidualReport,
-        state_residual=floats,
-        alice_residuals=small_tuples,
-        bob_residuals=small_tuples,
+        form=st.sampled_from(["vector", "matrix", "extraction"]),
+        # (state, alice, bob) rows, or the matrix form's [s][a][t][b]
+        rows=st.one_of(
+            st.tuples(floats, small_tuples, small_tuples),
+            st.lists(st.lists(small_tuples, max_size=2).map(tuple), max_size=2).map(tuple),
+        ),
         eps=floats,
     ),
     st.builds(
