@@ -32,7 +32,8 @@ class DilationWitness:
     ``dims_a = (d_target, d_hat)`` factorizes the codomain of ``u_a`` with the
     target factor first; same for Bob.  ``aux`` lives on hat_A (x) hat_B, with
     an extra trailing purifier factor when the witness certifies a dilation of
-    a mixed-state strategy.
+    a mixed-state strategy.  The arrays are stored sealed (``games._freeze``);
+    copies and pickles are rebuilt through the constructor.
     """
 
     u_a: np.ndarray
@@ -47,14 +48,18 @@ class DilationWitness:
         u_a = _require_isometry(self.u_a, "U_A", dims_a[0] * dims_a[1])
         u_b = _require_isometry(self.u_b, "U_B", dims_b[0] * dims_b[1])
         aux = linalg.require_finite(self.aux, "aux")
-        if aux.ndim != 1 or abs(np.linalg.norm(aux) - 1.0) > 1e-12:
-            raise WitnessMismatch("aux must be a normalized vector")
+        with np.errstate(over="ignore"):  # a huge finite entry's norm is inf, and fails
+            if aux.ndim != 1 or abs(np.linalg.norm(aux) - 1.0) > 1e-12:
+                raise WitnessMismatch("aux must be a normalized vector")
         if aux.size % (dims_a[1] * dims_b[1]) != 0:
             raise WitnessMismatch("aux size is not a multiple of the hat dimensions")
         for name, val in (("u_a", u_a), ("u_b", u_b), ("aux", aux)):
             object.__setattr__(self, name, games._freeze(val))
         object.__setattr__(self, "dims_a", dims_a)
         object.__setattr__(self, "dims_b", dims_b)
+
+    def __reduce__(self):
+        return (DilationWitness, (self.u_a, self.u_b, self.dims_a, self.dims_b, self.aux))
 
     @property
     def purifier_dim(self) -> int:
@@ -68,7 +73,8 @@ def _require_isometry(u, name: str, rows: int, cols: int | None = None) -> np.nd
     if u.ndim != 2 or u.shape[0] != rows or cols not in (None, u.shape[1]):
         want = f"{rows} rows" if cols is None else (rows, cols)
         raise WitnessMismatch(f"{name} has shape {u.shape}, expected {want}")
-    defect = linalg._identity_defect(u.conj().T @ u)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge finite entry reads inf or NaN
+        defect = linalg._identity_defect(u.conj().T @ u)
     if not defect <= 1e-12 * max(1.0, u.shape[1]):  # a NaN defect fails too
         raise WitnessMismatch(f"{name} is not an isometry (defect {defect:.3e})")
     return u

@@ -18,6 +18,8 @@ game operator.  Intermediates are at most the size of the state.
 
 from __future__ import annotations
 
+import math
+import types
 import weakref
 from dataclasses import dataclass
 
@@ -28,18 +30,25 @@ from .errors import DimensionMismatch, InvalidState, InvalidStrategy, PureStateR
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """``a`` itself when it is a read-only, C-contiguous complex128 array that
-    owns its memory; otherwise a read-only C-ordered complex128 copy."""
+    """``a`` sealed: itself when this function or :func:`_sealed` made it, else
+    a C-contiguous complex128 copy over a ``bytes`` object, which numpy refuses
+    to make writable.  An unpickled array can have a ``bytes`` base and stay
+    writable, so the base alone proves nothing."""
     a = np.asarray(a)
-    if (
-        a.flags.writeable
-        or a.base is not None
-        or not a.flags.c_contiguous
-        or a.dtype != np.complex128
-    ):
-        a = np.array(a, dtype=np.complex128, order="C")
-        a.setflags(write=False)
+    if not _recall(a, "sealed"):
+        a = np.ndarray(a.shape, np.complex128, np.ascontiguousarray(a, np.complex128).tobytes())
+        _remember(a, sealed=True)
     return a
+
+
+def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A new sealed array of complex128 zeros and a writable alias of its memory,
+    to build it in place with no copy.  The ``bytes`` object is new, so nothing
+    else sees the writes; drop the alias before the array is shared."""
+    a = np.ndarray(shape, np.complex128, bytes(16 * math.prod(shape)))
+    _remember(a, sealed=True)
+    face = dict(a.__array_interface__, data=(a.__array_interface__["data"][0], False))
+    return a, np.asarray(types.SimpleNamespace(__array_interface__=face, owner=a))
 
 
 def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -99,19 +108,17 @@ class Strategy:
     its side's ``d x d`` shape; semantic validity is checked by
     :func:`validate_strategy`.
 
-    The state and the elements are stored read-only.  An input array that is
-    already read-only, C-contiguous, complex128 and owns its memory (not a
-    view) is adopted without a copy; any other input is copied, so later
-    writes to the caller's arrays never reach the strategy.
+    The state and the elements are stored sealed (:func:`_freeze`): an array
+    sealed already, as every array of a strategy is, is adopted as is;
+    any other input is copied, so later writes to the caller's arrays never
+    reach the strategy, and no stored array can be made writable.  Copies and
+    pickles are rebuilt through the constructor.
 
-    Facts proven of a strategy or a read-only array (``valid_tol``, see
+    Facts proven of a strategy or a sealed array (``valid_tol``, see
     :func:`_is_valid`; the ``naimark_isometries`` and ``projectivity`` of
     ``naimark.naimark_strategy``) live in one table held by weak reference
     (:func:`_remember`, :func:`_recall`), never on the object, so equality,
-    copies and reports ignore them.  An entry leaves with its object and is
-    voided once an array of it is seen writable.  Only a ``_recall`` looks: an
-    array made writable, edited and made read-only again between two of them
-    leaves the stale facts in place, so edit a copy, never a stored array.
+    copies and reports ignore them.  An entry leaves with its object.
     """
 
     state: np.ndarray
@@ -139,6 +146,9 @@ class Strategy:
         object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "alice", _families(self.alice, d_a, "alice"))
         object.__setattr__(self, "bob", _families(self.bob, d_b, "bob"))
+
+    def __reduce__(self):
+        return (Strategy, (self.state, self.dims, self.alice, self.bob))
 
     @property
     def is_pure(self) -> bool:
@@ -211,41 +221,26 @@ def _family_valid(family, tol: float) -> bool:
     return _completeness_defect(family) <= tol
 
 
-# id(obj) -> (a weak reference to obj, {fact: value}) for each Strategy or
-# read-only array with a proven fact; the entry leaves as obj dies, before its
+# id(obj) -> (a weak reference to obj, {fact: value}) for each Strategy with a
+# proven fact and each sealed array; the entry leaves as obj dies, before its
 # id can be reused.  See Strategy.
 _FACTS: dict[int, tuple[weakref.ref, dict]] = {}
 
 
-def _writable(obj) -> bool:
-    if isinstance(obj, Strategy):
-        return obj.state.flags.writeable or any(
-            e.flags.writeable for family in obj.alice + obj.bob for e in family
-        )
-    return obj.flags.writeable
-
-
 def _remember(obj, **facts) -> None:
-    """Add ``facts`` to what is known of ``obj``, unless an array of it is writable."""
+    """Add ``facts`` to what is known of ``obj``."""
     key = id(obj)
-    if _writable(obj):
-        _FACTS.pop(key, None)
-    elif key in _FACTS:
+    if key in _FACTS:
         _FACTS[key][1].update(facts)
     else:
-        _FACTS[key] = (weakref.ref(obj, lambda _: _FACTS.pop(key, None)), facts)
+        # pop is bound now: at interpreter exit the module global may be gone first
+        _FACTS[key] = (weakref.ref(obj, lambda _, pop=_FACTS.pop: pop(key, None)), facts)
 
 
 def _recall(obj, name: str):
-    """The fact ``name`` of ``obj``, or None.  An array of ``obj`` seen
-    writable voids all its facts."""
+    """The fact ``name`` of ``obj``, or None."""
     entry = _FACTS.get(id(obj))
-    if entry is None:
-        return None
-    if _writable(obj):
-        _FACTS.pop(id(obj), None)
-        return None
-    return entry[1].get(name)
+    return None if entry is None else entry[1].get(name)
 
 
 def _is_valid(s: Strategy, tol: float) -> bool:

@@ -116,23 +116,24 @@ def naimark_isometry(povms) -> np.ndarray:
 
 def _factored_families(steps: list[np.ndarray], dim: int):
     """Yield each dilated family, the last first, with its factor ``W_k``:
-    ``None`` for the last family ``1 (x) |j><j|``.  Every projection is read-only."""
+    ``None`` for the last family ``1 (x) |j><j|``.  Every projection is built
+    in place in sealed memory (``games._sealed``), so none is copied."""
     w = None  # W_k; the identity for the last family
     for v2 in reversed(steps):
         dim_prev = v2.shape[1]
         m = v2.shape[0] // dim_prev
+        fam, outs = zip(*(games._sealed((dim, dim)) for _ in range(m)))
         if w is None:
-            fam = [_outcome_projector(dim, m, j) for j in range(m)]
+            for j in range(m):
+                outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
         else:
             blocks = w.reshape(dim, dim_prev, m)
-            tail = [blocks[:, :, j] @ blocks[:, :, j].conj().T for j in range(1, m)]
-            first = linalg.identity(dim)
-            for p in tail:
-                first -= p
-            fam = [first] + tail
-        for p in fam:
-            p.setflags(write=False)
-        yield tuple(fam), w
+            outs[0][np.diag_indices(dim)] = 1.0
+            for j in range(1, m):
+                np.matmul(blocks[:, :, j], blocks[:, :, j].conj().T, out=outs[j])
+                np.subtract(outs[0], outs[j], out=outs[0])
+        del outs  # the writable aliases die before the family is yielded
+        yield fam, w
         w = v2 if w is None else w @ v2
 
 
@@ -144,20 +145,12 @@ def naimark_family(povms) -> NaimarkDilation:
     ``P_k0 = 1 - sum_{j>=1} P_kj``, which equals the iterative
     construction's ``W_k0 W_k0*`` plus the telescoped identity defects
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
-    family on the dilated dimension ``D``.  The projections are read-only, so
-    a :class:`Strategy` built from them stores them without a copy, and each
+    family on the dilated dimension ``D``.  The projections are built sealed,
+    so a :class:`Strategy` built from them adopts them without a copy, and each
     carries the projectivity bound of :func:`_proven_dilation`.
     """
     pvms, v, _ = _proven_dilation(povms, gate=True)
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
-
-
-def _outcome_projector(dim: int, m: int, j: int) -> np.ndarray:
-    """``1 (x) |j><j|`` on ``C^{dim/m} (x) C^m``."""
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(j, dim, m)
-    proj[idx, idx] = 1.0
-    return proj
 
 
 def _proven_dilation(povms, gate: bool):
@@ -253,7 +246,7 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     the input, and carries its validity: the largest of
     :func:`_proven_dilation`'s two ``tol`` values and the state's norm
     defect, so the gate answers any ``tol`` at or above it with no Cholesky.
-    ``V_A`` and ``V_B`` are kept as a fact of ``s`` (read-only copies) for
+    ``V_A`` and ``V_B`` are kept as a fact of ``s`` (sealed copies) for
     ``dilation.naimark_embedding``.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
     """

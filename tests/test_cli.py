@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +555,33 @@ def test_cli_huge_finite_entry_fails_without_a_warning(tmp_path, capsys, command
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "fails validation" in captured.err
+
+
+@pytest.mark.parametrize("part", ["real", "imaginary"])
+@pytest.mark.parametrize(
+    "array, value",
+    [("U_B", 1e308), ("U_B", -1e308), ("U_B", 1e154), ("aux", 1e308), ("aux", -1e308)],
+)
+@pytest.mark.parametrize("form", ["vector", "matrix", "extraction"])
+def test_cli_huge_finite_witness_entry_fails_without_a_warning(
+    tmp_path, capsys, form, array, value, part
+):
+    # one entry of chsh's identity witness at a huge finite value: U_B's Gram
+    # product overflows (to inf or NaN), and so does aux's norm; each fails as
+    # a witness mismatch, and no RuntimeWarning escapes
+    eye = linalg.encode_complex_array(np.eye(2, dtype=complex))
+    payload = {"U_A": eye, "U_B": copy.deepcopy(eye), "aux": [[1.0, 0.0]], "form": form}
+    entry = payload["U_B"][0][0] if array == "U_B" else payload["aux"][0]
+    entry[part == "imaginary"] = value
+    wit = write_json(tmp_path, "w.json", payload)
+    chsh = str(FIXTURES / "chsh.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["check-dilation", chsh, chsh, wit]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_cli_names_the_missing_strategy_field(capsys):

@@ -425,26 +425,19 @@ def _strategy_arrays(s):
     return [s.state] + [e for fam in s.alice + s.bob for e in fam]
 
 
-def test_strategy_adopts_read_only_owned_arrays():
+def test_strategy_adopts_sealed_arrays():
     chsh = canonical_chsh()
-    frozen = [[np.array(e) for e in fam] for fam in chsh.bob]
-    for fam in frozen:
-        for e in fam:
-            e.setflags(write=False)
-    state = chsh.state.copy()
-    state.setflags(write=False)
-    s = Strategy(state=state, dims=chsh.dims, alice=chsh.alice, bob=frozen)
-    assert s.state is state
-    assert all(x is y for fam, fam_s in zip(frozen, s.bob) for x, y in zip(fam, fam_s))
-    # a strategy's own arrays qualify, so rebuilding from them copies nothing
-    again = Strategy(state=s.state, dims=s.dims, alice=s.alice, bob=s.bob)
-    assert all(x is y for x, y in zip(_strategy_arrays(again), _strategy_arrays(s)))
+    # a strategy's own arrays are sealed, so rebuilding from them copies nothing
+    again = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice, bob=chsh.bob)
+    assert all(x is y for x, y in zip(_strategy_arrays(again), _strategy_arrays(chsh)))
 
 
 def _copied_inputs():
     """Element inputs the adoption rule must copy, keyed by the reason."""
     e = canonical_chsh().bob[0][0]
     writable = np.array(e)
+    owner = np.array(e)  # read-only and owns its memory, but a caller may make it writable
+    owner.setflags(write=False)
     base = np.array(e)
     view = base[:]
     view.setflags(write=False)
@@ -458,6 +451,7 @@ def _copied_inputs():
     real.setflags(write=False)
     return {
         "writable": writable,
+        "read-only owner": owner,
         "read-only view": view,
         "non-contiguous": strided,
         "Fortran-ordered": fortran,
@@ -474,7 +468,8 @@ def test_strategy_copies_inputs_it_cannot_adopt(kind):
     stored = s.bob[0][0]
     assert stored is not e
     assert stored.dtype == np.complex128 and stored.flags.c_contiguous
-    assert not stored.flags.writeable and stored.base is None
+    with pytest.raises(ValueError):
+        stored.setflags(write=True)
     assert np.array_equal(stored, e)
 
 

@@ -623,7 +623,7 @@ def test_verify_reads_the_records_of_a_deep_strategy(monkeypatch):
     assert calls == []
 
 
-def test_a_copied_writable_or_loosely_proven_projection_is_measured(monkeypatch):
+def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     p = dil.pvms[0][1]
@@ -642,10 +642,9 @@ def test_a_copied_writable_or_loosely_proven_projection_is_measured(monkeypatch)
     assert measured <= bound
     assert defect(p, bound / 2)[0] == measured  # its siblings share the bound: measured too
     assert defect(p.copy(), 1e-10) == (measured, 1)
-    p.setflags(write=True)
-    assert defect(p, 1e-10) == (measured, 1)
-    p.setflags(write=False)
-    assert defect(p, 1e-10) == (measured, 1)  # writable once, the record is gone
+    with pytest.raises(ValueError):
+        p.setflags(write=True)  # sealed: p cannot change, so its fact stands
+    assert defect(p, 1e-10) == (bound, 0)
 
 
 def test_a_nan_record_is_not_read(monkeypatch):

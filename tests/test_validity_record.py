@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -13,12 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import cli, games, serialize
-from selftest_lab.games import Strategy, correlation_of
+from selftest_lab import cli, dilation, games, serialize
+from selftest_lab.games import (
+    Strategy,
+    attach_product_ancilla,
+    conjugate_strategy,
+    correlation_of,
+)
 from selftest_lab.lab import canonical_chsh
 from selftest_lab.naimark import naimark_strategy
+from selftest_lab.schmidt import restrict
 
-from helpers import random_bipartite_state, random_povm, random_pvm
+from helpers import (
+    haar_unitary,
+    random_bipartite_state,
+    random_povm,
+    random_pvm,
+    random_strategy,
+)
 
 TOLS = (1e-12, 1e-9, 1e-6)
 
@@ -122,18 +135,18 @@ def test_a_lower_pass_lowers_the_record():
     assert games._recall(s, "valid_tol") == 1e-12
 
 
-def test_a_writable_element_voids_the_records(monkeypatch):
+def test_no_stored_array_can_be_made_writable():
+    # an element made writable, edited by 0.5 and made read-only again once
+    # left a stale valid_tol behind; sealed, it cannot be made writable at all
     s = canonical_chsh()
     assert games._is_valid(s, 1e-9)
-    naimark_strategy(s)
+    dilated, _, _ = naimark_strategy(s)
+    w = dilation.restriction_embedding(s)
+    for a in (s.bob[0][0], dilated.bob[0][1], w.u_a, w.aux):
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
     assert games._recall(s, "valid_tol") == 1e-9 and games._recall(s, "naimark_isometries")
-    calls = _counting_gate(monkeypatch)
-    s.bob[0][0].setflags(write=True)
-    assert games._is_valid(s, 1e-9)
-    assert calls  # the gate ran
-    s.bob[0][0].setflags(write=False)
-    assert games._recall(s, "valid_tol") is None  # writable once, void for good
-    assert games._recall(s, "naimark_isometries") is None
+    assert games._dense_gate(s, 1e-9)
 
 
 def test_the_record_is_not_a_field():
@@ -157,6 +170,94 @@ def test_a_copy_recalls_nothing():
     assert games._recall(c, "valid_tol") is None
     assert games._recall(c, "naimark_isometries") is None
     assert games._recall(s, "valid_tol") == 1e-9
+
+
+def _as_input(a, kind):
+    """``a`` as an input array of ``kind``, with the same entries."""
+    if kind == "writable":
+        return np.array(a)
+    if kind == "read-only owner":
+        a = np.array(a)
+        a.setflags(write=False)
+        return a
+    if kind == "strided":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    return a.real  # "real dtype": the caller passes a real-valued a
+
+
+@st.composite
+def input_strategies(draw):
+    """A :func:`random_strategy` rebuilt from inputs of one kind: for "real dtype",
+    from the real parts of its arrays (a real part of a POVM is a POVM)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    s = random_strategy(rng, *dims, draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                        outcomes=draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["writable", "read-only owner", "strided", "real dtype"]))
+    state, sides = s.state, (s.alice, s.bob)
+    if kind == "real dtype":
+        state = state.real / np.linalg.norm(state.real)
+        sides = [[[e.real for e in fam] for fam in side] for side in sides]
+    return Strategy(
+        state=_as_input(state, kind),
+        dims=s.dims,
+        alice=[[_as_input(e, kind) for e in fam] for fam in sides[0]],
+        bob=[[_as_input(e, kind) for e in fam] for fam in sides[1]],
+    )
+
+
+def _derived(s):
+    """``s`` and what the library builds from it: strategies, then witnesses."""
+    rng = np.random.default_rng(0)
+    d_a, d_b = s.dims
+    dilated = naimark_strategy(s)[0]
+    # naimark_strategy stores the projections it built, each with its fact
+    assert all(games._recall(p, "projectivity") is not None
+               for fam in dilated.alice + dilated.bob for p in fam)
+    strategies = [
+        s,
+        Strategy(state=s.density(), dims=s.dims, alice=s.alice, bob=s.bob),
+        restrict(s)[0],
+        dilated,
+        conjugate_strategy(s, haar_unitary(rng, d_a), haar_unitary(rng, d_b)),
+        attach_product_ancilla(s, np.ones(2) / np.sqrt(2), np.ones(1)),
+        copy.copy(s),
+        copy.deepcopy(s),
+        copy.deepcopy(dilated),
+        pickle.loads(pickle.dumps(s)),
+        pickle.loads(pickle.dumps(dilated, protocol=4)),
+    ]
+    witnesses = [dilation.restriction_embedding(s), dilation.naimark_embedding(s)]
+    witnesses += [copy.deepcopy(witnesses[1]), pickle.loads(pickle.dumps(witnesses[1], protocol=4))]
+    return strategies, witnesses
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(input_strategies())
+def test_every_stored_array_is_sealed_and_every_fact_is_current(s):
+    strategies, witnesses = _derived(s)
+    stored = [a for x in strategies for a in [x.state] + [e for f in x.alice + x.bob for e in f]]
+    stored += [a for w in witnesses for a in (w.u_a, w.u_b, w.aux)]
+    for a in stored:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+    for x in strategies:
+        assert games._is_valid(x, 1e-9) == games._dense_gate(x, 1e-9)
+
+
+def test_an_unpickled_array_is_copied_though_its_base_is_bytes():
+    # unpickling gives an array over 1000 bytes a bytes base and leaves it writable
+    dilated = naimark_strategy(canonical_chsh())[0]
+    back = pickle.loads(pickle.dumps(np.array(dilated.bob[0][0]), protocol=4))
+    assert type(back.base) is bytes and back.flags.writeable
+    assert games._freeze(back) is not back
+    s = pickle.loads(pickle.dumps(dilated, protocol=4))
+    assert games._is_valid(s, 1e-9)
+    for a in [s.state] + [e for fam in s.alice + s.bob for e in fam]:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
 
 
 @st.composite
