@@ -207,10 +207,17 @@ def dilation_residuals(
         lhs = linalg.apply_factors(psi, dims3, (op_a, op_b, None))
         return float(np.linalg.norm(lhs - _target_vector(tgt_row, w.aux, dims5)))
 
+    def bob_target(t):  # M F^T; as before for a fact-free F, so a report keeps its bytes
+        if games._recall(t, "factor") is None:
+            return m_dst @ t.T
+        return games._times(t, m_dst.T).T
+
     return _report("vector", (
         row(w.u_a, w.u_b, m_dst),
-        _side_rows(src.alice, dst.alice, lambda e, t: row(w.u_a @ e, w.u_b, t @ m_dst)),
-        _side_rows(src.bob, dst.bob, lambda e, t: row(w.u_a, w.u_b @ e, m_dst @ t.T)),
+        _side_rows(
+            src.alice, dst.alice, lambda e, t: row(w.u_a @ e, w.u_b, games._times(t, m_dst))
+        ),
+        _side_rows(src.bob, dst.bob, lambda e, t: row(w.u_a, w.u_b @ e, bob_target(t))),
     ))
 
 
@@ -267,7 +274,8 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
     built = games._recall(s, "naimark_isometries")
     if built is None:
-        built = naimark.naimark_isometry(s.alice), naimark.naimark_isometry(s.bob)
+        d_a, d_b = s.dims
+        built = naimark.naimark_isometry(s.alice, d_a), naimark.naimark_isometry(s.bob, d_b)
     return _trivial_ancilla_witness(*built)
 
 

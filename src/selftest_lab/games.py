@@ -243,6 +243,25 @@ def _recall(obj, name: str):
     return None if entry is None else entry[1].get(name)
 
 
+def _times(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``e @ x`` for a thin ``x``, through the ``factor`` fact of a Naimark projection
+    when ``e`` has one (``naimark._factored_families``): ``B (B* x)`` for ``("range",
+    B)``, ``x - T (T* x)`` for ``("complement", T)``, and the rows ``x[rows]`` for
+    ``("rows", rows)``.  That costs ``D n r`` for a ``D x n`` factor and ``r``
+    columns, in place of ``D^2 r``, and reads no ``D x D`` array;
+    ``naimark._proven_dilation`` bounds its distance from ``e @ x``."""
+    fact = _recall(e, "factor")
+    if fact is None:
+        return e @ x
+    kind, f = fact
+    if kind == "rows":
+        out = np.zeros(x.shape, np.result_type(e, x))
+        out[f] = x[f]
+        return out
+    y = f @ (f.T @ x.conj()).conj()  # B* x as conj(B^T conj(x)): no copy of B
+    return y if kind == "range" else x - y
+
+
 def _is_valid(s: Strategy, tol: float) -> bool:
     """Validity of ``s`` at ``tol``: :func:`_dense_gate`, or the fact ``valid_tol``.
 
@@ -420,7 +439,9 @@ def _reduced_table(state, alice, bob, n_a, n_b) -> np.ndarray:
         m_conj = state.conj()
 
         def reduce(f):
-            return (m_conj @ f) @ state.T
+            if _recall(f, "factor") is None:  # as before, so a report keeps its bytes
+                return (m_conj @ f) @ state.T
+            return m_conj @ _times(f, state.T)
     else:  # R_ki = sum_lj rho[i, j, k, l] F_lj, one matrix-vector product
         r = state.transpose(2, 0, 3, 1).reshape(d_a * d_a, d_b * d_b)
 

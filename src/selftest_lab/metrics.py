@@ -73,9 +73,9 @@ def _element_tables(families, basis, m, tol):
         floor = NEGATIVE_DUST if tol is None else _overlap_floor(tol, len(fam), *m.shape)
         comm_row, over_row = [], []
         for e in fam:
-            x = e @ m
+            x = games._times(e, m)
             comm_row.append(float(np.linalg.norm(x - basis @ (basis_h @ x))))
-            val = float(np.real(np.vdot(m, x - e @ x)))
+            val = float(np.real(np.vdot(m, x - games._times(e, x))))
             if val < floor:
                 raise InvalidPovm(
                     f"<1-E, E> is {val:.3e} < {floor:.3g}; element is not a valid POVM effect"

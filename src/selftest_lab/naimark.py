@@ -43,6 +43,15 @@ validity ``tol`` and the projectivity bounds are kept as facts (see
 ``games.Strategy``); :func:`verify_dilation` reads the second in place of a
 dense ``P @ P``, and measures a dilation given as matrices.  The proof holds
 whatever ``V2_k`` is, because the Gram defect is measured on the stored ``W_k``.
+
+Each projection also keeps its factor as a fact: ``W_kj`` (``j >= 1``), the
+tail ``[W_k1 ... W_k(m-1)]`` (``j = 0``) or its rows (last family), all slices
+of one sealed ``W_k`` per family.  ``games._times`` takes ``P x`` through it
+for a thin ``x``, at ``D D_k`` per column in place of ``D^2``, so the
+pure-state kernels read no ``D x D`` projection of a dilated strategy; the
+result is within ``(e + gamma(D + 2) ||P||_F + gamma(D + D_k + 5) (f + 1 +
+delta)) ||x||_F`` of the dense ``P @ x`` (:func:`_proven_dilation`).
+:func:`verify_dilation` never reads the factor: it measures the stored arrays.
 """
 
 from __future__ import annotations
@@ -73,17 +82,22 @@ class NaimarkDilation:
     dims: tuple[int, int]
 
 
-def _step_isometries(povms, gate: bool = True) -> tuple[list[np.ndarray], np.ndarray]:
+def _step_isometries(
+    povms, gate: bool = True, d: int | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The per-family step isometries ``V2_k`` and their product ``V = V2_n ... V2_1``,
     each block of ``V2_k`` from the ``d x d`` root of a source element (module docstring).
 
     Needs non-empty families (else :class:`InvalidPovm`), built by ``games._families`` at
-    the first element's dimension; with ``gate``, each must pass ``games._family_valid``
-    at the default tolerance (else :class:`InvalidPovm`)."""
+    the source dimension ``d``, or the first element's dimension when ``d`` is None; with
+    ``gate``, each must pass ``games._family_valid`` at the default tolerance (else
+    :class:`InvalidPovm`).  With ``d``, no families is a valid input: no steps, and ``V``
+    the identity on ``C^d``."""
     povms = [list(family) for family in povms]
-    if not povms or not all(povms):
+    if not all(povms) or (not povms and d is None):
         raise InvalidPovm("need at least one POVM family, each with at least one element")
-    d = np.atleast_1d(povms[0][0]).shape[0]
+    if d is None:
+        d = np.atleast_1d(povms[0][0]).shape[0]
     povms = games._families(povms, d, "POVM")
     for k, family in enumerate(povms):
         if gate and not games._family_valid(family, linalg.DEFAULT_TOL):
@@ -109,31 +123,43 @@ def _step_isometries(povms, gate: bool = True) -> tuple[list[np.ndarray], np.nda
     return steps, v_total
 
 
-def naimark_isometry(povms) -> np.ndarray:
-    """The embedding isometry of :func:`naimark_family`, without the projections."""
-    return _step_isometries(povms)[1]
+def naimark_isometry(povms, d: int | None = None) -> np.ndarray:
+    """The embedding isometry of :func:`naimark_family`, without the projections;
+    the identity on ``C^d`` for no families when the source dimension ``d`` is given."""
+    return _step_isometries(povms, d=d)[1]
 
 
 def _factored_families(steps: list[np.ndarray], dim: int):
-    """Yield each dilated family, the last first, with its factor ``W_k``:
-    ``None`` for the last family ``1 (x) |j><j|``.  Every projection is built
-    in place in sealed memory (``games._sealed``), so none is copied."""
-    w = None  # W_k; the identity for the last family
+    """Yield each dilated family, the last first, with its factor ``W_k`` stored
+    sealed with its columns grouped by outcome, so each ``W_kj`` is a column
+    slice: ``None`` for the last family ``1 (x) |j><j|``.  Every projection is
+    built in place in sealed memory (``games._sealed``), so none is copied, and
+    keeps its factor as its fact ``factor`` (see ``games._times``): ``("range",
+    W_kj)`` for ``j >= 1``, ``("complement", [W_k1 ... W_k(m-1)])`` for ``j = 0``,
+    and ``("rows", slice(j, None, m))`` in the last family."""
+    w = None  # W_k, columns grouped (D_{k-1}, m); the identity for the last family
     for v2 in reversed(steps):
         dim_prev = v2.shape[1]
         m = v2.shape[0] // dim_prev
         fam, outs = zip(*(games._sealed((dim, dim)) for _ in range(m)))
         if w is None:
+            w_k = None
             for j in range(m):
                 outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
+                games._remember(fam[j], factor=("rows", slice(j, None, m)))
         else:
-            blocks = w.reshape(dim, dim_prev, m)
+            w_k, out = games._sealed((dim, m * dim_prev))
+            out.reshape(dim, m, dim_prev)[...] = w.reshape(dim, dim_prev, m).transpose(0, 2, 1)
+            del out
             outs[0][np.diag_indices(dim)] = 1.0
             for j in range(1, m):
-                np.matmul(blocks[:, :, j], blocks[:, :, j].conj().T, out=outs[j])
+                b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
+                np.matmul(b, b.conj().T, out=outs[j])
                 np.subtract(outs[0], outs[j], out=outs[0])
+                games._remember(fam[j], factor=("range", b))
+            games._remember(fam[0], factor=("complement", w_k[:, dim_prev:]))
         del outs  # the writable aliases die before the family is yielded
-        yield fam, w
+        yield fam, w_k
         w = v2 if w is None else w @ v2
 
 
@@ -153,11 +179,12 @@ def naimark_family(povms) -> NaimarkDilation:
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
 
 
-def _proven_dilation(povms, gate: bool):
+def _proven_dilation(povms, gate: bool, d: int | None = None):
     """The dilated families of :func:`naimark_family`, the isometry ``V``, and
     a ``tol`` at which the dense gate ``games._family_valid`` passes on every
     family, proven from the factors; each projection's ``projectivity`` fact
-    bounds its :func:`linalg.projector_defect`.
+    bounds its :func:`linalg.projector_defect`.  ``d`` is the source dimension,
+    as in :func:`_step_isometries`; with no families, ``tol`` is 0.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
     outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
@@ -212,8 +239,24 @@ def _proven_dilation(povms, gate: bool):
     makes ``delta`` NaN, and every bound with it, which no ``tol`` admits.
     The last family has 0/1 diagonals summing to the identity: every bound
     is 0.
+
+    *Products through the factor* (``games._times``, for a finite ``x`` with
+    ``r`` columns).  With ``B = B_j`` (``j >= 1``), the computed ``B (B* x)``
+    errs from ``X_j x`` by at most ``(gamma(D + 2) + gamma(n + 2) (1 +
+    gamma(D + 2))) ||B||_F^2 ||x||_F``, the entrywise GEMM bound of each
+    product, and ``||B_j||_F^2 <= f``.  With ``T`` the tail (``j = 0``, inner
+    width at most ``D_k``), ``x - T (T* x)`` adds the relative rounding ``u``
+    of the difference, whose exact value is at most ``(1 + delta) ||x||_F``
+    as ``||1 - T T*|| <= max(1, ||T||^2 - 1) <= 1 + delta``.  So either is
+    within ``gamma(D + D_k + 5) (f + 1 + delta) ||x||_F`` of ``X_j x``.  The
+    dense ``P @ x`` is within ``(e + gamma(D + 2) ||P||_F) ||x||_F`` of it, as
+    ``||P - X_j||_F <= e``; the sum of the two bounds the distance between the
+    products.  In the last family both are exact: the row selection copies,
+    and every dense term is a product with 0 or 1.  :func:`verify_dilation`
+    reads no factor, so what it reports is measured on the stored arrays (or
+    read from ``projectivity``), not inferred from ``W_k``.
     """
-    steps, v = _step_isometries(povms, gate)
+    steps, v = _step_isometries(povms, gate, d)
     dim = v.shape[0]
     c = 2 * dim * linalg._U
     g = linalg._gamma(dim + 2)
@@ -223,10 +266,7 @@ def _proven_dilation(povms, gate: bool):
         beta = square = 0.0
         if w is not None:
             m = len(fam)
-            gram = linalg.dagger(w) @ w
-            f = float(np.trace(gram).real)
-            delta = linalg._identity_defect(gram) * (1 + linalg._gamma(2 * gram.size)) + 2 * g * f
-            e = linalg._gamma(w.shape[1] // m + m + 1) * (dim**0.5 + 2 * f)
+            delta, e, f = _factor_errors(w, m)
             beta = delta + e
             square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
             square *= r
@@ -236,7 +276,19 @@ def _proven_dilation(povms, gate: bool):
         for p in fam:
             games._remember(p, projectivity=square)
         pvms.append(fam)
-    return tuple(reversed(pvms)), v, float(np.max(tols))
+    return tuple(reversed(pvms)), v, float(np.max(tols, initial=0.0))
+
+
+def _factor_errors(w: np.ndarray, m: int) -> tuple[float, float, float]:
+    """``delta``, ``e`` and ``f`` of :func:`_proven_dilation` for the stored factor
+    ``w`` (``D x D_k``) of a family of ``m`` projections."""
+    dim = w.shape[0]
+    gram = linalg.dagger(w) @ w
+    f = float(np.trace(gram).real)
+    g = linalg._gamma(dim + 2)
+    delta = linalg._identity_defect(gram) * (1 + linalg._gamma(2 * gram.size)) + 2 * g * f
+    e = linalg._gamma(w.shape[1] // m + m + 1) * (dim**0.5 + 2 * f)
+    return delta, e, f
 
 
 def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
@@ -247,13 +299,14 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     :func:`_proven_dilation`'s two ``tol`` values and the state's norm
     defect, so the gate answers any ``tol`` at or above it with no Cholesky.
     ``V_A`` and ``V_B`` are kept as a fact of ``s`` (sealed copies) for
-    ``dilation.naimark_embedding``.  A source that has passed the validity
+    ``dilation.naimark_embedding``.  A side with no questions is dilated by the
+    identity of its dimension.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
     """
     psi = s.pure_state()
     gate = games._recall(s, "valid_tol") is None
-    pvms_a, v_a, tol_a = _proven_dilation(s.alice, gate)
-    pvms_b, v_b, tol_b = _proven_dilation(s.bob, gate)
+    pvms_a, v_a, tol_a = _proven_dilation(s.alice, gate, s.dims[0])
+    pvms_b, v_b, tol_b = _proven_dilation(s.bob, gate, s.dims[1])
     dilated = Strategy(
         state=linalg.apply_factors(psi, s.dims, (v_a, v_b)),
         dims=(v_a.shape[0], v_b.shape[0]),

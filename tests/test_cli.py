@@ -397,6 +397,23 @@ def test_cli_correlation_rejects_empty_side(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("side, key", [("alice", "V_A"), ("bob", "V_B")])
+def test_cli_naimark_dilates_a_side_with_no_questions(tmp_path, capsys, side, key):
+    # validate accepts a side with no questions, so naimark dilates it: by
+    # the identity of that side's dimension, with no families
+    obj = json.loads((FIXTURES / "chsh.json").read_text())
+    obj[side] = []
+    path = write_json(tmp_path, "empty.json", obj)
+    assert run(["validate", path]) == 0
+    capsys.readouterr()
+    assert run(["naimark", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert np.array_equal(linalg.decode_complex_array(out[key]), np.eye(2))
+    dilated = serialize.strategy_from_jsonable(out["strategy"])
+    assert getattr(dilated, side) == ()
+    assert dilated.dims[side == "bob"] == 2
+
+
 @pytest.mark.parametrize("name", ["chsh", "trine"])
 def test_cli_validate_report_bytes(name, capsys):
     # every byte is pinned, the diagnostic eigenvalue tables included; how

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import games, linalg, naimark
-from selftest_lab.dilation import naimark_embedding
+from selftest_lab import games, linalg, naimark, serialize
+from selftest_lab.dilation import dilation_residuals, naimark_embedding
 from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, correlation_of, validate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
@@ -463,6 +463,12 @@ def test_dilated_projections_are_read_only_and_shared():
             assert not p.flags.writeable
             with pytest.raises(ValueError):
                 p[0, 0] = 0.0
+            kind, factor = games._recall(p, "factor")
+            if kind != "rows":  # a slice of the sealed W_k, which no caller can make writable
+                with pytest.raises(ValueError):
+                    factor.setflags(write=True)
+                with pytest.raises(ValueError):
+                    factor.base.setflags(write=True)
     # a Strategy adopts them as they are: one storage per projection
     shared = Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dil.pvms)
     assert all(x is y for fam, fam_d in zip(shared.bob, dil.pvms) for x, y in zip(fam, fam_d))
@@ -593,6 +599,69 @@ def test_proven_tol_covers_the_measured_defects(fams_a, fams_b, seed):
             assert games._completeness_defect(fam) <= proven
             for p in fam:
                 assert linalg.hermiticity_defect(p) <= proven
+
+
+def _factored_product_bound(fam, p, x) -> float:
+    """The bound of ``naimark._proven_dilation`` on ``||games._times(p, x) - p @ x||_F``
+    for a projection ``p`` of the dilated family ``fam``: ``e`` plus both products'
+    rounding, times ``||x||_F``; 0 in the last family, whose 0/1 diagonals make both
+    products exact."""
+    kind, tail = games._recall(fam[0], "factor")
+    if kind == "rows":
+        return 0.0
+    w = tail.base  # the complement's factor is a column slice of the stored W_k
+    dim, dim_k = w.shape
+    delta, e, f = naimark._factor_errors(w, len(fam))
+    g = linalg._gamma
+    rounding = g(dim + 2) * np.linalg.norm(p) + g(dim + dim_k + 5) * (f + 1 + delta)
+    return (e + rounding) * np.linalg.norm(x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_products_through_the_factors_match_the_dense_ones(fams_a, fams_b, seed):
+    rng = np.random.default_rng(seed)
+    d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
+    state = random_bipartite_state(rng, d_a, d_b, rank=int(rng.integers(1, min(d_a, d_b) + 1)))
+    s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
+    dilated, _, _ = naimark_strategy(s)
+    for fam in dilated.alice + dilated.bob:
+        for p in fam:
+            assert games._recall(p, "factor") is not None
+            x = rng.normal(size=(p.shape[0], 3)) + 1j * rng.normal(size=(p.shape[0], 3))
+            assert np.linalg.norm(games._times(p, x) - p @ x) <= _factored_product_bound(fam, p, x)
+    # the same kernels on a copy with no facts take the dense products
+    dense = serialize.strategy_from_jsonable(serialize.strategy_to_jsonable(dilated))
+    assert all(games._recall(p, "factor") is None for fam in dense.alice + dense.bob for p in fam)
+    assert np.max(np.abs(correlation_of(dilated).table - correlation_of(dense).table)) <= 1e-12
+    got, want = strategy_metrics(dilated), strategy_metrics(dense)
+    for name in ("alice_commutator_norms", "bob_commutator_norms", "alice_overlaps", "bob_overlaps"):
+        for row, want_row in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert np.max(np.abs(np.subtract(row, want_row))) <= 1e-12
+    assert got.projective_eps == want.projective_eps == 0.0
+    w = naimark_embedding(s)
+    rows, want_rows = dilation_residuals(s, dilated, w).rows, dilation_residuals(s, dense, w).rows
+    assert abs(rows[0] - want_rows[0]) <= 1e-12
+    for side, want_side in zip(rows[1:], want_rows[1:]):
+        for row, want_row in zip(side, want_side, strict=True):
+            assert np.max(np.abs(np.subtract(row, want_row))) <= 1e-12
+
+
+def test_a_side_with_no_questions_dilates_by_the_identity():
+    s = canonical_chsh()
+    for side in ("alice", "bob"):
+        fams = {"alice": s.alice, "bob": s.bob, side: []}
+        src = Strategy(state=s.state, dims=s.dims, alice=fams["alice"], bob=fams["bob"])
+        dilated, v_a, v_b = naimark_strategy(src)
+        w = naimark_embedding(src)
+        v = v_a if side == "alice" else v_b
+        assert getattr(dilated, side) == ()
+        assert np.array_equal(v, np.eye(2))
+        assert np.array_equal(w.u_a, v_a) and np.array_equal(w.u_b, v_b)
+        other = naimark_embedding(Strategy(src.state, src.dims, src.alice, src.bob))  # built anew
+        assert np.array_equal(other.u_a, v_a) and np.array_equal(other.u_b, v_b)
+    with pytest.raises(InvalidPovm):
+        naimark_family([])
 
 
 def test_naimark_strategy_roots_only_source_elements_and_reads_no_projection(monkeypatch):
