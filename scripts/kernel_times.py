@@ -1,12 +1,18 @@
-"""Print one JSON line of in-process minimum times (ms) of the Naimark-path kernels.
+"""Print one JSON line of the Naimark-path kernels' times (ms) and page faults.
 
-Each input is a seeded pure strategy of Schmidt rank 2 on ``C^d (x) C^d``:
-Alice has two binary questions, Bob two binary and ``t`` three-outcome ones,
-so Bob dilates to ``D = 4 d 3^t`` (72, 108, 216 and 324).  The source passes
-the validity gate before timing, as in a run that validates first.  Timed, per
-input: ``naimark_strategy``; ``verify_dilation`` of both sides at its default
-``tol``; and ``correlation_of``, ``strategy_metrics`` and ``dilation_residuals``
-(against ``naimark_embedding``) on the dilated strategy.
+The times are in-process minimums.  Each input is a seeded pure strategy of
+Schmidt rank 2 on ``C^d (x) C^d``: Alice has two binary questions, Bob two
+binary and ``t`` three-outcome ones, so Bob dilates to ``D = 4 d 3^t`` (72,
+108, 216 and 324).  The source passes the validity gate before timing, as in a
+run that validates first.  Timed, per input: ``naimark_strategy``;
+``verify_dilation`` of both sides at its default ``tol``; and
+``correlation_of``, ``strategy_metrics`` and ``dilation_residuals`` (against
+``naimark_embedding``) on the dilated strategy.  Beside its time,
+``naimark_strategy`` reports its minor page faults per call: the
+``resource.getrusage(RUSAGE_SELF).ru_minflt`` delta over its repeats, divided
+by their number.  That count depends on the host's allocator (glibc's trim and
+mmap thresholds) and its transparent huge page setting, so it is a report to
+compare on one host, never a gate.
 
     PYTHONPATH=src python scripts/kernel_times.py [--repeat N] [--seed S]
 
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import time
 
 import numpy as np
@@ -55,6 +62,10 @@ def _best_ms(fn, repeat: int) -> float:
     return round(best * 1e3, 3)
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def kernel_rows(seed: int, repeat: int) -> dict:
     rows = {}
     for d, t in SIZES:
@@ -76,7 +87,10 @@ def kernel_rows(seed: int, repeat: int) -> dict:
             "dilation_residuals": lambda: dilation.dilation_residuals(s, dilated, witness),
         }
         for name, fn in timed.items():
+            faults = _minflt()
             rows[f"{name} {tag} ms"] = _best_ms(fn, repeat)
+            if name == "naimark_strategy":
+                rows[f"{name} {tag} minflt/call"] = round((_minflt() - faults) / repeat, 1)
     return rows
 
 

@@ -44,7 +44,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """A new sealed array of complex128 zeros and a writable alias of its memory,
     to build it in place with no copy.  The ``bytes`` object is new, so nothing
-    else sees the writes; drop the alias before the array is shared."""
+    else sees the writes; drop the alias before the array is shared.  The alias
+    covers every view of the array, so a build that keeps several results in one
+    array (one family per row block) finishes all of them before it drops the
+    alias and hands any out."""
     a = np.ndarray(shape, np.complex128, bytes(16 * math.prod(shape)))
     _remember(a, sealed=True)
     face = dict(a.__array_interface__, data=(a.__array_interface__["data"][0], False))
@@ -54,10 +57,18 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """``raw`` as tuples of :func:`_freeze`-d elements.  An empty family raises
     :class:`InvalidStrategy`; an element not finite or not ``dim x dim``,
-    :class:`DimensionMismatch`."""
+    :class:`DimensionMismatch`.  An element with a finite ``projectivity`` fact
+    (0 included) is not scanned: ``naimark._proven_dilation``'s bound is finite
+    only with finite ``delta``, ``e`` and ``f``, so ``||B_j||^2 <= f`` and every
+    entry is finite."""
     families = []
     for q, family in enumerate(raw):
-        family = tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in family)
+        family = tuple(
+            _freeze(e)
+            if math.isfinite(_recall(e, "projectivity", math.inf))
+            else _freeze(linalg.require_finite(e, f"{side} element"))
+            for e in family
+        )
         if not family:
             raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
         for e in family:
@@ -104,8 +115,9 @@ class Strategy:
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
     of dimension ``dims[0] * dims[1]``.  Construction checks that both local
     dimensions are at least 1, the state's shape, that the state and every
-    element are finite, and that every family is non-empty with elements of
-    its side's ``d x d`` shape; semantic validity is checked by
+    element are finite (an element whose finite ``projectivity`` fact proves
+    it is not scanned again), and that every family is non-empty with elements
+    of its side's ``d x d`` shape; semantic validity is checked by
     :func:`validate_strategy`.
 
     The state and the elements are stored sealed (:func:`_freeze`): an array
@@ -237,10 +249,10 @@ def _remember(obj, **facts) -> None:
         _FACTS[key] = (weakref.ref(obj, lambda _, pop=_FACTS.pop: pop(key, None)), facts)
 
 
-def _recall(obj, name: str):
-    """The fact ``name`` of ``obj``, or None."""
+def _recall(obj, name: str, default=None):
+    """The fact ``name`` of ``obj``, or ``default``."""
     entry = _FACTS.get(id(obj))
-    return None if entry is None else entry[1].get(name)
+    return default if entry is None else entry[1].get(name, default)
 
 
 def _times(e: np.ndarray, x: np.ndarray) -> np.ndarray:

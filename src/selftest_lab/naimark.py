@@ -52,6 +52,10 @@ pure-state kernels read no ``D x D`` projection of a dilated strategy; the
 result is within ``(e + gamma(D + 2) ||P||_F + gamma(D + D_k + 5) (f + 1 +
 delta)) ||x||_F`` of the dense ``P @ x`` (:func:`_proven_dilation`).
 :func:`verify_dilation` never reads the factor: it measures the stored arrays.
+
+The projections of one dilated side are the rows of one sealed ``N x D x D``
+arena, ``N`` the side's element count, each computed in place: a side's build
+allocates and first-touches one buffer, not one ``D x D`` buffer per projection.
 """
 
 from __future__ import annotations
@@ -75,6 +79,9 @@ class NaimarkDilation:
     Invariants: ``V* V = 1`` on the source space, every element of ``pvms``
     is a projection, each family sums to the identity, and the compressions
     ``V* P V`` reproduce the source POVM elements.
+
+    The projections of :func:`naimark_family` are views of one sealed arena,
+    so a kept projection keeps every projection of the dilation alive.
     """
 
     pvms: tuple[tuple[np.ndarray, ...], ...]
@@ -129,24 +136,31 @@ def naimark_isometry(povms, d: int | None = None) -> np.ndarray:
     return _step_isometries(povms, d=d)[1]
 
 
-def _factored_families(steps: list[np.ndarray], dim: int):
-    """Yield each dilated family, the last first, with its factor ``W_k`` stored
+def _factored_families(steps: list[np.ndarray], dim: int) -> list:
+    """Each dilated family, the last first, with its factor ``W_k`` stored
     sealed with its columns grouped by outcome, so each ``W_kj`` is a column
-    slice: ``None`` for the last family ``1 (x) |j><j|``.  Every projection is
-    built in place in sealed memory (``games._sealed``), so none is copied, and
-    keeps its factor as its fact ``factor`` (see ``games._times``): ``("range",
-    W_kj)`` for ``j >= 1``, ``("complement", [W_k1 ... W_k(m-1)])`` for ``j = 0``,
-    and ``("rows", slice(j, None, m))`` in the last family."""
+    slice: ``None`` for the last family ``1 (x) |j><j|``.  All projections of
+    the side are rows of one sealed arena, ``games._sealed((N, D, D))`` with
+    ``N = sum_k m_k``: each is a C-contiguous view, marked sealed, built in place
+    through the arena's one writable alias, so none is copied, and keeps its
+    factor as its fact ``factor`` (see ``games._times``): ``("range", W_kj)``
+    for ``j >= 1``, ``("complement", [W_k1 ... W_k(m-1)])`` for ``j = 0``, and
+    ``("rows", slice(j, None, m))`` in the last family.  The alias covers every
+    family, so all are built before it is dropped and any leaves."""
+    arena, block = games._sealed((sum(v2.shape[0] // v2.shape[1] for v2 in steps), dim, dim))
+    end = len(arena)
+    families = []
     w = None  # W_k, columns grouped (D_{k-1}, m); the identity for the last family
     for v2 in reversed(steps):
         dim_prev = v2.shape[1]
         m = v2.shape[0] // dim_prev
-        fam, outs = zip(*(games._sealed((dim, dim)) for _ in range(m)))
+        end -= m
+        fam, outs = tuple(arena[end:end + m]), block[end:end + m]
         if w is None:
             w_k = None
             for j in range(m):
                 outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
-                games._remember(fam[j], factor=("rows", slice(j, None, m)))
+                games._remember(fam[j], sealed=True, factor=("rows", slice(j, None, m)))
         else:
             w_k, out = games._sealed((dim, m * dim_prev))
             out.reshape(dim, m, dim_prev)[...] = w.reshape(dim, dim_prev, m).transpose(0, 2, 1)
@@ -156,11 +170,13 @@ def _factored_families(steps: list[np.ndarray], dim: int):
                 b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
                 np.matmul(b, b.conj().T, out=outs[j])
                 np.subtract(outs[0], outs[j], out=outs[0])
-                games._remember(fam[j], factor=("range", b))
-            games._remember(fam[0], factor=("complement", w_k[:, dim_prev:]))
-        del outs  # the writable aliases die before the family is yielded
-        yield fam, w_k
+                games._remember(fam[j], sealed=True, factor=("range", b))
+            games._remember(fam[0], sealed=True, factor=("complement", w_k[:, dim_prev:]))
+        del outs  # the writable alias lives on in block alone
+        families.append((fam, w_k))
         w = v2 if w is None else w @ v2
+    del block  # the writable alias dies before any family leaves
+    return families
 
 
 def naimark_family(povms) -> NaimarkDilation:
@@ -171,9 +187,10 @@ def naimark_family(povms) -> NaimarkDilation:
     ``P_k0 = 1 - sum_{j>=1} P_kj``, which equals the iterative
     construction's ``W_k0 W_k0*`` plus the telescoped identity defects
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
-    family on the dilated dimension ``D``.  The projections are built sealed,
-    so a :class:`Strategy` built from them adopts them without a copy, and each
-    carries the projectivity bound of :func:`_proven_dilation`.
+    family on the dilated dimension ``D``.  The projections are built sealed, as
+    views of one arena (see :class:`NaimarkDilation`), so a :class:`Strategy`
+    built from them adopts them without a copy, and each carries the
+    projectivity bound of :func:`_proven_dilation`.
     """
     pvms, v, _ = _proven_dilation(povms, gate=True)
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
@@ -302,6 +319,8 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     ``dilation.naimark_embedding``.  A side with no questions is dilated by the
     identity of its dimension.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
+    Each side's projections are views of one sealed arena, so a projection
+    kept past the strategy keeps its whole side's arena alive.
     """
     psi = s.pure_state()
     gate = games._recall(s, "valid_tol") is None

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -472,6 +473,104 @@ def test_dilated_projections_are_read_only_and_shared():
     # a Strategy adopts them as they are: one storage per projection
     shared = Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dil.pvms)
     assert all(x is y for fam, fam_d in zip(shared.bob, dil.pvms) for x, y in zip(fam, fam_d))
+
+
+def _rebuilt_from_factor(fam, p):
+    """``p`` rebuilt from its ``factor`` fact with the build's operations in its
+    order: ``B B*``, the identity less each ``B_j B_j*`` of ``fam`` in turn, or
+    the 0/1 rows of the last family."""
+    kind, f = games._recall(p, "factor")
+    dim = p.shape[0]
+    if kind == "rows":
+        want = np.zeros((dim, dim), dtype=complex)
+        rows = np.arange(dim)[f]
+        want[rows, rows] = 1.0
+        return want
+    if kind == "range":
+        return f @ f.conj().T
+    want = np.eye(dim, dtype=complex)
+    for q in fam[1:]:
+        b = games._recall(q, "factor")[1]
+        want = want - b @ b.conj().T
+    return want
+
+
+def _assert_one_arena(families):
+    """Every projection of one dilated side is a sealed view of one array over
+    ``bytes``, equal bit for bit to its rebuilt factor."""
+    views = [p for fam in families for p in fam]
+    arena = views[0].base
+    assert isinstance(arena.base, bytes)
+    assert arena.shape == (len(views),) + views[0].shape
+    assert all(p.base is arena and p.flags.c_contiguous for p in views)
+    for x in views + [arena]:
+        with pytest.raises(ValueError):
+            x.setflags(write=True)
+    for fam in families:
+        for p in fam:
+            assert np.array_equal(p, _rebuilt_from_factor(fam, p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_each_dilated_side_is_one_sealed_arena(fams_a, fams_b, seed):
+    d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
+    state = random_bipartite_state(np.random.default_rng(seed), d_a, d_b)
+    s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
+    dilated, _, _ = naimark_strategy(s)
+    for side in (dilated.alice, dilated.bob, naimark_family(fams_a).pvms):
+        _assert_one_arena(side)
+    assert dilated.alice[0][0].base is not dilated.bob[0][0].base
+    # a Strategy rebuilt from the dilated families adopts the very views
+    again = Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dilated.bob)
+    for side, side_d in ((again.alice, dilated.alice), (again.bob, dilated.bob)):
+        assert all(x is y for fam, fam_d in zip(side, side_d) for x, y in zip(fam, fam_d))
+
+
+def test_every_side_allocates_one_arena(monkeypatch):
+    shapes = []
+    real = games._sealed
+    monkeypatch.setattr(games, "_sealed", lambda shape: shapes.append(shape) or real(shape))
+    s = canonical_chsh()
+    src = Strategy(state=s.state, dims=s.dims, alice=[], bob=s.bob)
+    dilated, _, v_b = naimark_strategy(src)
+    dim = v_b.shape[0]
+    arenas = [x for x in shapes if len(x) == 3]
+    assert arenas == [(0, 2, 2), (4, dim, dim)]  # Alice has no questions, then Bob
+    _assert_one_arena(dilated.bob)
+    shapes.clear()
+    dil = naimark_family(s.bob)
+    assert [x for x in shapes if len(x) == 3] == [(4, dim, dim)]
+    _assert_one_arena(dil.pvms)
+
+
+def test_a_pickled_projection_holds_its_own_bytes_not_the_arena():
+    dilated, _, _ = naimark_strategy(trine_strategy())
+    p = dilated.bob[1][0]
+    assert p.base.nbytes == 7 * p.nbytes
+    assert len(pickle.dumps(p)) < p.nbytes + 1024
+    back = pickle.loads(pickle.dumps(dilated))
+    assert np.array_equal(back.state, dilated.state)
+    for fam, fam_d in zip(back.alice + back.bob, dilated.alice + dilated.bob):
+        for x, y in zip(fam, fam_d):
+            assert x is not y and x.base is not y.base and np.array_equal(x, y)
+            with pytest.raises(ValueError):
+                x.setflags(write=True)
+
+
+def test_proven_projections_are_not_scanned_again(monkeypatch):
+    scanned = []
+    real = linalg._all_finite
+    monkeypatch.setattr(linalg, "_all_finite", lambda a: scanned.append(a.shape) or real(a))
+    dilated, _, _ = naimark_strategy(trine_strategy())
+    big = [(n, n) for n in dilated.dims]
+    assert not set(scanned) & set(big)
+    Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dilated.bob)
+    assert not set(scanned) & set(big)
+    # the same arrays read from a file carry no fact: every element is scanned
+    serialize.strategy_from_jsonable(serialize.strategy_to_jsonable(dilated))
+    elements = [e.shape for fam in dilated.alice + dilated.bob for e in fam]
+    assert sorted(x for x in scanned if x in big) == sorted(elements)
 
 
 def test_naimark_strategy_peak_memory_near_its_output():
