@@ -12,7 +12,13 @@ run that validates first.  Timed, per input: ``naimark_strategy``;
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` delta over its repeats, divided
 by their number.  That count depends on the host's allocator (glibc's trim and
 mmap thresholds) and its transparent huge page setting, so it is a report to
-compare on one host, never a gate.
+compare on one host, never a gate.  Beside its time, ``verify_dilation``
+reports the dense checks one call makes (``dense/call``): the calls, counted
+through wrappers, of ``linalg.projector_defect`` (a ``P @ P``),
+``games._completeness_defect`` (a summed family) and
+``naimark._compression_defect`` (a ``V* P V``).  An entry that a fact answers
+makes no such call, so 0 means the call read only facts, and ``2 N`` plus one
+per family, for ``N`` projections, means it measured every entry.
 
     PYTHONPATH=src python scripts/kernel_times.py [--repeat N] [--seed S]
 
@@ -28,9 +34,14 @@ import time
 
 import numpy as np
 
-from selftest_lab import dilation, games, metrics, naimark
+from selftest_lab import dilation, games, linalg, metrics, naimark
 
 SIZES = ((2, 2), (3, 2), (2, 3), (3, 3))  # (d, t): Bob D = 72, 108, 216, 324
+DENSE_CHECKS = (
+    (linalg, "projector_defect"),
+    (games, "_completeness_defect"),
+    (naimark, "_compression_defect"),
+)
 
 
 def _povm(rng, d: int, m: int) -> list[np.ndarray]:
@@ -66,6 +77,20 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _dense_checks(fn) -> int:
+    """The calls one run of ``fn`` makes to the functions of ``DENSE_CHECKS``."""
+    calls = []
+    saved = [getattr(module, name) for module, name in DENSE_CHECKS]
+    try:
+        for (module, name), real in zip(DENSE_CHECKS, saved):
+            setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
+        fn()
+    finally:
+        for (module, name), real in zip(DENSE_CHECKS, saved):
+            setattr(module, name, real)
+    return len(calls)
+
+
 def kernel_rows(seed: int, repeat: int) -> dict:
     rows = {}
     for d, t in SIZES:
@@ -91,6 +116,8 @@ def kernel_rows(seed: int, repeat: int) -> dict:
             rows[f"{name} {tag} ms"] = _best_ms(fn, repeat)
             if name == "naimark_strategy":
                 rows[f"{name} {tag} minflt/call"] = round((_minflt() - faults) / repeat, 1)
+            if name == "verify_dilation":
+                rows[f"{name} {tag} dense/call"] = _dense_checks(fn)
     return rows
 
 

@@ -39,9 +39,8 @@ term put every stored ``P_kj`` within ``e`` (Frobenius) of a Hermitian
 element, the spectrum, ``||P - P*||_F <= 2e``, each family's completeness
 defect (of order ``gamma(m) (sqrt(D) + f + e)``, ``f = ||W_k||_F^2``) and
 each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  The
-validity ``tol`` and the projectivity bounds are kept as facts (see
-``games.Strategy``); :func:`verify_dilation` reads the second in place of a
-dense ``P @ P``, and measures a dilation given as matrices.  The proof holds
+validity ``tol``, the projectivity bounds and each family's completeness
+bound are kept as facts (see ``games.Strategy``).  The proof holds
 whatever ``V2_k`` is, because the Gram defect is measured on the stored ``W_k``.
 
 Each projection also keeps its factor as a fact: ``W_kj`` (``j >= 1``), the
@@ -51,7 +50,12 @@ for a thin ``x``, at ``D D_k`` per column in place of ``D^2``, so the
 pure-state kernels read no ``D x D`` projection of a dilated strategy; the
 result is within ``(e + gamma(D + 2) ||P||_F + gamma(D + D_k + 5) (f + 1 +
 delta)) ||x||_F`` of the dense ``P @ x`` (:func:`_proven_dilation`).
-:func:`verify_dilation` never reads the factor: it measures the stored arrays.
+:func:`verify_dilation` reads a fact when it is at most ``tol`` and measures
+densely otherwise, so its verdict is the dense one: projectivity and
+completeness from their bounds, and each ``V* P V`` through the factor, on
+the ``R`` and ``V`` the caller passes, plus its proven distance from the dense
+compression (fact ``factor_error``).  A dilation with no facts (read from a
+file, copied, or regrouped) is measured as matrices.
 
 The projections of one dilated side are the rows of one sealed ``N x D x D``
 arena, ``N`` the side's element count, each computed in place: a side's build
@@ -60,6 +64,7 @@ allocates and first-touches one buffer, not one ``D x D`` buffer per projection.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +246,9 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     ``||P_0||_F <= ||X_0||_F + e <= sqrt(D) (1 + delta) + e``.  So the gate
     measures at most ``gamma(m - 1) ((2 + delta) sqrt(D) + e + 3f) r``.
     Neither bound reads a projection: the proof costs one Gram product
-    ``W_k* W_k`` (``D D_k^2``) per family.
+    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the fact
+    ``completeness`` of the family's first element, kept with weak references
+    to the family's elements in order, so it answers for that family alone.
 
     *Projectivity.*  ``X_j^2 - X_j = B_j (B_j* B_j - 1) B_j*`` for ``j >= 1``,
     and ``X_0^2 - X_0`` is the same with ``B_j`` the tail ``[B_1 ... B_{m-1}]``;
@@ -269,9 +276,26 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     dense ``P @ x`` is within ``(e + gamma(D + 2) ||P||_F) ||x||_F`` of it, as
     ``||P - X_j||_F <= e``; the sum of the two bounds the distance between the
     products.  In the last family both are exact: the row selection copies,
-    and every dense term is a product with 0 or 1.  :func:`verify_dilation`
-    reads no factor, so what it reports is measured on the stored arrays (or
-    read from ``projectivity``), not inferred from ``W_k``.
+    and every dense term is a product with 0 or 1.
+
+    *Compressions* (:func:`verify_dilation`, with ``V`` (``D x d``) and ``R``
+    as the caller passes them).  Each projection's fact ``factor_error`` is
+    ``(kappa, N)``: ``kappa = (e + gamma(D + D_k + 5) (f + 1 + delta)) r``,
+    the bound above less the dense product's rounding, so ``Z = _times(P, V)``
+    is within ``kappa ||V||_F`` of the exact ``P V`` (``kappa = 0`` in the
+    last family), and ``N = (sqrt(D) (1 + delta) + e) r >= ||P||_F``.  The
+    dense check forms ``C = fl(fl(V* P) V)``, within ``g ||P||_F ||V||_F (2
+    ||V||_2 + g ||V||_F) <= 3 g N ||V||_F^2`` of ``Y = V* P V``, then
+    ``||R - C||_F`` with a relative rounding ``s = 1 + gamma(2 D d + 16)``
+    (which also covers evaluating the bound below).  With ``W = fl(V* Z)``,
+    within ``g ||V||_F ||Z||_F`` of ``V* Z``,
+    ``||R - Y||_F <= ||R - W||_F + g ||V||_F ||Z||_F + ||V||_2 kappa ||V||_F``.
+    So the dense check measures at most
+    ``(s ||R - W||_F + ||V||_2 kappa ||V||_F + g ||V||_F (s ||Z||_F + 3 N
+    ||V||_F)) s``, at ``D d n`` for a factor of width ``n`` in place of
+    ``D^2 d``; ``||V||_F`` is bounded by its computed norm times ``s``, and
+    ``||V||_2^2 <= 1 + ||V* V - 1||_F`` by the measured isometry defect.  It
+    reads no ``D x D`` array, and a NaN anywhere in it makes it NaN.
     """
     steps, v = _step_isometries(povms, gate, d)
     dim = v.shape[0]
@@ -280,18 +304,21 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     r = 1 + linalg._gamma(2 * dim * dim + 16)
     pvms, tols = [], []
     for fam, w in _factored_families(steps, dim):
-        beta = square = 0.0
+        beta = square = complete = delta = e = kappa = 0.0
         if w is not None:
             m = len(fam)
             delta, e, f = _factor_errors(w, m)
             beta = delta + e
             square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
             square *= r
-            tols.append(2 * e * r)
-            tols.append(linalg._gamma(m - 1) * ((2 + delta) * dim**0.5 + e + 3 * f) * r)
+            complete = linalg._gamma(m - 1) * ((2 + delta) * dim**0.5 + e + 3 * f) * r
+            kappa = (e + linalg._gamma(dim + w.shape[1] + 5) * (f + 1 + delta)) * r
+            tols += [2 * e * r, complete]
         tols.append((beta + c * (1 + beta)) / (1 - c))
+        norm = (dim**0.5 * (1 + delta) + e) * r
         for p in fam:
-            games._remember(p, projectivity=square)
+            games._remember(p, projectivity=square, factor_error=(kappa, norm))
+        games._remember(fam[0], completeness=(complete, tuple(map(weakref.ref, fam))))
         pvms.append(fam)
     return tuple(reversed(pvms)), v, float(np.max(tols, initial=0.0))
 
@@ -393,7 +420,11 @@ class DilationCheck:
 
     Each ``projection_defects`` entry is the measured
     :func:`linalg.projector_defect`, or the projection's ``projectivity`` fact
-    (see ``games.Strategy``) when that bound is at most ``tol``.
+    (see ``games.Strategy``) when that bound is at most ``tol``.  Likewise each
+    ``completeness_defects`` entry may be the family's ``completeness`` fact, and
+    each ``element_defects`` entry a bound on ``||R - V* P V||_F`` measured
+    through the projection's factor (:func:`verify_dilation`): an entry read
+    from a fact is an upper bound on the measured value, and at most ``tol``.
     """
 
     tol: float
@@ -410,8 +441,14 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     Raises ``DimensionMismatch`` when the families and the dilation differ in
     family count, in element count per family (an empty family is one), or
     in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
-    A projection's ``projectivity`` fact stands in for its dense ``P @ P``
-    when it is at most ``tol``: the verdict is the dense one.
+    Facts of a dilation this module built stand in for dense checks whenever
+    they are at most ``tol``, and every other entry is measured, so the verdict
+    is the dense one: a projection's ``projectivity`` for its ``P @ P``, its
+    family's ``completeness`` (proven of exactly those elements, in that order)
+    for the summed family, and, through its ``factor``, a bound on
+    ``||R - V* P V||_F`` that costs ``D d n`` in place of ``D^2 d``
+    (:func:`_proven_dilation`, *Compressions*).  A copied projection, a regrouped
+    or truncated family, or a dilation read from a file is measured densely.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
@@ -430,12 +467,16 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
                     f"with an isometry of shape {v.shape}"
                 )
     iso_defect = linalg._identity_defect(v.conj().T @ v)
+    s = 1 + linalg._gamma(2 * v.size + 16)
+    v_f = linalg.frobenius(v) * s  # >= ||V||_F
+    # >= ||V||_2, as ||V||_2^2 <= 1 + ||V* V - 1||_F (_proven_dilation, *Compressions*)
+    v_2 = (1 + iso_defect * s + linalg._gamma(v.shape[0] + 2) * v_f * v_f) ** 0.5 * s
     element_defects = tuple(
-        tuple(linalg.frobenius(r - v.conj().T @ p @ v) for r, p in zip(family, dilated))
+        tuple(_element_defect(r, p, v, (v_2, v_f, s), tol) for r, p in zip(family, dilated))
         for family, dilated in zip(povms, pvms)
     )
     projection_defects = tuple(tuple(_projection_defect(p, tol) for p in fam) for fam in pvms)
-    completeness = [games._completeness_defect(fam) for fam in pvms]
+    completeness = [_completeness(fam, tol) for fam in pvms]
     # np.max, unlike max, keeps a NaN defect, which then fails the verdict
     worst = np.max(
         [iso_defect]
@@ -460,3 +501,40 @@ def _projection_defect(p: np.ndarray, tol: float) -> float:
     if bound is not None and bound <= tol:
         return bound
     return linalg.projector_defect(p)
+
+
+def _element_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray, norms, tol: float) -> float:
+    """A bound on :func:`_compression_defect` from ``p``'s fact ``factor_error`` when
+    ``p`` has one and the bound is at most ``tol``, else the measured value.  ``norms``
+    holds the bounds on ``||V||_2`` and ``||V||_F`` and the relative rounding ``s``.
+    The bound multiplies through ``p``'s factor (``games._times``) and reads no
+    ``D x D`` array (:func:`_proven_dilation`, *Compressions*)."""
+    fact = games._recall(p, "factor_error")
+    if fact is not None:
+        (kappa, p_norm), (v_2, v_f, s) = fact, norms
+        z = games._times(p, v)
+        g = linalg._gamma(v.shape[0] + 2)
+        rounding = g * v_f * (linalg.frobenius(z) * s + 3 * p_norm * v_f)
+        bound = (linalg.frobenius(r - v.conj().T @ z) * s + v_2 * kappa * v_f + rounding) * s
+        if bound <= tol:
+            return bound
+    return _compression_defect(r, p, v)
+
+
+def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
+    """The measured ``||R - V* P V||_F``."""
+    return linalg.frobenius(r - v.conj().T @ p @ v)
+
+
+def _completeness(family, tol: float) -> float:
+    """The fact ``completeness`` of ``family``'s first element when it is at most ``tol``
+    and was proven of exactly these elements in this order, else the measured
+    ``games._completeness_defect``."""
+    fact = games._recall(family[0], "completeness")
+    if fact is not None:
+        bound, members = fact
+        if bound <= tol and len(members) == len(family) and all(
+            ref() is p for ref, p in zip(members, family)
+        ):
+            return bound
+    return games._completeness_defect(family)

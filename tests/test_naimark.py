@@ -642,44 +642,77 @@ def test_naimark_strategy_leaves_only_the_isometries_on_the_source():
     assert held - start < 2 * isometry_bytes
 
 
-def _counting_projector_defect(monkeypatch):
+def _counting_dense_reads(monkeypatch):
+    """The names of the dense checks ``verify_dilation`` makes, one per call."""
     calls = []
-    real = linalg.projector_defect
-    monkeypatch.setattr(linalg, "projector_defect", lambda p: calls.append(1) or real(p))
+    for module, name in (
+        (linalg, "projector_defect"),
+        (games, "_completeness_defect"),
+        (naimark, "_compression_defect"),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
     return calls
 
 
-def _dense_worst(fams, dil):
-    """The largest entry of ``dil``'s defect tables, checked on copies of its
-    projections, which carry no record: the dense path's verdict is
-    ``worst <= tol``."""
+def _dense_check(fams, dil):
+    """``verify_dilation`` of ``dil`` on copies of its projections, which carry
+    no record: every entry measured, at the default ``tol``."""
     copied = tuple(tuple(p.copy() for p in fam) for fam in dil.pvms)
-    check = verify_dilation(fams, NaimarkDilation(copied, dil.isometry, dil.dims))
+    return verify_dilation(fams, NaimarkDilation(copied, dil.isometry, dil.dims))
+
+
+def _worst(check):
+    """The largest entry of ``check``'s defect tables: on a dense check, the
+    verdict is ``worst <= tol``."""
     return np.max(
         [check.isometry_defect, *check.completeness_defects]
         + [x for t in check.element_defects + check.projection_defects for x in t]
     )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
-def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
+def _dilated_cases(fams_a, fams_b, seed):
+    """Each side of ``naimark_strategy`` on the families, and ``naimark_family``
+    of Alice's, as (source families, dilation) pairs."""
     d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
     state = random_bipartite_state(np.random.default_rng(seed), d_a, d_b)
     s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
     dilated, v_a, v_b = naimark_strategy(s)
-    cases = [
+    return [
         (fams_a, naimark_family(fams_a)),
         (s.alice, NaimarkDilation(dilated.alice, v_a, (d_a, v_a.shape[0]))),
         (s.bob, NaimarkDilation(dilated.bob, v_b, (d_b, v_b.shape[0]))),
     ]
-    for fams, dil in cases:
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
+    for fams, dil in _dilated_cases(fams_a, fams_b, seed):
         for fam in dil.pvms:
             for p in fam:
                 assert games._recall(p, "projectivity") >= linalg.projector_defect(p)
-        worst = _dense_worst(fams, dil)
+        worst = _worst(_dense_check(fams, dil))
         for tol in (1e-12, 1e-10, 1e-8):
             assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_recorded_completeness_and_compressions_are_sound(fams_a, fams_b, seed):
+    # an entry read from a fact bounds the dense value; a measured one is it
+    for fams, dil in _dilated_cases(fams_a, fams_b, seed):
+        dense = _dense_check(fams, dil)
+        for tol in (1e-10, 1e-13):
+            check = verify_dilation(fams, dil, tol)
+            assert check.passed == (_worst(dense) <= tol)
+            pairs = list(zip(check.completeness_defects, dense.completeness_defects, strict=True))
+            for row, want_row in zip(check.element_defects, dense.element_defects, strict=True):
+                pairs += zip(row, want_row, strict=True)
+            for got, want in pairs:
+                assert got >= want and (got == want or got <= tol)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -784,11 +817,56 @@ def test_verify_reads_the_records_of_a_deep_strategy(monkeypatch):
     s = _deep_source(906)
     dilated, v_a, v_b = naimark_strategy(s)
     assert dilated.dims == (12, 324)
-    calls = _counting_projector_defect(monkeypatch)
+    calls = _counting_dense_reads(monkeypatch)
     for fams, pvms, v in ((s.alice, dilated.alice, v_a), (s.bob, dilated.bob, v_b)):
         dil = NaimarkDilation(pvms, v, (v.shape[1], v.shape[0]))
         assert verify_dilation(fams, dil, tol=1e-10).passed
-    assert calls == []
+    assert calls == []  # no P @ P, no summed family, no dense V* P V
+
+
+def test_a_regrouped_truncated_or_copied_family_is_measured(monkeypatch):
+    fams = [trine_povm(), trine_povm()]
+    dil = naimark_family(fams)
+    (p0, p1, p2), last = dil.pvms
+    r0, r1, r2 = fams[0]
+    other = naimark_family(fams).pvms[0]  # the same values, other objects
+    calls = _counting_dense_reads(monkeypatch)
+
+    def reads(family, source):
+        calls.clear()
+        pvms = (family, last)
+        check = verify_dilation([source, fams[1]], NaimarkDilation(pvms, dil.isometry, dil.dims))
+        return sorted(calls), check.passed
+
+    assert reads((p0, p1, p2), fams[0]) == ([], True)
+    # each element still reads its own facts; the family's completeness is measured
+    assert reads((p1, p0, p2), [r1, r0, r2]) == (["_completeness_defect"], True)
+    assert reads((other[0], p1, p2), fams[0]) == (["_completeness_defect"], True)
+    assert reads((p0, p1), [r0, r1]) == (["_completeness_defect"], False)
+    copied = ["_completeness_defect", "_compression_defect", "projector_defect"]
+    assert reads((p0, p1.copy(), p2), fams[0]) == (copied, True)
+
+
+def test_a_perturbed_element_or_isometry_fails_as_the_dense_check_does():
+    s = _deep_source(908)
+    dilated, _, v = naimark_strategy(s)
+    rng = np.random.default_rng(908)
+
+    def bumped(a):
+        return a + 1e-6 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+
+    fams = [list(fam) for fam in s.bob]
+    moved = [list(fam) for fam in s.bob]
+    moved[2][1] = bumped(moved[2][1])
+    for source, iso in ((moved, v), (fams, bumped(v))):
+        dil = NaimarkDilation(dilated.bob, iso, (3, iso.shape[0]))
+        check, dense = verify_dilation(source, dil), _dense_check(source, dil)
+        assert not check.passed and not dense.passed
+        assert check.isometry_defect == dense.isometry_defect
+        for row, want_row in zip(check.element_defects, dense.element_defects, strict=True):
+            for got, want in zip(row, want_row, strict=True):
+                assert got == want if want > 1e-10 else want <= got <= 1e-10
+    assert check.element_defects == dense.element_defects  # a moved V: all measured
 
 
 def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
@@ -797,13 +875,13 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     p = dil.pvms[0][1]
     bound = games._recall(p, "projectivity")
     assert 0 < bound <= 1e-10
-    calls = _counting_projector_defect(monkeypatch)
+    calls = _counting_dense_reads(monkeypatch)
 
     def defect(q, tol):
         calls.clear()
         pvms = (dil.pvms[0][:1] + (q,) + dil.pvms[0][2:], dil.pvms[1])
         check = verify_dilation(fams, NaimarkDilation(pvms, dil.isometry, dil.dims), tol)
-        return check.projection_defects[0][1], len(calls)
+        return check.projection_defects[0][1], calls.count("projector_defect")
 
     assert defect(p, 1e-10) == (bound, 0)
     measured = linalg.projector_defect(p)
@@ -819,9 +897,9 @@ def test_a_nan_record_is_not_read(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     games._remember(dil.pvms[0][1], projectivity=float("nan"))
-    calls = _counting_projector_defect(monkeypatch)
+    calls = _counting_dense_reads(monkeypatch)
     check = verify_dilation(fams, dil, tol=1e-10)
-    assert calls == [1] and check.passed
+    assert calls == ["projector_defect"] and check.passed
     assert not np.isnan(check.projection_defects[0][1])
 
 
@@ -837,3 +915,24 @@ def test_facts_leave_with_their_objects(kind):
     del objs
     gc.collect()
     assert not keys & set(games._FACTS)
+
+
+@pytest.mark.parametrize("fact", ["completeness", "kappa", "norm"])
+def test_a_nan_completeness_or_compression_fact_is_not_read(monkeypatch, fact):
+    fams = [trine_povm(), trine_povm()]
+    dil = naimark_family(fams)
+    p0, p1, _ = dil.pvms[0]
+    if fact == "completeness":
+        _, members = games._recall(p0, "completeness")
+        games._remember(p0, completeness=(float("nan"), members))
+        read = "_completeness_defect"
+    else:
+        kappa, norm = games._recall(p1, "factor_error")
+        bad = (float("nan"), norm) if fact == "kappa" else (kappa, float("nan"))
+        games._remember(p1, factor_error=bad)
+        read = "_compression_defect"
+    calls = _counting_dense_reads(monkeypatch)
+    check = verify_dilation(fams, dil, tol=1e-10)
+    assert calls == [read] and check.passed
+    assert not np.isnan(check.completeness_defects[0])
+    assert not np.isnan(check.element_defects[0][1])
