@@ -57,15 +57,14 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """``raw`` as tuples of :func:`_freeze`-d elements.  An empty family raises
     :class:`InvalidStrategy`; an element not finite or not ``dim x dim``,
-    :class:`DimensionMismatch`.  An element with a finite ``projectivity`` fact
-    (0 included) is not scanned: ``naimark._proven_dilation``'s bound is finite
-    only with finite ``delta``, ``e`` and ``f``, so ``||B_j||^2 <= f`` and every
-    entry is finite."""
+    :class:`DimensionMismatch`.  An element with a ``family`` fact is not scanned:
+    ``naimark._proven_dilation`` records one only with finite bounds, so finite
+    ``delta``, ``e`` and ``f``; then ``||B_j||^2 <= f`` and every entry is finite."""
     families = []
     for q, family in enumerate(raw):
         family = tuple(
             _freeze(e)
-            if math.isfinite(_recall(e, "projectivity", math.inf))
+            if _recall(e, "family") is not None
             else _freeze(linalg.require_finite(e, f"{side} element"))
             for e in family
         )
@@ -115,7 +114,7 @@ class Strategy:
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
     of dimension ``dims[0] * dims[1]``.  Construction checks that both local
     dimensions are at least 1, the state's shape, that the state and every
-    element are finite (an element whose finite ``projectivity`` fact proves
+    element are finite (a Naimark projection's ``family`` fact proves it, so
     it is not scanned again), and that every family is non-empty with elements
     of its side's ``d x d`` shape; semantic validity is checked by
     :func:`validate_strategy`.
@@ -127,8 +126,8 @@ class Strategy:
     pickles are rebuilt through the constructor.
 
     Facts proven of a strategy or a sealed array (``valid_tol``, see
-    :func:`_is_valid`; the ``naimark_isometries`` and ``projectivity`` of
-    ``naimark.naimark_strategy``) live in one table held by weak reference
+    :func:`_is_valid`; the ``naimark_isometries`` and each projection's
+    ``family`` of ``naimark.naimark_strategy``) live in one table held by weak reference
     (:func:`_remember`, :func:`_recall`), never on the object, so equality,
     copies and reports ignore them.  An entry leaves with its object.
     """
@@ -256,22 +255,11 @@ def _recall(obj, name: str, default=None):
 
 
 def _times(e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``e @ x`` for a thin ``x``, through the ``factor`` fact of a Naimark projection
-    when ``e`` has one (``naimark._factored_families``): ``B (B* x)`` for ``("range",
-    B)``, ``x - T (T* x)`` for ``("complement", T)``, and the rows ``x[rows]`` for
-    ``("rows", rows)``.  That costs ``D n r`` for a ``D x n`` factor and ``r``
-    columns, in place of ``D^2 r``, and reads no ``D x D`` array;
-    ``naimark._proven_dilation`` bounds its distance from ``e @ x``."""
-    fact = _recall(e, "factor")
-    if fact is None:
-        return e @ x
-    kind, f = fact
-    if kind == "rows":
-        out = np.zeros(x.shape, np.result_type(e, x))
-        out[f] = x[f]
-        return out
-    y = f @ (f.T @ x.conj()).conj()  # B* x as conj(B^T conj(x)): no copy of B
-    return y if kind == "range" else x - y
+    """``e @ x`` for a thin ``x``, or ``proof.times(j, x)`` when ``e`` is a Naimark
+    projection with the fact ``family = (proof, j)`` (``naimark._Proof``), which
+    reads no ``D x D`` array; ``naimark._proven_dilation`` bounds their distance."""
+    fact = _recall(e, "family")
+    return e @ x if fact is None else fact[0].times(fact[1], x)
 
 
 def _is_valid(s: Strategy, tol: float) -> bool:
@@ -451,8 +439,6 @@ def _reduced_table(state, alice, bob, n_a, n_b) -> np.ndarray:
         m_conj = state.conj()
 
         def reduce(f):
-            if _recall(f, "factor") is None:  # as before, so a report keeps its bytes
-                return (m_conj @ f) @ state.T
             return m_conj @ _times(f, state.T)
     else:  # R_ki = sum_lj rho[i, j, k, l] F_lj, one matrix-vector product
         r = state.transpose(2, 0, 3, 1).reshape(d_a * d_a, d_b * d_b)

@@ -39,23 +39,18 @@ term put every stored ``P_kj`` within ``e`` (Frobenius) of a Hermitian
 element, the spectrum, ``||P - P*||_F <= 2e``, each family's completeness
 defect (of order ``gamma(m) (sqrt(D) + f + e)``, ``f = ||W_k||_F^2``) and
 each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  The
-validity ``tol``, the projectivity bounds and each family's completeness
-bound are kept as facts (see ``games.Strategy``).  The proof holds
-whatever ``V2_k`` is, because the Gram defect is measured on the stored ``W_k``.
+validity ``tol`` is a fact of the strategy, and each family's bounds and its
+sealed ``W_k`` one record, :class:`_Proof`, kept by each projection as its fact
+``family`` (see ``games.Strategy``).  The proof holds whatever ``V2_k`` is,
+because the Gram defect is measured on the stored ``W_k``.
 
-Each projection also keeps its factor as a fact: ``W_kj`` (``j >= 1``), the
-tail ``[W_k1 ... W_k(m-1)]`` (``j = 0``) or its rows (last family), all slices
-of one sealed ``W_k`` per family.  ``games._times`` takes ``P x`` through it
-for a thin ``x``, at ``D D_k`` per column in place of ``D^2``, so the
-pure-state kernels read no ``D x D`` projection of a dilated strategy; the
-result is within ``(e + gamma(D + 2) ||P||_F + gamma(D + D_k + 5) (f + 1 +
-delta)) ||x||_F`` of the dense ``P @ x`` (:func:`_proven_dilation`).
-:func:`verify_dilation` reads a fact when it is at most ``tol`` and measures
-densely otherwise, so its verdict is the dense one: projectivity and
-completeness from their bounds, and each ``V* P V`` through the factor, on
-the ``R`` and ``V`` the caller passes, plus its proven distance from the dense
-compression (fact ``factor_error``).  A dilation with no facts (read from a
-file, copied, or regrouped) is measured as matrices.
+``games._times`` takes ``P x`` for a thin ``x`` through the record
+(:meth:`_Proof.times`), at ``D D_k`` per column in place of ``D^2``, so the
+pure-state kernels read no ``D x D`` projection of a dilated strategy.
+:func:`verify_dilation` reads a bound when it is at most ``tol`` and measures
+densely otherwise, so its verdict is the dense one.  A projection with no
+record (read from a file, or copied) is measured as a matrix, and so is the
+completeness of a regrouped family.
 
 The projections of one dilated side are the rows of one sealed ``N x D x D``
 arena, ``N`` the side's element count, each computed in place: a side's build
@@ -64,7 +59,7 @@ allocates and first-touches one buffer, not one ``D x D`` buffer per projection.
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,17 +136,46 @@ def naimark_isometry(povms, d: int | None = None) -> np.ndarray:
     return _step_isometries(povms, d=d)[1]
 
 
+@dataclass(frozen=True, eq=False)
+class _Proof:
+    """What :func:`_proven_dilation` proves of one dilated family of ``m``
+    projections, compared by identity: its sealed factor ``w = W_k`` (columns
+    grouped by outcome; ``None`` for the last family), ``square`` bounding each
+    :func:`linalg.projector_defect`, ``complete`` the family's completeness
+    defect, ``kappa`` and ``norm`` of *Compressions*.  It holds no projection,
+    so it leaves with the projections that keep it."""
+
+    w: np.ndarray | None
+    m: int
+    square: float
+    complete: float
+    kappa: float
+    norm: float
+
+    def times(self, j: int, x: np.ndarray) -> np.ndarray:
+        """``P_kj x`` for a thin ``x``: ``B (B* x)`` with ``B = W_kj`` for ``j >= 1``,
+        ``x - T (T* x)`` with the tail ``T = [W_k1 ... W_k(m-1)]`` for ``j = 0``, and
+        the rows ``j::m`` of ``x`` in the last family.  That costs ``D n r`` for a
+        ``D x n`` factor and ``r`` columns, in place of ``D^2 r``."""
+        if self.w is None:
+            out = np.zeros(x.shape, np.result_type(np.complex128, x))
+            out[j::self.m] = x[j::self.m]
+            return out
+        n = self.w.shape[1] // self.m
+        b = self.w[:, max(j, 1) * n:(j + 1) * n if j else None]
+        y = b @ (b.T @ x.conj()).conj()  # B* x as conj(B^T conj(x)): no copy of B
+        return y if j else x - y
+
+
 def _factored_families(steps: list[np.ndarray], dim: int) -> list:
     """Each dilated family, the last first, with its factor ``W_k`` stored
     sealed with its columns grouped by outcome, so each ``W_kj`` is a column
     slice: ``None`` for the last family ``1 (x) |j><j|``.  All projections of
     the side are rows of one sealed arena, ``games._sealed((N, D, D))`` with
-    ``N = sum_k m_k``: each is a C-contiguous view, marked sealed, built in place
-    through the arena's one writable alias, so none is copied, and keeps its
-    factor as its fact ``factor`` (see ``games._times``): ``("range", W_kj)``
-    for ``j >= 1``, ``("complement", [W_k1 ... W_k(m-1)])`` for ``j = 0``, and
-    ``("rows", slice(j, None, m))`` in the last family.  The alias covers every
-    family, so all are built before it is dropped and any leaves."""
+    ``N = sum_k m_k``: each is a C-contiguous view, not yet marked sealed,
+    built in place through the arena's one writable alias, so none is copied.
+    The alias covers every family, so all are built before it is dropped and
+    any leaves."""
     arena, block = games._sealed((sum(v2.shape[0] // v2.shape[1] for v2 in steps), dim, dim))
     end = len(arena)
     families = []
@@ -165,7 +189,6 @@ def _factored_families(steps: list[np.ndarray], dim: int) -> list:
             w_k = None
             for j in range(m):
                 outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
-                games._remember(fam[j], sealed=True, factor=("rows", slice(j, None, m)))
         else:
             w_k, out = games._sealed((dim, m * dim_prev))
             out.reshape(dim, m, dim_prev)[...] = w.reshape(dim, dim_prev, m).transpose(0, 2, 1)
@@ -175,8 +198,6 @@ def _factored_families(steps: list[np.ndarray], dim: int) -> list:
                 b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
                 np.matmul(b, b.conj().T, out=outs[j])
                 np.subtract(outs[0], outs[j], out=outs[0])
-                games._remember(fam[j], sealed=True, factor=("range", b))
-            games._remember(fam[0], sealed=True, factor=("complement", w_k[:, dim_prev:]))
         del outs  # the writable alias lives on in block alone
         families.append((fam, w_k))
         w = v2 if w is None else w @ v2
@@ -194,8 +215,8 @@ def naimark_family(povms) -> NaimarkDilation:
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
     family on the dilated dimension ``D``.  The projections are built sealed, as
     views of one arena (see :class:`NaimarkDilation`), so a :class:`Strategy`
-    built from them adopts them without a copy, and each carries the
-    projectivity bound of :func:`_proven_dilation`.
+    built from them adopts them without a copy, and each carries its family's
+    :class:`_Proof`.
     """
     pvms, v, _ = _proven_dilation(povms, gate=True)
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
@@ -204,9 +225,10 @@ def naimark_family(povms) -> NaimarkDilation:
 def _proven_dilation(povms, gate: bool, d: int | None = None):
     """The dilated families of :func:`naimark_family`, the isometry ``V``, and
     a ``tol`` at which the dense gate ``games._family_valid`` passes on every
-    family, proven from the factors; each projection's ``projectivity`` fact
-    bounds its :func:`linalg.projector_defect`.  ``d`` is the source dimension,
-    as in :func:`_step_isometries`; with no families, ``tol`` is 0.
+    family, proven from the factors; projection ``j`` of each family gets the
+    fact ``family = (proof, j)``, ``proof`` the family's :class:`_Proof`, when
+    its bounds are finite.  ``d`` is the source dimension, as in
+    :func:`_step_isometries`; with no families, ``tol`` is 0.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
     outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
@@ -246,9 +268,8 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     ``||P_0||_F <= ||X_0||_F + e <= sqrt(D) (1 + delta) + e``.  So the gate
     measures at most ``gamma(m - 1) ((2 + delta) sqrt(D) + e + 3f) r``.
     Neither bound reads a projection: the proof costs one Gram product
-    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the fact
-    ``completeness`` of the family's first element, kept with weak references
-    to the family's elements in order, so it answers for that family alone.
+    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the record's
+    ``complete``, read only for the record's members in order.
 
     *Projectivity.*  ``X_j^2 - X_j = B_j (B_j* B_j - 1) B_j*`` for ``j >= 1``,
     and ``X_0^2 - X_0`` is the same with ``B_j`` the tail ``[B_1 ... B_{m-1}]``;
@@ -257,14 +278,14 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     ``||P^2 - P||_F <= (1 + delta) delta + (3 + 2 delta) e + e^2``.  The dense
     check rounds its ``P @ P`` by at most ``g ||P||_F^2 <= g D (1 + beta)^2``
     and its difference and norm by a relative ``gamma(2 D^2 + 2)``
-    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The fact is
-    that bound, ``square``; it is at least ``3 e r``, so it also covers the
+    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The record's
+    ``square`` is that bound; it is at least ``3 e r``, so it also covers the
     Hermiticity term of :func:`linalg.projector_defect`.  A NaN in a factor
-    makes ``delta`` NaN, and every bound with it, which no ``tol`` admits.
-    The last family has 0/1 diagonals summing to the identity: every bound
-    is 0.
+    makes ``delta`` NaN, and every bound with it, so no projection of the
+    family gets a record.  The last family has 0/1 diagonals summing to the
+    identity: every bound is 0.
 
-    *Products through the factor* (``games._times``, for a finite ``x`` with
+    *Products through the factor* (:meth:`_Proof.times`, for a finite ``x`` with
     ``r`` columns).  With ``B = B_j`` (``j >= 1``), the computed ``B (B* x)``
     errs from ``X_j x`` by at most ``(gamma(D + 2) + gamma(n + 2) (1 +
     gamma(D + 2))) ||B||_F^2 ||x||_F``, the entrywise GEMM bound of each
@@ -279,11 +300,11 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     and every dense term is a product with 0 or 1.
 
     *Compressions* (:func:`verify_dilation`, with ``V`` (``D x d``) and ``R``
-    as the caller passes them).  Each projection's fact ``factor_error`` is
-    ``(kappa, N)``: ``kappa = (e + gamma(D + D_k + 5) (f + 1 + delta)) r``,
-    the bound above less the dense product's rounding, so ``Z = _times(P, V)``
-    is within ``kappa ||V||_F`` of the exact ``P V`` (``kappa = 0`` in the
-    last family), and ``N = (sqrt(D) (1 + delta) + e) r >= ||P||_F``.  The
+    as the caller passes them).  The record's ``kappa = (e + gamma(D + D_k +
+    5) (f + 1 + delta)) r`` is the bound above less the dense product's
+    rounding, so ``Z = proof.times(j, V)`` is within ``kappa ||V||_F`` of the
+    exact ``P V`` (``kappa = 0`` in the last family), and its ``norm``
+    ``N = (sqrt(D) (1 + delta) + e) r >= ||P||_F``.  The
     dense check forms ``C = fl(fl(V* P) V)``, within ``g ||P||_F ||V||_F (2
     ||V||_2 + g ||V||_F) <= 3 g N ||V||_F^2`` of ``Y = V* P V``, then
     ``||R - C||_F`` with a relative rounding ``s = 1 + gamma(2 D d + 16)``
@@ -316,9 +337,10 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
             tols += [2 * e * r, complete]
         tols.append((beta + c * (1 + beta)) / (1 - c))
         norm = (dim**0.5 * (1 + delta) + e) * r
-        for p in fam:
-            games._remember(p, projectivity=square, factor_error=(kappa, norm))
-        games._remember(fam[0], completeness=(complete, tuple(map(weakref.ref, fam))))
+        proof = _Proof(w, len(fam), square, complete, kappa, norm)
+        finite = all(map(math.isfinite, (square, complete, kappa, norm)))
+        for j, p in enumerate(fam):
+            games._remember(p, sealed=True, **({"family": (proof, j)} if finite else {}))
         pvms.append(fam)
     return tuple(reversed(pvms)), v, float(np.max(tols, initial=0.0))
 
@@ -418,13 +440,10 @@ def minimal_trine_dilation() -> NaimarkDilation:
 class DilationCheck:
     """Defect tables from verifying a claimed Naimark dilation.
 
-    Each ``projection_defects`` entry is the measured
-    :func:`linalg.projector_defect`, or the projection's ``projectivity`` fact
-    (see ``games.Strategy``) when that bound is at most ``tol``.  Likewise each
-    ``completeness_defects`` entry may be the family's ``completeness`` fact, and
-    each ``element_defects`` entry a bound on ``||R - V* P V||_F`` measured
-    through the projection's factor (:func:`verify_dilation`): an entry read
-    from a fact is an upper bound on the measured value, and at most ``tol``.
+    Each entry is the measured defect, or, when that is at most ``tol``, a
+    bound from the projection's :class:`_Proof` (:func:`verify_dilation`): its
+    ``square``, its family's ``complete``, or ``||R - V* P V||_F`` bounded
+    through its factor.  An entry from a record bounds the measured value.
     """
 
     tol: float
@@ -441,14 +460,14 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     Raises ``DimensionMismatch`` when the families and the dilation differ in
     family count, in element count per family (an empty family is one), or
     in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
-    Facts of a dilation this module built stand in for dense checks whenever
-    they are at most ``tol``, and every other entry is measured, so the verdict
-    is the dense one: a projection's ``projectivity`` for its ``P @ P``, its
-    family's ``completeness`` (proven of exactly those elements, in that order)
-    for the summed family, and, through its ``factor``, a bound on
-    ``||R - V* P V||_F`` that costs ``D d n`` in place of ``D^2 d``
-    (:func:`_proven_dilation`, *Compressions*).  A copied projection, a regrouped
-    or truncated family, or a dilation read from a file is measured densely.
+    The :class:`_Proof` of a dilation this module built stands in for a dense
+    check whenever its bound is at most ``tol``, and every other entry is
+    measured, so the verdict is the dense one: ``square`` for ``P @ P``,
+    ``complete`` for a family that is exactly the record's members in order,
+    and a bound on ``||R - V* P V||_F`` through the factor, at ``D d n`` in
+    place of ``D^2 d`` (:func:`_proven_dilation`, *Compressions*).  A copied
+    projection, a regrouped or truncated family, or a dilation read from a file
+    is measured densely.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
@@ -495,27 +514,27 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
 
 
 def _projection_defect(p: np.ndarray, tol: float) -> float:
-    """The fact ``projectivity`` of ``p`` when it is at most ``tol``, else the
-    measured :func:`linalg.projector_defect`."""
-    bound = games._recall(p, "projectivity")
-    if bound is not None and bound <= tol:
-        return bound
+    """``square`` of ``p``'s record when it is at most ``tol``, else the measured
+    :func:`linalg.projector_defect`."""
+    fact = games._recall(p, "family")
+    if fact is not None and fact[0].square <= tol:
+        return fact[0].square
     return linalg.projector_defect(p)
 
 
 def _element_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray, norms, tol: float) -> float:
-    """A bound on :func:`_compression_defect` from ``p``'s fact ``factor_error`` when
-    ``p`` has one and the bound is at most ``tol``, else the measured value.  ``norms``
-    holds the bounds on ``||V||_2`` and ``||V||_F`` and the relative rounding ``s``.
-    The bound multiplies through ``p``'s factor (``games._times``) and reads no
-    ``D x D`` array (:func:`_proven_dilation`, *Compressions*)."""
-    fact = games._recall(p, "factor_error")
+    """A bound on :func:`_compression_defect` from ``p``'s record when ``p`` has one
+    and the bound is at most ``tol``, else the measured value.  ``norms`` holds the
+    bounds on ``||V||_2`` and ``||V||_F`` and the relative rounding ``s``.  The
+    bound multiplies through the factor and reads no ``D x D`` array
+    (:func:`_proven_dilation`, *Compressions*)."""
+    fact = games._recall(p, "family")
     if fact is not None:
-        (kappa, p_norm), (v_2, v_f, s) = fact, norms
-        z = games._times(p, v)
+        (proof, j), (v_2, v_f, s) = fact, norms
+        z = proof.times(j, v)
         g = linalg._gamma(v.shape[0] + 2)
-        rounding = g * v_f * (linalg.frobenius(z) * s + 3 * p_norm * v_f)
-        bound = (linalg.frobenius(r - v.conj().T @ z) * s + v_2 * kappa * v_f + rounding) * s
+        rounding = g * v_f * (linalg.frobenius(z) * s + 3 * proof.norm * v_f)
+        bound = (linalg.frobenius(r - v.conj().T @ z) * s + v_2 * proof.kappa * v_f + rounding) * s
         if bound <= tol:
             return bound
     return _compression_defect(r, p, v)
@@ -527,14 +546,12 @@ def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
 
 
 def _completeness(family, tol: float) -> float:
-    """The fact ``completeness`` of ``family``'s first element when it is at most ``tol``
-    and was proven of exactly these elements in this order, else the measured
-    ``games._completeness_defect``."""
-    fact = games._recall(family[0], "completeness")
-    if fact is not None:
-        bound, members = fact
-        if bound <= tol and len(members) == len(family) and all(
-            ref() is p for ref, p in zip(members, family)
-        ):
-            return bound
+    """``complete`` of the record of ``family``'s first element when it is at most
+    ``tol`` and ``family`` is exactly the record's members in order, else the
+    measured ``games._completeness_defect``."""
+    fact = games._recall(family[0], "family")
+    if fact is not None and fact[0].complete <= tol:
+        proof = fact[0]
+        if [games._recall(p, "family") for p in family] == [(proof, j) for j in range(proof.m)]:
+            return proof.complete
     return games._completeness_defect(family)

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -464,33 +466,35 @@ def test_dilated_projections_are_read_only_and_shared():
             assert not p.flags.writeable
             with pytest.raises(ValueError):
                 p[0, 0] = 0.0
-            kind, factor = games._recall(p, "factor")
-            if kind != "rows":  # a slice of the sealed W_k, which no caller can make writable
+            w = games._recall(p, "family")[0].w
+            if w is not None:  # the sealed W_k, which no caller can make writable, nor a slice
                 with pytest.raises(ValueError):
-                    factor.setflags(write=True)
+                    w[:, 1:].setflags(write=True)
                 with pytest.raises(ValueError):
-                    factor.base.setflags(write=True)
+                    w.setflags(write=True)
     # a Strategy adopts them as they are: one storage per projection
     shared = Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dil.pvms)
     assert all(x is y for fam, fam_d in zip(shared.bob, dil.pvms) for x, y in zip(fam, fam_d))
 
 
 def _rebuilt_from_factor(fam, p):
-    """``p`` rebuilt from its ``factor`` fact with the build's operations in its
+    """``p`` rebuilt from its family's record with the build's operations in its
     order: ``B B*``, the identity less each ``B_j B_j*`` of ``fam`` in turn, or
     the 0/1 rows of the last family."""
-    kind, f = games._recall(p, "factor")
+    proof, j = games._recall(p, "family")
+    assert games._recall(fam[0], "family")[0] is proof and proof.m == len(fam)
     dim = p.shape[0]
-    if kind == "rows":
+    if proof.w is None:
         want = np.zeros((dim, dim), dtype=complex)
-        rows = np.arange(dim)[f]
+        rows = np.arange(dim)[j::proof.m]
         want[rows, rows] = 1.0
         return want
-    if kind == "range":
-        return f @ f.conj().T
+    n = proof.w.shape[1] // proof.m
+    blocks = [proof.w[:, i * n:(i + 1) * n] for i in range(proof.m)]
+    if j:
+        return blocks[j] @ blocks[j].conj().T
     want = np.eye(dim, dtype=complex)
-    for q in fam[1:]:
-        b = games._recall(q, "factor")[1]
+    for b in blocks[1:]:
         want = want - b @ b.conj().T
     return want
 
@@ -693,7 +697,7 @@ def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
     for fams, dil in _dilated_cases(fams_a, fams_b, seed):
         for fam in dil.pvms:
             for p in fam:
-                assert games._recall(p, "projectivity") >= linalg.projector_defect(p)
+                assert games._recall(p, "family")[0].square >= linalg.projector_defect(p)
         worst = _worst(_dense_check(fams, dil))
         for tol in (1e-12, 1e-10, 1e-8):
             assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
@@ -738,10 +742,9 @@ def _factored_product_bound(fam, p, x) -> float:
     for a projection ``p`` of the dilated family ``fam``: ``e`` plus both products'
     rounding, times ``||x||_F``; 0 in the last family, whose 0/1 diagonals make both
     products exact."""
-    kind, tail = games._recall(fam[0], "factor")
-    if kind == "rows":
+    w = games._recall(fam[0], "family")[0].w  # the stored W_k
+    if w is None:
         return 0.0
-    w = tail.base  # the complement's factor is a column slice of the stored W_k
     dim, dim_k = w.shape
     delta, e, f = naimark._factor_errors(w, len(fam))
     g = linalg._gamma
@@ -759,12 +762,12 @@ def test_products_through_the_factors_match_the_dense_ones(fams_a, fams_b, seed)
     dilated, _, _ = naimark_strategy(s)
     for fam in dilated.alice + dilated.bob:
         for p in fam:
-            assert games._recall(p, "factor") is not None
+            assert games._recall(p, "family") is not None
             x = rng.normal(size=(p.shape[0], 3)) + 1j * rng.normal(size=(p.shape[0], 3))
             assert np.linalg.norm(games._times(p, x) - p @ x) <= _factored_product_bound(fam, p, x)
     # the same kernels on a copy with no facts take the dense products
     dense = serialize.strategy_from_jsonable(serialize.strategy_to_jsonable(dilated))
-    assert all(games._recall(p, "factor") is None for fam in dense.alice + dense.bob for p in fam)
+    assert all(games._recall(p, "family") is None for fam in dense.alice + dense.bob for p in fam)
     assert np.max(np.abs(correlation_of(dilated).table - correlation_of(dense).table)) <= 1e-12
     got, want = strategy_metrics(dilated), strategy_metrics(dense)
     for name in ("alice_commutator_norms", "bob_commutator_norms", "alice_overlaps", "bob_overlaps"):
@@ -843,6 +846,10 @@ def test_a_regrouped_truncated_or_copied_family_is_measured(monkeypatch):
     assert reads((p1, p0, p2), [r1, r0, r2]) == (["_completeness_defect"], True)
     assert reads((other[0], p1, p2), fams[0]) == (["_completeness_defect"], True)
     assert reads((p0, p1), [r0, r1]) == (["_completeness_defect"], False)
+    # members of two families of one dilation, or one member twice: each element's
+    # own record still bounds its compression, the summed family is measured
+    assert reads((p0, p1, last[2]), fams[0]) == (["_completeness_defect"], False)
+    assert reads((p0, p0, p2), [r0, r0, r2]) == (["_completeness_defect"], False)
     copied = ["_completeness_defect", "_compression_defect", "projector_defect"]
     assert reads((p0, p1.copy(), p2), fams[0]) == (copied, True)
 
@@ -873,7 +880,7 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     p = dil.pvms[0][1]
-    bound = games._recall(p, "projectivity")
+    bound = games._recall(p, "family")[0].square
     assert 0 < bound <= 1e-10
     calls = _counting_dense_reads(monkeypatch)
 
@@ -893,20 +900,34 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     assert defect(p, 1e-10) == (bound, 0)
 
 
+def _replace_record(family, **bounds):
+    """Give every member of ``family`` a copy of its record with ``bounds`` replaced,
+    so the family is still exactly the new record's members."""
+    bad = dataclasses.replace(games._recall(family[0], "family")[0], **bounds)
+    for j, p in enumerate(family):
+        games._remember(p, family=(bad, j))
+
+
 def test_a_nan_record_is_not_read(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
-    games._remember(dil.pvms[0][1], projectivity=float("nan"))
+    _replace_record(dil.pvms[0], square=float("nan"))
     calls = _counting_dense_reads(monkeypatch)
     check = verify_dilation(fams, dil, tol=1e-10)
-    assert calls == ["projector_defect"] and check.passed
+    assert calls == ["projector_defect"] * 3 and check.passed  # the family's members
     assert not np.isnan(check.projection_defects[0][1])
 
 
 @pytest.mark.parametrize("kind", ["projection", "strategy"])
 def test_facts_leave_with_their_objects(kind):
+    refs = []
     if kind == "projection":
         objs = [p for fam in naimark_family([trine_povm(), trine_povm()]).pvms for p in fam]
+        # the side's arena, and each family's W_k, which its record holds
+        refs = [weakref.ref(objs[0].base)] + [
+            weakref.ref(games._recall(p, "family")[0].w) for p in objs[::3][:-1]
+        ]
+        assert len(refs) == 2 and all(r() is not None for r in refs)
     else:
         objs = [canonical_chsh()]
         assert games._is_valid(objs[0], 1e-9)
@@ -915,24 +936,21 @@ def test_facts_leave_with_their_objects(kind):
     del objs
     gc.collect()
     assert not keys & set(games._FACTS)
+    assert all(r() is None for r in refs)  # no record keeps a projection or W_k alive
 
 
 @pytest.mark.parametrize("fact", ["completeness", "kappa", "norm"])
 def test_a_nan_completeness_or_compression_fact_is_not_read(monkeypatch, fact):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
-    p0, p1, _ = dil.pvms[0]
     if fact == "completeness":
-        _, members = games._recall(p0, "completeness")
-        games._remember(p0, completeness=(float("nan"), members))
-        read = "_completeness_defect"
+        _replace_record(dil.pvms[0], complete=float("nan"))
+        read = ["_completeness_defect"]
     else:
-        kappa, norm = games._recall(p1, "factor_error")
-        bad = (float("nan"), norm) if fact == "kappa" else (kappa, float("nan"))
-        games._remember(p1, factor_error=bad)
-        read = "_compression_defect"
+        _replace_record(dil.pvms[0], **{fact: float("nan")})
+        read = ["_compression_defect"] * 3  # the family's members
     calls = _counting_dense_reads(monkeypatch)
     check = verify_dilation(fams, dil, tol=1e-10)
-    assert calls == [read] and check.passed
+    assert calls == read and check.passed
     assert not np.isnan(check.completeness_defects[0])
     assert not np.isnan(check.element_defects[0][1])

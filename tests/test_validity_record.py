@@ -213,8 +213,8 @@ def _derived(s):
     rng = np.random.default_rng(0)
     d_a, d_b = s.dims
     dilated = naimark_strategy(s)[0]
-    # naimark_strategy stores the projections it built, each with its fact
-    assert all(games._recall(p, "projectivity") is not None
+    # naimark_strategy stores the projections it built, each with its family's record
+    assert all(games._recall(p, "family") is not None
                for fam in dilated.alice + dilated.bob for p in fam)
     strategies = [
         s,
