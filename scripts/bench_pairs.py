@@ -3,12 +3,13 @@
     python scripts/bench_pairs.py PARENT_REV CHANGE_REV --workload W --pairs N --seeds A-B \\
         --name NAME [--claim METRIC] [--change TEXT]
 
-Run it from the root of a git checkout.  Each revision is exported with
-``git archive`` into ``parent`` and ``change`` in a new temporary directory
-(``TMPDIR`` chooses where; it is removed at the end): two directory names of one
-length, so no path differs in length between the sides, and no ``__pycache__``.
-Every run has ``PYTHONDONTWRITEBYTECODE=1``, so each side compiles its own
-source as a fresh checkout does, and lasts the change's ``BENCHMARK.json``
+Run it from the root of a git checkout.  Each run exports its revision with
+``git archive`` into one directory, ``tree`` in a new temporary directory
+(``TMPDIR`` chooses where), runs there, and removes it: both sides run from the
+same path, so no path differs between them (a run's ``peak_rss_mib`` moved
+with its directory), and no ``__pycache__`` is left from a run before.  Every
+run has ``PYTHONDONTWRITEBYTECODE=1``, so each side compiles its own source as
+a fresh checkout does, and lasts the change's ``BENCHMARK.json``
 ``run_seconds``.  Pair ``i`` runs seed ``A + i`` on both sides, the parent first
 in even pairs and the change first in odd ones; at least two pairs.  To bench an
 uncommitted tree, stage it and pass ``$(git stash create)`` as ``CHANGE_REV``.
@@ -40,7 +41,7 @@ import tempfile
 from importlib import metadata
 from pathlib import Path
 
-SIDES = ("parent", "change")  # also the copies' directory names, of one length
+SIDES = ("parent", "change")
 
 
 def git(*args: str) -> str:
@@ -143,17 +144,19 @@ def main(argv=None) -> int:
         p.error(f"--seeds gives {len(args.seeds)} seeds for {args.pairs} pairs")
     out = Path(f"BENCH_{args.name}.json")
     bench = json.loads(out.read_text()) if out.exists() else {}
+    spec = json.loads(git("show", f"{args.change_rev}:BENCHMARK.json"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    revs = dict(zip(SIDES, (args.parent_rev, args.change_rev)))
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    tree = workdir / "tree"  # every run's one path
+    runs = []
     try:
-        for side, rev in zip(SIDES, (args.parent_rev, args.change_rev)):
-            export(rev, workdir / side)
-        spec = json.loads((workdir / "change" / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        seconds = spec["run_seconds"]
-        runs = []
         for i, seed in enumerate(args.seeds[:args.pairs]):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs.append(run_once(workdir / side, side, args.workload, seed, seconds))
+                export(revs[side], tree)
+                runs.append(run_once(tree, side, args.workload, seed, seconds))
+                shutil.rmtree(tree)
                 print(json.dumps(runs[-1]), file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(workdir)
@@ -171,8 +174,8 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}",
         "machine": (
             f"{os.cpu_count()} cores, Python {platform.python_version()}, numpy "
-            f"{metadata.version('numpy')}, one BLAS thread (set by the benchmark); parent and "
-            "change each from a git archive copy in a directory whose name has the same length, "
+            f"{metadata.version('numpy')}, one BLAS thread (set by the benchmark); every run "
+            "from a fresh git archive copy of its revision at one path, removed after the run, "
             "no __pycache__, PYTHONDONTWRITEBYTECODE=1"
         ),
         "protocol": (

@@ -18,7 +18,12 @@ through wrappers, of ``linalg.projector_defect`` (a ``P @ P``),
 ``games._completeness_defect`` (a summed family) and
 ``naimark._compression_defect`` (a ``V* P V``).  An entry that a fact answers
 makes no such call, so 0 means the call read only facts, and ``2 N`` plus one
-per family, for ``N`` projections, means it measured every entry.
+per family, for ``N`` projections, means it measured every entry.  Last,
+``gate`` times the validity gate ``games._is_valid(copy.copy(dilated), 1e-9)``
+(a shallow copy shares the sealed projections, so it holds their records but
+no ``valid_tol``) and reports its Cholesky factorizations per call
+(``cholesky/call``, the calls of ``linalg._shifted_cholesky_exists``): 0 when
+every family's record answers it, one per projection when none does.
 
     PYTHONPATH=src python scripts/kernel_times.py [--repeat N] [--seed S]
 
@@ -28,6 +33,7 @@ Set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable) for one BLAS thread.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import resource
 import time
@@ -42,6 +48,7 @@ DENSE_CHECKS = (
     (games, "_completeness_defect"),
     (naimark, "_compression_defect"),
 )
+CHOLESKY = ((linalg, "_shifted_cholesky_exists"),)
 
 
 def _povm(rng, d: int, m: int) -> list[np.ndarray]:
@@ -77,16 +84,16 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _dense_checks(fn) -> int:
-    """The calls one run of ``fn`` makes to the functions of ``DENSE_CHECKS``."""
+def _calls(fn, functions) -> int:
+    """The calls one run of ``fn`` makes to ``functions``, (module, name) pairs."""
     calls = []
-    saved = [getattr(module, name) for module, name in DENSE_CHECKS]
+    saved = [getattr(module, name) for module, name in functions]
     try:
-        for (module, name), real in zip(DENSE_CHECKS, saved):
+        for (module, name), real in zip(functions, saved):
             setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
         fn()
     finally:
-        for (module, name), real in zip(DENSE_CHECKS, saved):
+        for (module, name), real in zip(functions, saved):
             setattr(module, name, real)
     return len(calls)
 
@@ -110,6 +117,7 @@ def kernel_rows(seed: int, repeat: int) -> dict:
             "correlation_of": lambda: games.correlation_of(dilated),
             "strategy_metrics": lambda: metrics.strategy_metrics(dilated),
             "dilation_residuals": lambda: dilation.dilation_residuals(s, dilated, witness),
+            "gate": lambda: games._is_valid(copy.copy(dilated), 1e-9),
         }
         for name, fn in timed.items():
             faults = _minflt()
@@ -117,7 +125,9 @@ def kernel_rows(seed: int, repeat: int) -> dict:
             if name == "naimark_strategy":
                 rows[f"{name} {tag} minflt/call"] = round((_minflt() - faults) / repeat, 1)
             if name == "verify_dilation":
-                rows[f"{name} {tag} dense/call"] = _dense_checks(fn)
+                rows[f"{name} {tag} dense/call"] = _calls(fn, DENSE_CHECKS)
+            if name == "gate":
+                rows[f"{name} {tag} cholesky/call"] = _calls(fn, CHOLESKY)
     return rows
 
 

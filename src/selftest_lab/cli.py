@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 on success or a passing check, 1 when a requested check fails,
-2 on malformed or invalid input.  All randomness derives from ``repro``'s
+2 on malformed, invalid or too large input.  All randomness derives from ``repro``'s
 ``--seed``, so identical invocations produce identical bytes.  Each
 subcommand registers only the flags it reads, and their values are checked
 when the arguments are parsed: ``--tol`` must be finite and non-negative and
@@ -267,8 +267,8 @@ def run(argv=None) -> int:
         report, code = args.handler(args)
         _write(serialize.emit_report(report, args.format), args.out)
         return code
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LabError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

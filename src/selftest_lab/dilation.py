@@ -322,21 +322,22 @@ def reverse_witness(src: Strategy, dst: Strategy, w: DilationWitness) -> Dilatio
 
 
 def compose_witnesses(w_xy: DilationWitness, w_yz: DilationWitness) -> DilationWitness:
-    """Chain witnesses: if X -> Y at eps1 and Y -> Z at eps2 then X -> Z at eps1+eps2."""
+    """Chain witnesses: if X -> Y at eps1 and Y -> Z at eps2 then X -> Z at eps1+eps2.
+    X may be mixed (``w_xy``'s purifier factor stays last in ``aux``); Y must be pure."""
     d_ta1, d_ha1 = w_xy.dims_a
     d_tb1, d_hb1 = w_xy.dims_b
     d_ta2, d_ha2 = w_yz.dims_a
     d_tb2, d_hb2 = w_yz.dims_b
     if w_yz.u_a.shape[1] != d_ta1 or w_yz.u_b.shape[1] != d_tb1:
         raise WitnessMismatch("witnesses do not chain: middle dimensions differ")
-    if w_xy.purifier_dim != 1 or w_yz.purifier_dim != 1:
-        raise WitnessMismatch("composition implemented for pure-source witnesses")
+    if w_yz.purifier_dim != 1:
+        raise WitnessMismatch("composition needs a pure source for the second witness")
     u_a = np.kron(w_yz.u_a, linalg.identity(d_ha1)) @ w_xy.u_a
     u_b = np.kron(w_yz.u_b, linalg.identity(d_hb1)) @ w_xy.u_b
     aux = linalg.permute_systems(
         np.kron(w_yz.aux, w_xy.aux),
-        (d_ha2, d_hb2, d_ha1, d_hb1),
-        (0, 2, 1, 3),
+        (d_ha2, d_hb2, d_ha1, d_hb1, w_xy.purifier_dim),
+        (0, 2, 1, 3, 4),
     )
     return DilationWitness(
         u_a=u_a,

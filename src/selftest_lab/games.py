@@ -125,9 +125,9 @@ class Strategy:
     reach the strategy, and no stored array can be made writable.  Copies and
     pickles are rebuilt through the constructor.
 
-    Facts proven of a strategy or a sealed array (``valid_tol``, see
-    :func:`_is_valid`; the ``naimark_isometries`` and each projection's
-    ``family`` of ``naimark.naimark_strategy``) live in one table held by weak reference
+    Facts proven of a strategy or a sealed array (``valid_tol`` of a passed gate,
+    see :func:`_is_valid`; the ``naimark_isometries`` and each projection's
+    ``family`` record of ``naimark.naimark_strategy``) live in one table held by weak reference
     (:func:`_remember`, :func:`_recall`), never on the object, so equality,
     copies and reports ignore them.  An entry leaves with its object.
     """
@@ -225,8 +225,12 @@ def _completeness_defect(family) -> float:
 
 
 def _family_valid(family, tol: float) -> bool:
-    """Validity at ``tol`` of a family of finite square complex128 elements: per element
-    the Hermiticity defect, then :func:`linalg.is_psd`; last the completeness defect."""
+    """Validity at ``tol`` of a family of finite square complex128 elements: its
+    :func:`_record`'s ``gate`` at most ``tol``, or per element the Hermiticity
+    defect, then :func:`linalg.is_psd`, and last the completeness defect."""
+    proof = _record(family)
+    if proof is not None and tol >= proof.gate:
+        return True
     if not all(linalg._hermitian_psd(e, tol) for e in family):
         return False
     return _completeness_defect(family) <= tol
@@ -254,6 +258,14 @@ def _recall(obj, name: str, default=None):
     return default if entry is None else entry[1].get(name, default)
 
 
+def _record(family):
+    """The ``naimark._Proof`` of a non-empty ``family`` that is exactly the record's
+    members in order, else None (for a copied element, a regrouped or truncated family)."""
+    proof = _recall(family[0], "family", (None,))[0]
+    members = None if proof is None else [(proof, j) for j in range(proof.m)]
+    return proof if [_recall(e, "family") for e in family] == members else None
+
+
 def _times(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``e @ x`` for a thin ``x``, or ``proof.times(j, x)`` when ``e`` is a Naimark
     projection with the fact ``family = (proof, j)`` (``naimark._Proof``), which
@@ -263,35 +275,26 @@ def _times(e: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _is_valid(s: Strategy, tol: float) -> bool:
-    """Validity of ``s`` at ``tol``: :func:`_dense_gate`, or the fact ``valid_tol``.
-
-    The smallest ``tol`` that passed is remembered and answers any ``tol`` at
+    """Validity of ``s`` at ``tol``, to the first failed check: per family
+    :func:`_family_valid` (a Naimark family's record answers at or above its
+    ``gate``), last the state's norm (pure), or its trace, Hermiticity and
+    :func:`linalg.is_psd` (mixed).  No spectrum is computed.  The smallest ``tol``
+    that passed is remembered as the fact ``valid_tol`` and answers any ``tol`` at
     or above it with no check: validity is monotone in ``tol``.  A failed check
-    records nothing; ``naimark.naimark_strategy`` proves ``valid_tol`` of its
-    output from the factors.
-    """
+    records nothing."""
     proven = _recall(s, "valid_tol")
     if proven is not None and tol >= proven:
         return True
     with np.errstate(over="ignore"):  # a huge finite entry's defect is inf, and fails
-        valid = _dense_gate(s, tol)
+        valid = all(_family_valid(family, tol) for family in s.alice + s.bob) and (
+            abs(float(np.linalg.norm(s.state)) - 1.0) <= tol
+            if s.is_pure
+            else abs(float(np.real(np.trace(s.state))) - 1.0) <= tol
+            and linalg._hermitian_psd(s.state, tol)
+        )
     if valid:
         _remember(s, valid_tol=tol)
     return valid
-
-
-def _dense_gate(s: Strategy, tol: float) -> bool:
-    """Validity of ``s`` at ``tol``; returns at the first failed check.
-
-    Per family: :func:`_family_valid`; last the state's norm (pure), or its
-    trace, Hermiticity and :func:`linalg.is_psd` (mixed).  No spectrum is computed.
-    """
-    if not all(_family_valid(family, tol) for family in s.alice + s.bob):
-        return False
-    if s.is_pure:
-        return abs(float(np.linalg.norm(s.state)) - 1.0) <= tol
-    rho = s.state
-    return abs(float(np.real(np.trace(rho))) - 1.0) <= tol and linalg._hermitian_psd(rho, tol)
 
 
 def _min_eigenvalue(h) -> float:

@@ -38,19 +38,19 @@ term put every stored ``P_kj`` within ``e`` (Frobenius) of a Hermitian
 ``D^3/3`` Cholesky and its ``O(D^2)`` Hermiticity and completeness passes per
 element, the spectrum, ``||P - P*||_F <= 2e``, each family's completeness
 defect (of order ``gamma(m) (sqrt(D) + f + e)``, ``f = ||W_k||_F^2``) and
-each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  The
-validity ``tol`` is a fact of the strategy, and each family's bounds and its
-sealed ``W_k`` one record, :class:`_Proof`, kept by each projection as its fact
-``family`` (see ``games.Strategy``).  The proof holds whatever ``V2_k`` is,
-because the Gram defect is measured on the stored ``W_k``.
+each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  Each
+family's bounds, its validity ``gate`` among them, and its sealed ``W_k`` are one
+record, :class:`_Proof`, kept by each projection as its fact ``family`` (see
+``games.Strategy``).  The proof holds whatever ``V2_k`` is, because the Gram
+defect is measured on the stored ``W_k``.
 
 ``games._times`` takes ``P x`` for a thin ``x`` through the record
 (:meth:`_Proof.times`), at ``D D_k`` per column in place of ``D^2``, so the
 pure-state kernels read no ``D x D`` projection of a dilated strategy.
 :func:`verify_dilation` reads a bound when it is at most ``tol`` and measures
 densely otherwise, so its verdict is the dense one.  A projection with no
-record (read from a file, or copied) is measured as a matrix, and so is the
-completeness of a regrouped family.
+record (read from a file, or copied) is measured as a matrix, and the validity
+and completeness of a regrouped family are measured too.
 
 The projections of one dilated side are the rows of one sealed ``N x D x D``
 arena, ``N`` the side's element count, each computed in place: a side's build
@@ -142,8 +142,8 @@ class _Proof:
     projections, compared by identity: its sealed factor ``w = W_k`` (columns
     grouped by outcome; ``None`` for the last family), ``square`` bounding each
     :func:`linalg.projector_defect`, ``complete`` the family's completeness
-    defect, ``kappa`` and ``norm`` of *Compressions*.  It holds no projection,
-    so it leaves with the projections that keep it."""
+    defect, ``kappa`` and ``norm`` of *Compressions*, and ``gate``, the ``tol`` from
+    which on the family passes the gate.  It holds no projection, so it dies with them."""
 
     w: np.ndarray | None
     m: int
@@ -151,6 +151,7 @@ class _Proof:
     complete: float
     kappa: float
     norm: float
+    gate: float
 
     def times(self, j: int, x: np.ndarray) -> np.ndarray:
         """``P_kj x`` for a thin ``x``: ``B (B* x)`` with ``B = W_kj`` for ``j >= 1``,
@@ -218,17 +219,17 @@ def naimark_family(povms) -> NaimarkDilation:
     built from them adopts them without a copy, and each carries its family's
     :class:`_Proof`.
     """
-    pvms, v, _ = _proven_dilation(povms, gate=True)
+    pvms, v = _proven_dilation(povms, gate=True)
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
 
 
 def _proven_dilation(povms, gate: bool, d: int | None = None):
-    """The dilated families of :func:`naimark_family`, the isometry ``V``, and
-    a ``tol`` at which the dense gate ``games._family_valid`` passes on every
-    family, proven from the factors; projection ``j`` of each family gets the
-    fact ``family = (proof, j)``, ``proof`` the family's :class:`_Proof`, when
-    its bounds are finite.  ``d`` is the source dimension, as in
-    :func:`_step_isometries`; with no families, ``tol`` is 0.
+    """The dilated families of :func:`naimark_family` and the isometry ``V``;
+    projection ``j`` of each family gets the fact ``family = (proof, j)``,
+    ``proof`` the family's :class:`_Proof`, when its bounds are finite.  Its
+    ``gate``, the largest ``t`` of *Spectrum*, *Hermiticity* and *Completeness*,
+    is a ``tol`` at and above which the dense ``games._family_valid`` passes on
+    the family.  ``d`` is the source dimension, as in :func:`_step_isometries`.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
     outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
@@ -323,7 +324,7 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     c = 2 * dim * linalg._U
     g = linalg._gamma(dim + 2)
     r = 1 + linalg._gamma(2 * dim * dim + 16)
-    pvms, tols = [], []
+    pvms = []
     for fam, w in _factored_families(steps, dim):
         beta = square = complete = delta = e = kappa = 0.0
         if w is not None:
@@ -334,15 +335,14 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
             square *= r
             complete = linalg._gamma(m - 1) * ((2 + delta) * dim**0.5 + e + 3 * f) * r
             kappa = (e + linalg._gamma(dim + w.shape[1] + 5) * (f + 1 + delta)) * r
-            tols += [2 * e * r, complete]
-        tols.append((beta + c * (1 + beta)) / (1 - c))
+        gate = max((beta + c * (1 + beta)) / (1 - c), 2 * e * r, complete)
         norm = (dim**0.5 * (1 + delta) + e) * r
-        proof = _Proof(w, len(fam), square, complete, kappa, norm)
-        finite = all(map(math.isfinite, (square, complete, kappa, norm)))
+        proof = _Proof(w, len(fam), square, complete, kappa, norm, gate)
+        finite = all(map(math.isfinite, (square, complete, kappa, norm, gate)))
         for j, p in enumerate(fam):
             games._remember(p, sealed=True, **({"family": (proof, j)} if finite else {}))
         pvms.append(fam)
-    return tuple(reversed(pvms)), v, float(np.max(tols, initial=0.0))
+    return tuple(reversed(pvms)), v
 
 
 def _factor_errors(w: np.ndarray, m: int) -> tuple[float, float, float]:
@@ -360,10 +360,10 @@ def _factor_errors(w: np.ndarray, m: int) -> tuple[float, float, float]:
 def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     """Dilate both players' families; the state is embedded as ``(V_A (x) V_B) psi``.
 
-    The returned strategy is projective, produces the same correlation as
-    the input, and carries its validity: the largest of
-    :func:`_proven_dilation`'s two ``tol`` values and the state's norm
-    defect, so the gate answers any ``tol`` at or above it with no Cholesky.
+    The returned strategy is projective and produces the same correlation as
+    the input.  Each family's :class:`_Proof` answers the validity gate at or
+    above its ``gate`` with no Cholesky, so the gate measures only the state's
+    norm; the strategy holds no ``valid_tol`` until a gate passes.
     ``V_A`` and ``V_B`` are kept as a fact of ``s`` (sealed copies) for
     ``dilation.naimark_embedding``.  A side with no questions is dilated by the
     identity of its dimension.  A source that has passed the validity
@@ -373,16 +373,14 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     """
     psi = s.pure_state()
     gate = games._recall(s, "valid_tol") is None
-    pvms_a, v_a, tol_a = _proven_dilation(s.alice, gate, s.dims[0])
-    pvms_b, v_b, tol_b = _proven_dilation(s.bob, gate, s.dims[1])
+    pvms_a, v_a = _proven_dilation(s.alice, gate, s.dims[0])
+    pvms_b, v_b = _proven_dilation(s.bob, gate, s.dims[1])
     dilated = Strategy(
         state=linalg.apply_factors(psi, s.dims, (v_a, v_b)),
         dims=(v_a.shape[0], v_b.shape[0]),
         alice=pvms_a,
         bob=pvms_b,
     )
-    norm_defect = abs(float(np.linalg.norm(dilated.state)) - 1.0)
-    games._remember(dilated, valid_tol=float(np.max([tol_a, tol_b, norm_defect])))
     games._remember(s, naimark_isometries=(games._freeze(v_a), games._freeze(v_b)))
     return dilated, v_a, v_b
 
@@ -546,12 +544,9 @@ def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
 
 
 def _completeness(family, tol: float) -> float:
-    """``complete`` of the record of ``family``'s first element when it is at most
-    ``tol`` and ``family`` is exactly the record's members in order, else the
-    measured ``games._completeness_defect``."""
-    fact = games._recall(family[0], "family")
-    if fact is not None and fact[0].complete <= tol:
-        proof = fact[0]
-        if [games._recall(p, "family") for p in family] == [(proof, j) for j in range(proof.m)]:
-            return proof.complete
+    """``complete`` of ``family``'s ``games._record`` when it has one at most ``tol``,
+    else the measured ``games._completeness_defect``."""
+    proof = games._record(family)
+    if proof is not None and proof.complete <= tol:
+        return proof.complete
     return games._completeness_defect(family)

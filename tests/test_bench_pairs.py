@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,39 @@ def test_an_unpaired_run_is_left_out_and_seed_ranges_parse():
     assert summary["job_p90_s"]["parent"]["median"] == pytest.approx(0.035)
     assert bench_pairs._seed_range("9401-9404") == range(9401, 9405)
     assert bench_pairs._seed_range("7") == range(7, 8)
+
+
+def test_every_run_exports_its_revision_to_one_path_and_removes_it(monkeypatch, tmp_path):
+    # a fake export writes the revision's name into the directory, a fake run
+    # reads it: both sides run from one path, each from its own fresh copy
+    spec = {"run_seconds": 3, "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}
+    answers = {"show": json.dumps(spec), "rev-parse": "abc123", "log": "the change"}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: answers[args[0]])
+
+    def export(rev, dest):
+        assert not dest.exists()
+        dest.mkdir()
+        (dest / "REV").write_text(rev)
+
+    roots = []
+
+    def run_once(root, side, workload, seed, seconds):
+        roots.append(root)
+        assert (root / "REV").read_text() == {"parent": "p-rev", "change": "c-rev"}[side]
+        assert (workload, seconds) == ("w", 3)
+        return {"side": side, "seed": seed, "job_p90_s": 1.0 if side == "parent" else 0.5,
+                "jobs_per_s": 2.0}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    argv = ["p-rev", "c-rev", "--workload", "w", "--pairs", "3", "--seeds", "5-7", "--name", "t"]
+    assert bench_pairs.main(argv) == 0
+    assert len(roots) == 6 and len(set(roots)) == 1 and not roots[0].parent.exists()
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    runs = bench["workloads"]["w"]["runs"]
+    assert [r["side"] for r in runs] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [r["seed"] for r in runs] == [5, 5, 6, 6, 7, 7]
+    assert bench["workloads"]["w"]["summary"]["job_p90_s"]["change_wins"] == "3/3"
+    assert bench["parent_commit"] == "abc123" and bench["change"] == "the change"
+    assert "one path" in bench["machine"]

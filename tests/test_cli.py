@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selftest_lab import linalg, serialize
+from selftest_lab import cli, linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import DilationWitness, scalar_aux
 from selftest_lab.games import Strategy, conjugate_strategy, correlation_of
@@ -95,6 +95,21 @@ def test_cli_validate_broken_file(tmp_path, capsys):
 
 def test_cli_missing_file():
     assert run(["metrics", "/nonexistent/strategy.json"]) == 2
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.00 TiB for an array", ""])
+def test_cli_turns_a_memory_error_into_exit_2(monkeypatch, capsys, message):
+    # a handler that runs out of memory (as numpy's allocation of a too large
+    # matrix does) exits 2 with one error line; nothing is allocated here
+    def handler(args):
+        raise MemoryError(message)
+
+    _, info, arguments = cli._COMMANDS["validate"]
+    monkeypatch.setitem(cli._COMMANDS, "validate", (handler, info, arguments))
+    assert run(["validate", str(FIXTURES / "chsh.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'out of memory'}\n"
 
 
 def test_cli_restrict_rejects_mixed_input(tmp_path, capsys):

@@ -656,6 +656,25 @@ def test_rows_invariant_under_purifier_rotations(case):
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mixed_witness_cases())
+def test_a_mixed_source_witness_composes_with_a_naimark_embedding(case):
+    # X = dst (x) sigma seen through local frames (mixed), Y = dst, Z its Naimark
+    # dilation: the composed witness keeps X's purifier factor, and its residual
+    # stays within eps1 + eps2, the slack of test_transitivity_with_nonzero_residuals
+    src, dst, w, _ = case
+    dilated, _, _ = naimark_strategy(dst)
+    w_n = naimark_embedding(dst)
+    composed = compose_witnesses(w, w_n)
+    assert composed.purifier_dim == w.purifier_dim >= 2
+    eps1 = dilation_residuals(src, dst, w).eps
+    eps2 = dilation_residuals(dst, dilated, w_n).eps
+    assert dilation_residuals(src, dilated, composed).eps <= eps1 + eps2 + 1e-10
+    # a mixed middle strategy is still refused
+    with pytest.raises(WitnessMismatch, match="pure source for the second witness"):
+        compose_witnesses(identity_witness(src), w)
+
+
 @st.composite
 def exact_pairs(draw):
     """An ``exact_instance`` pair over a full-rank pure ``dst`` with an entangled

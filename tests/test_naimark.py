@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import pickle
@@ -723,18 +724,62 @@ def test_recorded_completeness_and_compressions_are_sound(fams_a, fams_b, seed):
 @given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
 def test_proven_tol_covers_the_measured_defects(fams_a, fams_b, seed):
     # the Hermiticity and completeness defects the gate would measure on each
-    # dilated family are bounded in the proof, never measured there
+    # dilated family are bounded by its record's gate, never measured there
     d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
     state = random_bipartite_state(np.random.default_rng(seed), d_a, d_b)
     s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
     dilated, _, _ = naimark_strategy(s)
-    pvms, _, tol = naimark._proven_dilation(fams_a, gate=True)  # naimark_family's proof
-    cases = [(pvms, tol), (dilated.alice + dilated.bob, games._recall(dilated, "valid_tol"))]
-    for families, proven in cases:
+    pvms, _ = naimark._proven_dilation(fams_a, gate=True)  # naimark_family's proof
+    for fam in pvms + dilated.alice + dilated.bob:
+        proven = games._record(fam).gate
+        assert games._completeness_defect(fam) <= proven
+        for p in fam:
+            assert linalg.hermiticity_defect(p) <= proven
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
+def test_the_gate_that_reads_a_record_gives_the_dense_verdict(fams_a, fams_b, seed):
+    d_a, d_b = fams_a[0][0].shape[0], fams_b[0][0].shape[0]
+    state = random_bipartite_state(np.random.default_rng(seed), d_a, d_b)
+    s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
+    dilated, _, _ = naimark_strategy(s)
+    for families in (naimark_family(fams_a).pvms, dilated.alice, dilated.bob):
+        # the last family's 0/1 diagonals are singular unless it has one outcome,
+        # and the dense gate refuses a singular projection at tol 0
+        assert games._record(families[-1]).gate > 0
         for fam in families:
-            assert games._completeness_defect(fam) <= proven
-            for p in fam:
-                assert linalg.hermiticity_defect(p) <= proven
+            gate = games._record(fam).gate
+            copies = [np.array(p) for p in fam]  # no record: the dense gate
+            assert games._record(copies) is None
+            for tol in (0.0, gate / 2, gate, 1e-9):
+                assert games._family_valid(fam, tol) == games._family_valid(copies, tol), tol
+
+
+def _counting_cholesky(monkeypatch):
+    calls = []
+    real = linalg._shifted_cholesky_exists
+    monkeypatch.setattr(
+        linalg, "_shifted_cholesky_exists", lambda *a: calls.append(1) or real(*a)
+    )
+    return calls
+
+
+def test_a_shallow_copy_is_gated_by_its_records_a_deep_one_densely(monkeypatch):
+    dilated = naimark_strategy(_deep_source(909))[0]
+    calls = _counting_cholesky(monkeypatch)
+    assert games._is_valid(copy.copy(dilated), 1e-9)  # the same sealed arrays
+    assert calls == []
+    n = sum(len(fam) for fam in dilated.alice + dilated.bob)
+    for other in (copy.deepcopy(dilated), pickle.loads(pickle.dumps(dilated, protocol=4))):
+        calls.clear()
+        assert games._is_valid(other, 1e-9)
+        assert len(calls) == n
+    p0, p1, p2 = dilated.bob[2]
+    for fam in ((p1, p0, p2), (p0, p1), (p0, p1, dilated.bob[3][2])):
+        want = games._family_valid([np.array(p) for p in fam], 1e-9)
+        calls.clear()
+        assert games._family_valid(fam, 1e-9) == want and len(calls) == len(fam)
 
 
 def _factored_product_bound(fam, p, x) -> float:

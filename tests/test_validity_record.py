@@ -1,6 +1,6 @@
 """The facts kept of a Strategy (``games._remember``, ``games._recall``), the
-proof that ``naimark_strategy`` records for what it builds, and one tolerance
-per CLI run."""
+proof records that answer the validity gate on what ``naimark_strategy``
+builds, and one tolerance per CLI run."""
 
 import copy
 import dataclasses
@@ -37,8 +37,14 @@ TOLS = (1e-12, 1e-9, 1e-6)
 
 
 def _fresh(s):
-    """A strategy on the same arrays that holds no record."""
-    return Strategy(state=s.state, dims=s.dims, alice=s.alice, bob=s.bob)
+    """A strategy on copies of the arrays of ``s``: it, its families and its
+    elements hold no fact, so its gate is the dense one."""
+    return Strategy(
+        state=np.array(s.state),
+        dims=s.dims,
+        alice=[[np.array(e) for e in fam] for fam in s.alice],
+        bob=[[np.array(e) for e in fam] for fam in s.bob],
+    )
 
 
 def _with_defect(family, kind, size):
@@ -81,7 +87,11 @@ def test_proof_accepts_only_what_the_dense_gate_accepts(case):
     # a loose pass, so naimark_strategy dilates the defective families too
     assert games._is_valid(s, 1e-3)
     dilated, _, _ = naimark_strategy(s)
-    proven = games._recall(dilated, "valid_tol")
+    assert games._recall(dilated, "valid_tol") is None
+    # what the records prove, with the state's norm the gate still measures
+    families = dilated.alice + dilated.bob
+    proven = max([games._record(fam).gate for fam in families]
+                 + [abs(np.linalg.norm(dilated.state) - 1.0)])
     dense = games._is_valid(_fresh(dilated), tol)
     if tol >= proven:
         assert dense, (proven, tol)
@@ -146,7 +156,7 @@ def test_no_stored_array_can_be_made_writable():
         with pytest.raises(ValueError):
             a.setflags(write=True)
     assert games._recall(s, "valid_tol") == 1e-9 and games._recall(s, "naimark_isometries")
-    assert games._dense_gate(s, 1e-9)
+    assert games._is_valid(_fresh(s), 1e-9)
 
 
 def test_the_record_is_not_a_field():
@@ -244,7 +254,7 @@ def test_every_stored_array_is_sealed_and_every_fact_is_current(s):
         with pytest.raises(ValueError):
             a.setflags(write=True)
     for x in strategies:
-        assert games._is_valid(x, 1e-9) == games._dense_gate(x, 1e-9)
+        assert games._is_valid(x, 1e-9) == games._is_valid(_fresh(x), 1e-9)
 
 
 def test_an_unpickled_array_is_copied_though_its_base_is_bytes():
