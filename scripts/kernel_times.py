@@ -1,6 +1,6 @@
-"""Print one JSON line of the Naimark-path kernels' times (ms) and page faults.
+"""Print one JSON line of the Naimark-path and residual kernels' times (ms) and page faults.
 
-The times are in-process minimums.  Each input is a seeded pure strategy of
+The times are in-process minimums.  Each Naimark-path input is a seeded pure strategy of
 Schmidt rank 2 on ``C^d (x) C^d``: Alice has two binary questions, Bob two
 binary and ``t`` three-outcome ones, so Bob dilates to ``D = 4 d 3^t`` (72,
 108, 216 and 324).  The source passes the validity gate before timing, as in a
@@ -25,6 +25,14 @@ no ``valid_tol``) and reports its Cholesky factorizations per call
 (``cholesky/call``, the calls of ``linalg._shifted_cholesky_exists``): 0 when
 every family's record answers it, one per projection when none does.
 
+The residual rows time ``matrix_form_residual`` and ``dilation_residuals`` on
+seeded mixed sources ``dst (x) tau`` of local dimension ``d = t k`` (4, 8, 12
+and 16): ``dst`` a pure strategy on ``C^t (x) C^t`` with four questions of four
+answers on each side, ``tau`` a full-rank state on ``C^k (x) C^k``, each junk
+factor after its ``dst`` factor.  The witness is the identity with factors
+``(t, k)``, ``sigma = tau`` for the matrix form and the recovered vector-form
+witness for the vector form; the source passes the validity gate first.
+
     PYTHONPATH=src python scripts/kernel_times.py [--repeat N] [--seed S]
 
 Set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable) for one BLAS thread.
@@ -43,6 +51,7 @@ import numpy as np
 from selftest_lab import dilation, games, linalg, metrics, naimark
 
 SIZES = ((2, 2), (3, 2), (2, 3), (3, 3))  # (d, t): Bob D = 72, 108, 216, 324
+MIXED_SIZES = ((2, 2), (4, 2), (4, 3), (4, 4))  # (t, k): d = t k = 4, 8, 12, 16
 DENSE_CHECKS = (
     (linalg, "projector_defect"),
     (games, "_completeness_defect"),
@@ -69,6 +78,26 @@ def source(seed: int, d: int, t: int) -> games.Strategy:
         alice=[_povm(rng, d, 2) for _ in range(2)],
         bob=[_povm(rng, d, m) for m in [2, 2] + [3] * t],
     )
+
+
+def mixed_source(seed: int, t: int, k: int):
+    """``(dst (x) tau, dst, tau)``: the residual rows' input of local dimension ``t k``."""
+    rng = np.random.default_rng([seed, t, k, 1])
+    psi = rng.normal(size=t * t) + 1j * rng.normal(size=t * t)
+    psi /= np.linalg.norm(psi)
+    dst = games.Strategy(state=psi, dims=(t, t), alice=[_povm(rng, t, 4) for _ in range(4)],
+                         bob=[_povm(rng, t, 4) for _ in range(4)])
+    g = rng.normal(size=(k * k, k * k)) + 1j * rng.normal(size=(k * k, k * k))
+    tau = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    rho = np.kron(np.outer(psi, psi.conj()), tau)
+    eye = np.eye(k)
+    src = games.Strategy(
+        state=linalg.permute_systems(rho, (t, t, k, k), (0, 2, 1, 3)),
+        dims=(t * k, t * k),
+        alice=[[np.kron(e, eye) for e in fam] for fam in dst.alice],
+        bob=[[np.kron(e, eye) for e in fam] for fam in dst.bob],
+    )
+    return src, dst, tau
 
 
 def _best_ms(fn, repeat: int) -> float:
@@ -128,6 +157,19 @@ def kernel_rows(seed: int, repeat: int) -> dict:
                 rows[f"{name} {tag} dense/call"] = _calls(fn, DENSE_CHECKS)
             if name == "gate":
                 rows[f"{name} {tag} cholesky/call"] = _calls(fn, CHOLESKY)
+    for t, k in MIXED_SIZES:
+        src, dst, tau = mixed_source(seed, t, k)
+        if not games.validate_strategy(src).valid:
+            raise SystemExit(f"the t={t}, k={k} mixed source fails validation")
+        eye = np.eye(t * k)
+        w = dilation.vector_witness_from_matrix_form(src, dst, eye, eye, (t, k), (t, k))
+        tag = f"d={t * k}"
+        rows[f"matrix_form_residual {tag} ms"] = _best_ms(
+            lambda: dilation.matrix_form_residual(src, dst, eye, eye, (t, k), (t, k), tau), repeat
+        )
+        rows[f"dilation_residuals {tag} ms"] = _best_ms(
+            lambda: dilation.dilation_residuals(src, dst, w), repeat
+        )
     return rows
 
 

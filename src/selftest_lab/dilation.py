@@ -105,22 +105,18 @@ def _side_rows(fams, dst_fams, row) -> tuple:
     return tuple(tuple(map(row, fam, dst_fam)) for fam, dst_fam in zip(fams, dst_fams))
 
 
-def _check_pair(src: Strategy, dst: Strategy):
-    """Require the same questions, and per question the same answers, on each side."""
+def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
+    """The witness contract of all three forms and the converters, returning
+    ``U_A, U_B`` as complex arrays.  In order: per side the same questions, and per
+    question the same answers (else :class:`DimensionMismatch`); each ``U`` by
+    :func:`_require_isometry` with shape ``(prod(dims), src factor)``; target
+    factors equal to ``dst.dims``."""
     for side, fams, dst_fams in (("Alice", src.alice, dst.alice), ("Bob", src.bob, dst.bob)):
         counts, dst_counts = [len(f) for f in fams], [len(f) for f in dst_fams]
         if counts != dst_counts:
             raise DimensionMismatch(
                 f"src and dst give {side} answer counts {counts} and {dst_counts} per question"
             )
-
-
-def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
-    """The witness contract of all three forms and the converters, returning
-    ``U_A, U_B`` as complex arrays.  In order: :func:`_check_pair`; each ``U`` by
-    :func:`_require_isometry` with shape ``(prod(dims), src factor)``; target
-    factors equal to ``dst.dims``."""
-    _check_pair(src, dst)
     u_a = _require_isometry(u_a, "U_A", dims_a[0] * dims_a[1], src.dims[0])
     u_b = _require_isometry(u_b, "U_B", dims_b[0] * dims_b[1], src.dims[1])
     if (dims_a[0], dims_b[0]) != dst.dims:
@@ -130,7 +126,8 @@ def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
 
 def _target_vector(row_target: np.ndarray, aux: np.ndarray, dims) -> np.ndarray:
     """(target (x) aux) in the (A~ A^ B~ B^ P) factor order, as one broadcast product
-    of ``row_target`` (a vector or the ``(A~, B~)`` matrix) and ``aux``."""
+    of ``row_target`` (a vector or the ``(A~, B~)`` matrix) and ``aux``; an ``aux`` of
+    shape ``(hat, n)`` is read as ``n`` columns in the P slot (``dims[4] = n``)."""
     d_ta, d_ha, d_tb, d_hb, d_p = dims
     full = row_target.reshape(d_ta, 1, d_tb, 1) * aux.reshape(d_ha, 1, d_hb * d_p)
     return full.reshape(-1)
@@ -264,15 +261,16 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     """Witness embedding ``s`` into its constructed Naimark dilation.
 
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
-    bounded by the projectivity defect of ``s``.  After
-    ``naimark_strategy(s)`` the isometries it kept as a fact of ``s`` are
-    used, and nothing is built.
+    bounded by the projectivity defect of ``s``.  The isometries are those
+    ``naimark_strategy(s)`` keeps as a fact of ``s``; before it has run, its steps
+    build them under its gate and with no projection, so the order of the two
+    calls does not change the witness.
     """
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
     built = games._recall(s, "naimark_isometries")
-    if built is None:
-        d_a, d_b = s.dims
-        built = naimark.naimark_isometry(s.alice, d_a), naimark.naimark_isometry(s.bob, d_b)
+    if built is None:  # naimark_strategy gates the families until s passed a gate
+        gate = games._recall(s, "valid_tol") is None
+        built = [naimark._step_isometries(f, gate, d)[1] for f, d in zip((s.alice, s.bob), s.dims)]
     return _trivial_ancilla_witness(*built)
 
 
@@ -359,30 +357,42 @@ def matrix_form_residual(
 ) -> float:
     """Max Frobenius defect of ``U (E (x) F) rho U* = (E~ (x) F~) |psi~><psi~| (x) sigma``.
 
-    ``sigma_aux`` is a density operator on the hat factors.  Zero within
-    1e-10 exactly when the matrix-form dilation condition holds for this
-    isometry and auxiliary state.  The witness must fit the pair as in the
-    other two forms (:func:`_fit_witness`).
+    Zero to rounding exactly when the matrix-form condition holds, for a density
+    operator ``sigma_aux`` on the hat factors (any square matrix is read).  The
+    witness must fit the pair, and ``src`` is purified to ``psi``, as in the
+    vector form.  In the ``(A~ A^ B~ B^)`` order each row's defect is ``A B*`` for
+
+        A = [(U_A E (x) U_B F (x) 1_P) psi,  (E~ psi~ F~^T) (x) sigma]
+        B = [(U_A (x) U_B (x) 1_P) psi,     -psi~ (x) 1_hat]
+
+    (columns over the purifier, then the hat basis), and ``||A B*||_F = ||A T*||_F``
+    for the QR ``B = Q T``, made once per witness.  Expanded, ``||L||^2 + ||R||^2 -
+    2 Re<L, R>`` would cancel to a floor near ``1e-8`` at an exact witness.
     """
     return _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux).eps
 
 
 def _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux) -> ResidualReport:
     u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
-    psi_dst = dst.pure_state()
+    m_dst = dst.pure_state().reshape(dst.dims)
     sigma_aux = linalg.require_square(linalg.require_finite(sigma_aux, "sigma_aux"))
-    d_ta, d_ha = dims_a
-    d_tb, d_hb = dims_b
-    if sigma_aux.shape[0] != d_ha * d_hb:
+    hat = dims_a[1] * dims_b[1]
+    if sigma_aux.shape[0] != hat:
         raise DimensionMismatch("sigma_aux does not match the hat dimensions")
-    rho = src.density()
-    u = np.kron(u_a, u_b)
-    tilde = np.outer(psi_dst, psi_dst.conj())
+    psi, d_p = _purified(src)
+    dims5 = (*dims_a, *dims_b, hat)
+
+    def factor(op_a, op_b, tgt_row, aux) -> np.ndarray:
+        """``A`` or ``B`` of :func:`matrix_form_residual`."""
+        lhs = linalg.apply_factors(psi, (*src.dims, d_p), (op_a, op_b, None))
+        rhs = _target_vector(tgt_row, aux, dims5)
+        return np.hstack((lhs.reshape(-1, d_p), rhs.reshape(-1, hat)))
+
+    t_h = np.linalg.qr(factor(u_a, u_b, -m_dst, linalg.identity(hat)), mode="r").conj().T
 
     def row(e, f, e_dst, f_dst) -> float:
-        lhs = u @ np.kron(e, f) @ rho @ u.conj().T
-        lhs = linalg.permute_systems(lhs, (d_ta, d_ha, d_tb, d_hb), (0, 2, 1, 3))
-        return linalg.frobenius(lhs - np.kron(np.kron(e_dst, f_dst) @ tilde, sigma_aux))
+        tgt = games._times(f_dst, games._times(e_dst, m_dst).T).T
+        return linalg.frobenius(factor(u_a @ e, u_b @ f, tgt, sigma_aux) @ t_h)
 
     return _report("matrix", _side_rows(src.alice, dst.alice, lambda e, e_dst: _side_rows(
         src.bob, dst.bob, lambda f, f_dst: row(e, f, e_dst, f_dst)

@@ -130,12 +130,6 @@ def _step_isometries(
     return steps, v_total
 
 
-def naimark_isometry(povms, d: int | None = None) -> np.ndarray:
-    """The embedding isometry of :func:`naimark_family`, without the projections;
-    the identity on ``C^d`` for no families when the source dimension ``d`` is given."""
-    return _step_isometries(povms, d=d)[1]
-
-
 @dataclass(frozen=True, eq=False)
 class _Proof:
     """What :func:`_proven_dilation` proves of one dilated family of ``m``

@@ -98,12 +98,7 @@ def purify(rho) -> np.ndarray:
 
 def _purification(spec: linalg.SpectralData) -> np.ndarray:
     """:func:`purify` from the spectrum of ``rho``, with no check of ``rho``."""
-    top = spec.eigenvalues[0]
-    keep = spec.eigenvalues > 1e-12 * max(top, 0.0)
-    rank = int(np.count_nonzero(keep))
-    d = spec.eigenvectors.shape[0]
-    psi = np.zeros((d, rank), dtype=np.complex128)
-    for i in range(rank):
-        psi[:, i] = np.sqrt(spec.eigenvalues[i]) * spec.eigenvectors[:, i]
-    psi = psi.reshape(-1)
+    lam = spec.eigenvalues  # descending, so the kept ones come first
+    rank = int(np.count_nonzero(lam > 1e-12 * max(lam[0], 0.0)))
+    psi = (spec.eigenvectors[:, :rank] * np.sqrt(lam[:rank])).reshape(-1)
     return psi / np.linalg.norm(psi)

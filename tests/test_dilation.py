@@ -22,7 +22,13 @@ from selftest_lab.dilation import (
     vector_witness_from_extraction,
     vector_witness_from_matrix_form,
 )
-from selftest_lab.errors import DimensionMismatch, FullRankRequired, WitnessMismatch
+from selftest_lab.errors import (
+    DimensionMismatch,
+    FullRankRequired,
+    InvalidPovm,
+    InvalidState,
+    WitnessMismatch,
+)
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
 from selftest_lab.metrics import projective_eps, support_preserving_eps
@@ -82,6 +88,19 @@ def exact_instance(dst, k_a, k_b, entangled_aux=False, seed=0):
         aux=aux,
     )
     return src, w
+
+
+def _with_junk(dst, junk, k_a, k_b):
+    """``dst (x) junk`` with ``junk`` on ``C^k_a (x) C^k_b`` (a vector or a density
+    operator), each side's junk factor after its ``dst`` factor."""
+    d_a, d_b = dst.dims
+    state = np.kron(dst.state, junk) if junk.ndim == 1 else np.kron(dst.density(), junk)
+    return Strategy(
+        state=linalg.permute_systems(state, (d_a, d_b, k_a, k_b), (0, 2, 1, 3)),
+        dims=(d_a * k_a, d_b * k_b),
+        alice=[[np.kron(e, np.eye(k_a)) for e in fam] for fam in dst.alice],
+        bob=[[np.kron(e, np.eye(k_b)) for e in fam] for fam in dst.bob],
+    )
 
 
 def test_identity_witness_zero_residual():
@@ -235,6 +254,32 @@ def test_naimark_embedding_trivial_povm():
                  alice=[[np.eye(2, dtype=complex)]], bob=[[np.eye(3, dtype=complex)]])
     dilated, _, _ = naimark_strategy(s)
     assert dilation_residuals(s, dilated, naimark_embedding(s)).eps <= 1e-12
+
+
+def _near_chsh(tol):
+    """CHSH with Bob's family 0 set to ``(E0 + i eps X, E1 - i eps X)``, eps = 1e-7:
+    valid at 1e-6 and not at 1e-9, gated at ``tol`` when ``tol`` is given."""
+    c = canonical_chsh()
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    e0, e1 = c.bob[0]
+    s = Strategy(state=c.state, dims=c.dims, alice=c.alice,
+                 bob=[[e0 + 1e-7j * x, e1 - 1e-7j * x], *c.bob[1:]])
+    assert tol is None or games._is_valid(s, tol)
+    return s
+
+
+def test_naimark_embedding_does_not_depend_on_the_call_order():
+    first = naimark_embedding(_near_chsh(1e-6))
+    s = _near_chsh(1e-6)
+    _, v_a, v_b = naimark_strategy(s)
+    then = naimark_embedding(s)
+    for w in (first, then):
+        assert np.array_equal(w.u_a, v_a) and np.array_equal(w.u_b, v_b)
+        assert np.linalg.norm(w.u_b.conj().T @ w.u_b - np.eye(2)) <= 1e-15
+    # an ungated source is refused in either order, as naimark_strategy refuses it
+    for run in (naimark_embedding, naimark_strategy):
+        with pytest.raises(InvalidPovm, match="fails the validity gate"):
+            run(_near_chsh(None))
 
 
 def test_naimark_embedding_bound_random():
@@ -406,14 +451,7 @@ def test_matrix_form_mixed_source_roundtrip():
     dst = random_strategy(RNG, 2, 2, outcomes=2)
     k_a, k_b = 2, 2
     sigma_aux = random_density(RNG, k_a * k_b, rank=3)
-    rho_big = linalg.permute_systems(
-        np.kron(np.outer(dst.state, dst.state.conj()), sigma_aux),
-        (2, 2, k_a, k_b),
-        (0, 2, 1, 3),
-    )
-    alice = [[np.kron(e, np.eye(k_a)) for e in fam] for fam in dst.alice]
-    bob = [[np.kron(e, np.eye(k_b)) for e in fam] for fam in dst.bob]
-    src = Strategy(state=rho_big, dims=(2 * k_a, 2 * k_b), alice=alice, bob=bob)
+    src = _with_junk(dst, sigma_aux, k_a, k_b)
     u_a = np.eye(2 * k_a, dtype=complex)
     u_b = np.eye(2 * k_b, dtype=complex)
     r = matrix_form_residual(src, dst, u_a, u_b, (2, k_a), (2, k_b), sigma_aux)
@@ -421,6 +459,104 @@ def test_matrix_form_mixed_source_roundtrip():
     w = vector_witness_from_matrix_form(src, dst, u_a, u_b, (2, k_a), (2, k_b))
     report = dilation_residuals(src, dst, w, purification_probes=8, seed=5)
     assert report.eps <= 1e-10
+
+
+def matrix_rows_oracle(src, dst, u_a, u_b, dims_a, dims_b, sigma):
+    """Oracle: the matrix-form rows ``[s][a][t][b]`` as the dense loop that
+    ``matrix_form_residual`` ran before it worked on the vector form's factors,
+    building ``U (E (x) F) rho U*`` and ``(E~ (x) F~) |psi~><psi~| (x) sigma`` in
+    the joint space for each pair of elements."""
+    rho = src.density()
+    u = np.kron(u_a, u_b)
+    psi_dst = dst.pure_state()
+    tilde = np.outer(psi_dst, psi_dst.conj())
+    d_ta, d_ha = dims_a
+    d_tb, d_hb = dims_b
+
+    def row(e, f, e_dst, f_dst):
+        lhs = u @ np.kron(e, f) @ rho @ u.conj().T
+        lhs = linalg.permute_systems(lhs, (d_ta, d_ha, d_tb, d_hb), (0, 2, 1, 3))
+        return linalg.frobenius(lhs - np.kron(np.kron(e_dst, f_dst) @ tilde, sigma))
+
+    def side(fams, dst_fams, one):
+        return [[one(e, t) for e, t in zip(fam, dst_fam)] for fam, dst_fam in zip(fams, dst_fams)]
+
+    return side(src.alice, dst.alice, lambda e, e_dst: side(
+        src.bob, dst.bob, lambda f, f_dst: row(e, f, e_dst, f_dst)))
+
+
+@st.composite
+def matrix_cases(draw):
+    """``src = dst (x) junk`` seen through Haar local frames, with pure, full-rank
+    mixed or rank-deficient mixed junk (purifier rank 1-9); the exact witness or
+    one with a Haar-perturbed ``U_A``; ``sigma`` the junk's density operator or a
+    generic complex square matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_a, k_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dst = random_strategy(rng, draw(st.integers(2, 3)), 2, questions_a=draw(st.integers(1, 2)),
+                          outcomes=draw(st.integers(2, 3)))
+    kind = draw(st.sampled_from(["pure", "full rank", "rank deficient"]))
+    if kind == "pure":
+        junk = random_pure_state(rng, k_a * k_b)
+        exact_sigma = np.outer(junk, junk.conj())
+    else:
+        full = k_a * k_b
+        rank = full if kind == "full rank" else draw(st.integers(1, max(1, full - 1)))
+        junk = exact_sigma = random_density(rng, full, rank=rank)
+    src0 = _with_junk(dst, junk, k_a, k_b)
+    r_a, r_b = haar_unitary(rng, src0.dims[0]), haar_unitary(rng, src0.dims[1])
+    src = conjugate_strategy(src0, r_a, r_b)
+    u_a, u_b = r_a.conj().T, r_b.conj().T
+    if draw(st.booleans()):
+        u_a = haar_unitary(rng, u_a.shape[0]) @ u_a
+    if draw(st.booleans()):
+        sigma = exact_sigma
+    else:
+        sigma = rng.normal(size=exact_sigma.shape) + 1j * rng.normal(size=exact_sigma.shape)
+    return src, dst, u_a, u_b, (dst.dims[0], k_a), (dst.dims[1], k_b), sigma
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrix_cases())
+def test_matrix_rows_match_the_dense_oracle(case):
+    report = dilation._matrix_report(*case)
+    want = np.array(matrix_rows_oracle(*case))
+    got = np.array(report.rows)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * (1 + want))
+    assert report.eps == got.max()
+
+
+def _trace_scaled_source(scale):
+    """A mixed ``dst (x) sigma`` with its state scaled to trace ``scale``, the
+    vector-form witness of the unscaled source, and ``sigma``."""
+    rng = np.random.default_rng(7)
+    dst = random_strategy(rng, 2, 2)
+    sigma = random_density(rng, 4, rank=2)
+    src = _with_junk(dst, sigma, 2, 2)
+    w = vector_witness_from_matrix_form(src, dst, np.eye(4), np.eye(4), (2, 2), (2, 2))
+    scaled = Strategy(state=scale * src.state, dims=src.dims, alice=src.alice, bob=src.bob)
+    return scaled, dst, w, sigma
+
+
+def test_the_vector_and_matrix_forms_refuse_a_source_off_unit_trace():
+    src, dst, w, sigma = _trace_scaled_source(1.01)
+    with pytest.raises(InvalidState, match="unit trace"):
+        dilation_residuals(src, dst, w)
+    with pytest.raises(InvalidState, match="unit trace"):
+        matrix_form_residual(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma)
+    for form in ("vector", "matrix"):
+        with pytest.raises(InvalidState, match="unit trace"):
+            dilation.check(src, dst, w, form)
+
+
+def test_a_source_gated_at_its_tol_passes_the_vector_and_matrix_forms():
+    src, dst, w, sigma = _trace_scaled_source(1.01)
+    assert not games._is_valid(src, 1e-3) and games._is_valid(src, 0.02)
+    # both read the purification, normalized: the witness is exact for both
+    assert dilation_residuals(src, dst, w).eps <= 1e-12
+    assert matrix_form_residual(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma) <= 1e-12
+    assert dilation.check(src, dst, w, "matrix").eps <= 1e-12
 
 
 def test_extraction_chsh_identity():
@@ -624,15 +760,7 @@ def mixed_witness_cases(draw):
     k_a = draw(st.integers(1, 2))
     k_b = draw(st.integers(max(2, -(-rank // k_a)), 4))
     dst = random_strategy(rng, 2, 2, outcomes=draw(st.integers(2, 3)))
-    sigma = random_density(rng, k_a * k_b, rank=rank)
-    rho = linalg.permute_systems(
-        np.kron(np.outer(dst.state, dst.state.conj()), sigma), (2, 2, k_a, k_b), (0, 2, 1, 3)
-    )
-    src0 = Strategy(
-        state=rho, dims=(2 * k_a, 2 * k_b),
-        alice=[[np.kron(e, np.eye(k_a)) for e in fam] for fam in dst.alice],
-        bob=[[np.kron(e, np.eye(k_b)) for e in fam] for fam in dst.bob],
-    )
+    src0 = _with_junk(dst, random_density(rng, k_a * k_b, rank=rank), k_a, k_b)
     r_a, r_b = haar_unitary(rng, 2 * k_a), haar_unitary(rng, 2 * k_b)
     src = conjugate_strategy(src0, r_a, r_b)
     w = vector_witness_from_matrix_form(

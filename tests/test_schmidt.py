@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selftest_lab import linalg
+from selftest_lab import linalg, schmidt
 from selftest_lab.errors import InvalidState, PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, correlation_of, validate_strategy
 from selftest_lab.lab import canonical_chsh
@@ -238,6 +240,33 @@ def test_purify_roundtrip_random():
         assert d_p == rank
         recovered = linalg.partial_trace(np.outer(psi, psi.conj()), (4, d_p), "A")
         assert np.max(np.abs(recovered - rho)) <= 1e-10
+
+
+def purification_loop(spec):
+    """Oracle: the column loop ``schmidt._purification`` ran before it scaled the kept
+    eigenvectors in one product."""
+    top = spec.eigenvalues[0]
+    rank = int(np.count_nonzero(spec.eigenvalues > 1e-12 * max(top, 0.0)))
+    psi = np.zeros((spec.eigenvectors.shape[0], rank), dtype=np.complex128)
+    for i in range(rank):
+        psi[:, i] = np.sqrt(spec.eigenvalues[i]) * spec.eigenvectors[:, i]
+    psi = psi.reshape(-1)
+    return psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(["complex", "real", "diagonal"]),
+       st.integers(0, 2**32 - 1))
+def test_purification_has_the_bits_of_the_column_loop(d, rank, kind, seed):
+    # the same products in the same order: equal bits, signed zeros included
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, d, rank=min(rank, d))
+    rho = {"complex": rho, "real": rho.real.astype(complex), "diagonal": np.diag(np.diag(rho))}[kind]
+    spec = linalg.hermitian_eig(rho)
+    got, want = schmidt._purification(spec), purification_loop(spec)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_purify_rejects_non_state():
