@@ -8,10 +8,10 @@ residual of each measurement row is
     || (U_A (x) U_B (x) 1_P) (E (x) 1 (x) 1_P) |psi>  -  perm(row~ (x) aux) ||
 
 and the reported epsilon is the maximum over the state row and all element
-rows.  The matrix and extraction forms are alternative conditions.
-:func:`check` checks a witness in any of the three forms and returns one
-:class:`ResidualReport`; converters between exact witnesses of the
-different forms are provided.
+rows.  The matrix and extraction forms are alternative conditions, and the
+vector and matrix forms read one grid of rotations, purifying once per check.
+:func:`check` returns the :class:`ResidualReport` of any form; converters
+between exact witnesses of the different forms are provided.
 """
 
 from __future__ import annotations
@@ -147,28 +147,53 @@ def _purified(s: Strategy) -> tuple[np.ndarray, int]:
     return psi, psi.size // (s.dims[0] * s.dims[1])
 
 
-def fit_purifier(src: Strategy, w: DilationWitness) -> tuple[np.ndarray, int]:
-    """:func:`_purified` of ``src``, once ``w.aux`` has a purifier factor of that
-    dimension (else :class:`WitnessMismatch`): the purifier check of every form."""
-    psi, d_p = _purified(src)
-    if w.purifier_dim != d_p:
-        raise WitnessMismatch(
-            f"aux purifier factor is {w.purifier_dim}, purification needs {d_p}"
-        )
-    return psi, d_p
+class _Rotated:
+    """The purified source ``psi`` under ``U_A (x) U_B (x) 1_P``, one side at a time,
+    beside ``dst``'s state matrix ``M~``: the one object every state-based row reads.
+
+    Construction makes the checks of those rows, in order: the witness contract
+    (:func:`_fit_witness`), ``dst`` pure, ``sigma`` (when given) a finite square
+    matrix on the hat factors, then one purification of the source (its vector if
+    ``pure``), whose purifier factor must be any declared ``purifier`` (else
+    :class:`WitnessMismatch`)."""
+
+    def __init__(self, src, dst, u_a, u_b, dims_a, dims_b, sigma=None, purifier=None, pure=False):
+        self.u_a, self.u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
+        self.m_dst = dst.pure_state().reshape(dst.dims)
+        if sigma is not None:
+            sigma = linalg.require_square(linalg.require_finite(sigma, "sigma_aux"))
+            if sigma.shape[0] != dims_a[1] * dims_b[1]:
+                raise DimensionMismatch("sigma_aux does not match the hat dimensions")
+        self.sigma = sigma
+        psi, d_p = (src.pure_state(), 1) if pure else _purified(src)
+        if purifier not in (None, d_p):
+            raise WitnessMismatch(f"aux purifier factor is {purifier}, purification needs {d_p}")
+        self.psi, self.d_b = psi.reshape(src.dims[0], -1), src.dims[1]
+        self.dims = (*dims_a, *dims_b, d_p)
+
+    def alice(self, e=None, e_dst=None) -> tuple[np.ndarray, np.ndarray]:
+        """``((U_A E (x) 1 (x) 1_P) psi, E~ M~)``, or ``U_A`` and ``M~`` with no element."""
+        if e is None:
+            return self.u_a @ self.psi, self.m_dst
+        return (self.u_a @ e) @ self.psi, games._times(e_dst, self.m_dst)
+
+    def pair(self, half, f=None, f_dst=None) -> tuple[np.ndarray, np.ndarray]:
+        """``U_B F`` (``U_B`` with no element) on an :meth:`alice` half: the rotated
+        source as a ``(.., P)`` matrix in the ``(A~ A^ B~ B^)`` rows of
+        :func:`_target_vector`, and ``E~ M~ F~^T``."""
+        rotated, tgt = half
+        op, tgt = (self.u_b, tgt) if f is None else (self.u_b @ f, games._times(f_dst, tgt.T).T)
+        return (op @ rotated.reshape(-1, self.d_b, self.dims[4])).reshape(-1, self.dims[4]), tgt
 
 
-def _aux_component(rotated: np.ndarray, psi_dst: np.ndarray, dims) -> np.ndarray:
+def _aux_component(rotated: np.ndarray, m_dst: np.ndarray, dims) -> np.ndarray:
     """Recover aux as the normalized ``psi~``-component of a rotated state.
 
     ``rotated`` is in (A~ A^ B~ B^ P) factor order with ``dims`` those five
-    dimensions; the result lives on (A^ B^ P).
+    dimensions, and ``m_dst`` is ``psi~`` as a matrix; the result lives on (A^ B^ P).
     """
-    d_ta, d_ha, d_tb, d_hb, d_p = dims
-    m = linalg.permute_systems(rotated, dims, (0, 2, 1, 3, 4)).reshape(
-        d_ta * d_tb, d_ha * d_hb * d_p
-    )
-    aux = psi_dst.conj() @ m
+    m = rotated.reshape(*dims[:3], -1).swapaxes(1, 2).reshape(m_dst.size, -1)
+    aux = m_dst.reshape(-1).conj() @ m
     norm = np.linalg.norm(aux)
     if norm < 1e-6:
         raise WitnessMismatch("rotated state has no component along the target state")
@@ -193,25 +218,16 @@ def dilation_residuals(
     elements (acting on the other factors) commute with.  So
     ``purification_probes`` and ``seed`` are accepted and have no effect.
     """
-    _fit_witness(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
-    psi_dst = dst.pure_state()
-    psi, d_p = fit_purifier(src, w)
-    dims3 = (*src.dims, d_p)
-    dims5 = (w.dims_a[0], w.dims_a[1], w.dims_b[0], w.dims_b[1], d_p)
-    m_dst = psi_dst.reshape(dst.dims)
+    g = _Rotated(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, purifier=w.purifier_dim)
+    one = g.alice()
 
-    def row(op_a, op_b, tgt_row) -> float:
-        lhs = linalg.apply_factors(psi, dims3, (op_a, op_b, None))
-        return float(np.linalg.norm(lhs - _target_vector(tgt_row, w.aux, dims5)))
+    def row(rotated, tgt) -> float:
+        return float(np.linalg.norm(rotated.reshape(-1) - _target_vector(tgt, w.aux, g.dims)))
 
     return _report("vector", (
-        row(w.u_a, w.u_b, m_dst),
-        _side_rows(
-            src.alice, dst.alice, lambda e, t: row(w.u_a @ e, w.u_b, games._times(t, m_dst))
-        ),
-        _side_rows(
-            src.bob, dst.bob, lambda e, t: row(w.u_a, w.u_b @ e, games._times(t, m_dst.T).T)
-        ),
+        row(*g.pair(one)),
+        _side_rows(src.alice, dst.alice, lambda e, t: row(*g.pair(g.alice(e, t)))),
+        _side_rows(src.bob, dst.bob, lambda f, t: row(*g.pair(one, f, t))),
     ))
 
 
@@ -221,17 +237,16 @@ def check(
     """The report of ``w`` for ``src -> dst`` in ``form``: ``"vector"``,
     ``"matrix"`` (``sigma`` from :func:`matrix_aux_from_vector`) or ``"extraction"``
     (of ``w``'s isometries, factored as :func:`_extraction_dims`); every form
-    checks ``w``'s purifier factor once."""
+    purifies the source once, where it checks ``w``'s purifier factor."""
     if form == "vector":
         return dilation_residuals(src, dst, w)
-    fit_purifier(src, w)
     if form == "matrix":
         sigma = matrix_aux_from_vector(w)
-        return _matrix_report(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma)
+        return _matrix_report(src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b, sigma, w.purifier_dim)
     if form == "extraction":
         if (w.dims_a, w.dims_b) != (dims := _extraction_dims(src, dst)):
             raise WitnessMismatch(f"extraction needs factors {dims}, not {w.dims_a, w.dims_b}")
-        return extraction_residual(src, dst, w.u_a, w.u_b)
+        return _extraction_report(src, dst, w.u_a, w.u_b, w.purifier_dim)
     raise ValueError(f"unknown dilation form {form!r}")
 
 
@@ -372,31 +387,25 @@ def matrix_form_residual(
     return _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux).eps
 
 
-def _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux) -> ResidualReport:
-    u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
-    m_dst = dst.pure_state().reshape(dst.dims)
-    sigma_aux = linalg.require_square(linalg.require_finite(sigma_aux, "sigma_aux"))
+def _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux, purifier=None):
+    g = _Rotated(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux, purifier)
     hat = dims_a[1] * dims_b[1]
-    if sigma_aux.shape[0] != hat:
-        raise DimensionMismatch("sigma_aux does not match the hat dimensions")
-    psi, d_p = _purified(src)
     dims5 = (*dims_a, *dims_b, hat)
 
-    def factor(op_a, op_b, tgt_row, aux) -> np.ndarray:
+    def factor(rotated, tgt, aux) -> np.ndarray:
         """``A`` or ``B`` of :func:`matrix_form_residual`."""
-        lhs = linalg.apply_factors(psi, (*src.dims, d_p), (op_a, op_b, None))
-        rhs = _target_vector(tgt_row, aux, dims5)
-        return np.hstack((lhs.reshape(-1, d_p), rhs.reshape(-1, hat)))
+        return np.hstack((rotated, _target_vector(tgt, aux, dims5).reshape(-1, hat)))
 
-    t_h = np.linalg.qr(factor(u_a, u_b, -m_dst, linalg.identity(hat)), mode="r").conj().T
+    rotated, m_dst = g.pair(g.alice())
+    t_h = np.linalg.qr(factor(rotated, -m_dst, linalg.identity(hat)), mode="r").conj().T
 
-    def row(e, f, e_dst, f_dst) -> float:
-        tgt = games._times(f_dst, games._times(e_dst, m_dst).T).T
-        return linalg.frobenius(factor(u_a @ e, u_b @ f, tgt, sigma_aux) @ t_h)
+    def alice_rows(e, e_dst) -> tuple:
+        half = g.alice(e, e_dst)
+        return _side_rows(src.bob, dst.bob, lambda f, f_dst: linalg.frobenius(
+            factor(*g.pair(half, f, f_dst), g.sigma) @ t_h
+        ))
 
-    return _report("matrix", _side_rows(src.alice, dst.alice, lambda e, e_dst: _side_rows(
-        src.bob, dst.bob, lambda f, f_dst: row(e, f, e_dst, f_dst)
-    )))
+    return _report("matrix", _side_rows(src.alice, dst.alice, alice_rows))
 
 
 def _extraction_dims(src: Strategy, dst: Strategy):
@@ -415,18 +424,20 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> ResidualRepor
     forms (:func:`_fit_witness`), with the factorizations of
     :func:`_extraction_dims`, so ``U_A, U_B`` are square unitaries.
     """
+    return _extraction_report(src, dst, u_a, u_b)
+
+
+def _extraction_report(src, dst, u_a, u_b, purifier=None) -> ResidualReport:
     dims_a, dims_b = _extraction_dims(src, dst)
-    u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
-    psi = src.pure_state()
-    psi_dst = dst.pure_state()
+    # a declared purifier factor (from check) is checked against the purification
+    g = _Rotated(src, dst, u_a, u_b, dims_a, dims_b, purifier=purifier, pure=purifier is None)
     for st, name in ((src, "src"), (dst, "dst")):
         sd = schmidt.schmidt_decompose(st.pure_state(), st.dims)
         if sd.rank != min(st.dims) or st.dims[0] != st.dims[1]:
             raise FullRankRequired(f"{name} strategy is not full-Schmidt-rank")
-    dims5 = (*dims_a, *dims_b, 1)
-    rotated = linalg.apply_factors(psi, src.dims, (u_a, u_b))
-    aux = _aux_component(rotated, psi_dst, dims5)
-    state = float(np.linalg.norm(rotated - _target_vector(psi_dst, aux, dims5)))
+    rotated, m_dst = g.pair(g.alice())
+    aux = _aux_component(rotated, m_dst, g.dims)
+    state = float(np.linalg.norm(rotated.reshape(-1) - _target_vector(m_dst, aux, g.dims)))
 
     def side(fams, dst_fams, u, d_hat) -> tuple:
         eye = linalg.identity(d_hat)
@@ -434,9 +445,8 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> ResidualRepor
             fams, dst_fams, lambda e, t: linalg.frobenius(u @ e @ u.conj().T - np.kron(t, eye))
         )
 
-    return _report("extraction", (
-        state, side(src.alice, dst.alice, u_a, dims_a[1]), side(src.bob, dst.bob, u_b, dims_b[1])
-    ))
+    return _report("extraction", (state, side(src.alice, dst.alice, g.u_a, dims_a[1]),
+                                  side(src.bob, dst.bob, g.u_b, dims_b[1])))
 
 
 def vector_witness_from_matrix_form(
@@ -447,19 +457,16 @@ def vector_witness_from_matrix_form(
     The auxiliary state is read off as the ``psi~``-component of the rotated
     (purified) source state; exact when the matrix-form condition holds.
     """
-    u_a, u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
-    psi_dst = dst.pure_state()
-    psi, d_p = _purified(src)
-    rotated = linalg.apply_factors(psi, (*src.dims, d_p), (u_a, u_b, None))
-    aux = _aux_component(rotated, psi_dst, (*dims_a, *dims_b, d_p))
-    return DilationWitness(u_a=u_a, u_b=u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
+    g = _Rotated(src, dst, u_a, u_b, dims_a, dims_b)
+    aux = _aux_component(*g.pair(g.alice()), g.dims)
+    return DilationWitness(u_a=g.u_a, u_b=g.u_b, dims_a=dims_a, dims_b=dims_b, aux=aux)
 
 
 def matrix_aux_from_vector(w: DilationWitness) -> np.ndarray:
-    """Matrix-form auxiliary state: trace the purifier out of ``|aux><aux|``."""
-    hat = w.dims_a[1] * w.dims_b[1]
-    rho = np.outer(w.aux, w.aux.conj())
-    return linalg.partial_trace(rho, (hat, w.purifier_dim), "A")
+    """Matrix-form auxiliary state: the purifier traced out of ``|aux><aux|``, as
+    ``a a*`` for ``aux`` read as the ``(hat, P)`` matrix ``a``."""
+    a = w.aux.reshape(w.dims_a[1] * w.dims_b[1], w.purifier_dim)
+    return a @ a.conj().T
 
 
 def extraction_witness_from_vector(

@@ -50,7 +50,9 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     alias and hands any out."""
     a = np.ndarray(shape, np.complex128, bytes(16 * math.prod(shape)))
     _remember(a, sealed=True)
-    face = dict(a.__array_interface__, data=(a.__array_interface__["data"][0], False))
+    # not a.__array_interface__: each read interns and drops the key "typestr", and in
+    # a long run those dead entries make Python's interned-string table resize mid-job
+    face = {"shape": a.shape, "typestr": "<c16", "data": (a.ctypes.data, False), "version": 3}
     return a, np.asarray(types.SimpleNamespace(__array_interface__=face, owner=a))
 
 

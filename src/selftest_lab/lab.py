@@ -194,18 +194,17 @@ def rank_deficient_combination(phi, psi, d: int):
     """A combination ``phi + x0 psi`` with Schmidt rank below ``d``.
 
     Reshapes both (possibly unnormalized) vectors on ``C^d (x) C^d`` to d-by-d
-    matrices and solves ``det(M_phi + x M_psi) = 0`` through the eigenvalues
-    of ``-M_psi^{-1} M_phi``, swapping roles when ``M_psi`` is singular.  When
-    ``M_phi`` is itself singular, ``x0 = 0`` already works; in the swapped
-    case with no finite root the returned combination is ``psi`` alone and
-    ``x0`` is infinite.  Returns ``(x0, normalized state, schmidt rank)``.
+    matrices.  When ``M_phi`` is singular, ``x0 = 0`` already works; else the
+    roots of ``det(M_phi + x M_psi) = 0`` are ``x = -1/mu`` for the eigenvalues
+    ``mu`` of ``M_phi^{-1} M_psi`` with ``|mu| > 1e-12``, and with no such ``mu``
+    the returned combination is ``psi`` alone and ``x0`` is infinite.  Returns
+    ``(x0, normalized state, schmidt rank)``.
     """
     phi = linalg.as_complex(phi)
     psi = linalg.as_complex(psi)
     if phi.size != d * d or psi.size != d * d:
         raise DimensionMismatch(f"vectors must live on C^{d} (x) C^{d}")
     m_phi = phi.reshape(d, d)
-    m_psi = psi.reshape(d, d)
 
     def finish(x0: complex, vec: np.ndarray):
         vec = vec / np.linalg.norm(vec)
@@ -214,26 +213,17 @@ def rank_deficient_combination(phi, psi, d: int):
 
     if _numerical_rank(m_phi) < d:
         return finish(0.0 + 0.0j, phi)
-    if _numerical_rank(m_psi) == d:
-        roots = np.linalg.eigvals(-np.linalg.solve(m_psi, m_phi))
-        candidates = sorted(roots, key=lambda z: (abs(z), z.real, z.imag))
-    else:
-        # det(M_psi + y M_phi) = 0 at nonzero y gives x0 = 1/y
-        roots = np.linalg.eigvals(-np.linalg.solve(m_phi, m_psi))
-        finite = [1.0 / y for y in roots if abs(y) > 1e-12]
-        if not finite:
-            return finish(complex(np.inf), psi)
-        candidates = sorted(finite, key=lambda z: (abs(z), z.real, z.imag))
-    best = None
-    for x0 in candidates:
-        vec = phi + x0 * psi
-        m = vec.reshape(d, d)
-        sing = np.linalg.svd(m, compute_uv=False)
-        ratio = sing[-1] / sing[0] if sing[0] > 0 else 0.0
-        if best is None or ratio < best[0]:
-            best = (ratio, x0, vec)
-    _, x0, vec = best
-    return finish(complex(x0), vec)
+    mu = np.linalg.eigvals(np.linalg.solve(m_phi, psi.reshape(d, d)))
+    roots = [-1.0 / z for z in mu if abs(z) > 1e-12]
+    if not roots:
+        return finish(complex(np.inf), psi)
+
+    def ratio(x0) -> float:
+        sing = np.linalg.svd((phi + x0 * psi).reshape(d, d), compute_uv=False)
+        return sing[-1] / sing[0] if sing[0] > 0 else 0.0
+
+    x0 = min(sorted(roots, key=lambda z: (abs(z), z.real, z.imag)), key=ratio)
+    return finish(complex(x0), phi + x0 * psi)
 
 
 def effective_measurement(elements, u, dims: tuple[int, int], sigma) -> list[np.ndarray]:
@@ -283,7 +273,8 @@ def higher_order_moment(s: Strategy, alice_word, bob_word) -> complex:
     op_b = product(s.bob, bob_word, d_b)
     if s.is_pure:
         return complex(np.vdot(s.state, linalg.apply_factors(s.state, s.dims, (op_a, op_b))))
-    return complex(np.trace(np.kron(op_a, op_b) @ s.state))
+    rho = s.state.reshape(d_a, d_b, d_a, d_b)
+    return complex(np.einsum("ki,lj,ijkl->", op_a, op_b, rho))
 
 
 def minimal_dilation_strategies() -> tuple[Strategy, Strategy]:

@@ -550,6 +550,30 @@ def test_the_vector_and_matrix_forms_refuse_a_source_off_unit_trace():
             dilation.check(src, dst, w, form)
 
 
+def test_each_check_purifies_once_and_the_matrix_form_takes_each_alice_element_once(
+    monkeypatch,
+):
+    src, dst, w, sigma = _trace_scaled_source(1.0)
+    args = (src, dst, w.u_a, w.u_b, w.dims_a, w.dims_b)
+    calls, purified = [], dilation._purified
+    monkeypatch.setattr(dilation, "_purified", lambda s: calls.append(s) or purified(s))
+    for run in (lambda: dilation.check(src, dst, w, "vector"),
+                lambda: dilation.check(src, dst, w, "matrix"),
+                lambda: dilation_residuals(src, dst, w),
+                lambda: matrix_form_residual(*args, sigma),
+                lambda: vector_witness_from_matrix_form(*args)):
+        calls.clear()
+        run()
+        assert len(calls) == 1 and calls[0] is src
+    # one (U_A E) psi and one E~ M~ per Alice element, not one per pair of elements
+    seen, times = [], games._times
+    monkeypatch.setattr(games, "_times", lambda e, x: seen.append(e) or times(e, x))
+    report = dilation.check(src, dst, w, "matrix")
+    assert report.eps <= 1e-12 and sum(map(len, dst.bob)) == 4
+    for e in (e for fam in dst.alice for e in fam):
+        assert sum(x is e for x in seen) == 1
+
+
 def test_a_source_gated_at_its_tol_passes_the_vector_and_matrix_forms():
     src, dst, w, sigma = _trace_scaled_source(1.01)
     assert not games._is_valid(src, 1e-3) and games._is_valid(src, 0.02)
@@ -930,3 +954,30 @@ def test_complete_isometry_is_a_unitary_extending_its_input(shape, seed):
     assert u.shape == (n, n)
     assert np.array_equal(u[:, :m], v)
     assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12
+
+
+def _mixed_pair():
+    src, dst, w, _ = _trace_scaled_source(1.0)
+    return src, dst, w
+
+
+CONTRACTS = {
+    "unknown form": (lambda: dilation.check(*_mixed_pair(), "bogus"), ValueError),
+    "mixed source to reverse_witness": (lambda: reverse_witness(*_mixed_pair()), WitnessMismatch),
+    "mixed source to extraction_witness_from_vector": (
+        lambda: extraction_witness_from_vector(*_mixed_pair()), WitnessMismatch),
+    "mismatched middle dimensions": (
+        lambda: compose_witnesses(identity_witness(canonical_chsh()), _mixed_pair()[2]),
+        WitnessMismatch),
+    "sigma of the wrong size": (
+        lambda: matrix_form_residual(canonical_chsh(), canonical_chsh(), np.eye(2), np.eye(2),
+                                     (2, 1), (2, 1), np.eye(2) / 2),
+        DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACTS))
+def test_input_contracts_raise_their_error(case):
+    make, exc = CONTRACTS[case]
+    with pytest.raises(exc):
+        make()

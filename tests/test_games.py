@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selftest_lab import linalg
-from selftest_lab.errors import DimensionMismatch, InvalidStrategy
+from selftest_lab.errors import DimensionMismatch, InvalidState, InvalidStrategy
 from selftest_lab.games import (
+    Correlation,
     NonlocalGame,
     Strategy,
     attach_product_ancilla,
@@ -104,6 +105,40 @@ def test_strategy_rejects_local_dimension_below_one(dims, pure):
         state = np.outer(state, state.conj())
     with pytest.raises(DimensionMismatch, match="local dimensions must be >= 1"):
         Strategy(state=state, dims=dims, alice=[], bob=[])
+
+
+def _chsh_with_state(state):
+    eye = np.eye(2, dtype=complex)
+    return Strategy(state=state, dims=(2, 2), alice=[[eye]], bob=[[eye]])
+
+
+def _chsh_with_bob(bob):
+    s = canonical_chsh()
+    return Strategy(state=s.state, dims=s.dims, alice=s.alice, bob=bob)
+
+
+INPUT_CONTRACTS = {
+    "pure state of the wrong size": (lambda: _chsh_with_state(np.ones(3)), DimensionMismatch),
+    "density of the wrong shape": (lambda: _chsh_with_state(np.eye(3)), DimensionMismatch),
+    "3-D state": (lambda: _chsh_with_state(np.ones((2, 2, 4))), DimensionMismatch),
+    "table not 4-D": (lambda: Correlation(np.full((2, 2, 4), 0.25)), DimensionMismatch),
+    "table out of range": (lambda: Correlation(np.full((1, 1, 2, 2), [[1.5, -0.5]] * 2)),
+                           InvalidState),
+    "table not normalized": (lambda: Correlation(np.full((1, 1, 2, 2), 0.2)), InvalidState),
+    "question sets differ": (lambda: game_operator(chsh_game(), trine_strategy()),
+                             DimensionMismatch),
+    "answer sets differ": (
+        lambda: game_operator(chsh_game(), _chsh_with_bob([trine_povm(), trine_povm()])),
+        DimensionMismatch,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CONTRACTS))
+def test_input_contracts_raise_their_error(case):
+    make, exc = INPUT_CONTRACTS[case]
+    with pytest.raises(exc):
+        make()
 
 
 def test_game_operator_chsh_spectrum():

@@ -28,6 +28,7 @@ from selftest_lab.lab import (
 )
 from selftest_lab.metrics import projective_eps, support_preserving_eps
 from selftest_lab.naimark import minimal_trine_dilation, naimark_strategy, trine_povm
+from selftest_lab.schmidt import purify
 
 from helpers import (
     random_bipartite_state,
@@ -234,6 +235,30 @@ def test_rank_deficient_combination_random_sweep():
             assert sing[-1] <= 1e-8 * sing[0]
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_rank_deficient_combination_with_a_product_psi(d):
+    # M_psi = a b^T has rank 1, so det(M_phi + x a b^T) = det(M_phi)(1 + x b^T M_phi^-1 a)
+    # (the matrix determinant lemma) has the one root x0 = -1 / (b^T M_phi^-1 a)
+    rng = np.random.default_rng(40 + d)
+    a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
+    phi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    x0, state, rank = rank_deficient_combination(phi, np.kron(a, b), d)
+    want = -1.0 / (b @ np.linalg.solve(phi.reshape(d, d), a))
+    assert abs(x0 - want) <= 1e-10 * abs(want)
+    assert rank == d - 1
+    vec = phi + want * np.kron(a, b)
+    assert np.allclose(state, vec / np.linalg.norm(vec))
+
+
+def test_rank_deficient_combination_with_no_finite_root():
+    # det(1 + x N) = 1 for nilpotent N: no x works, and psi alone is returned
+    phi = np.array([1, 0, 0, 1], dtype=complex)
+    psi = np.array([0, 1, 0, 0], dtype=complex)
+    x0, state, rank = rank_deficient_combination(phi, psi, 2)
+    assert x0 == complex(np.inf)
+    assert np.array_equal(state, psi) and rank == 1
+
+
 def test_effective_measurement_trivial_embedding():
     m = trine_povm()
     g = effective_measurement(m, np.eye(2, dtype=complex), (2, 1), np.ones((1, 1)))
@@ -311,6 +336,37 @@ def test_higher_order_moment_separating_values():
     assert m1.real == pytest.approx((4 - SQRT2) / 18, abs=1e-12)
     assert m2.real == pytest.approx((2 - SQRT2) / 18, abs=1e-12)
     assert (m1 - m2).real == pytest.approx(1 / 9, abs=1e-12)
+
+
+def _mixed_moment_case(seed, d_a=2, d_b=3, rank=3):
+    """A strategy with a random rank-``rank`` density operator, and one word per side."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, d_a * d_b, rank=rank)
+    s = Strategy(state=rho, dims=(d_a, d_b),
+                 alice=[random_povm(rng, d_a, 2), random_povm(rng, d_a, 3)],
+                 bob=[random_povm(rng, d_b, 2), random_povm(rng, d_b, 3)])
+    return s, [(1, 2), (0, 0), (1, 0)], [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_higher_order_moment_of_a_mixed_state_matches_the_dense_trace(seed):
+    s, word_a, word_b = _mixed_moment_case(seed)
+    op_a = s.alice[1][2] @ s.alice[0][0] @ s.alice[1][0]
+    op_b = s.bob[0][1] @ s.bob[1][2]
+    want = np.trace(np.kron(op_a, op_b) @ s.state)
+    assert abs(higher_order_moment(s, word_a, word_b) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_higher_order_moment_of_a_mixed_state_matches_its_purification(seed):
+    # the purifier is appended to Bob, whose operators act as F (x) 1_P
+    s, word_a, word_b = _mixed_moment_case(seed)
+    psi = purify(s.state)
+    d_p = psi.size // s.state.shape[0]
+    pure = Strategy(state=psi, dims=(s.dims[0], s.dims[1] * d_p), alice=s.alice,
+                    bob=[[np.kron(f, np.eye(d_p)) for f in fam] for fam in s.bob])
+    got = higher_order_moment(s, word_a, word_b)
+    assert abs(got - higher_order_moment(pure, word_a, word_b)) <= 1e-14
 
 
 def test_higher_order_moment_range_check():
