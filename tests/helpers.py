@@ -3,6 +3,7 @@
 import numpy as np
 
 from selftest_lab.games import Strategy
+from selftest_lab.lab import canonical_chsh
 
 
 def haar_unitary(rng, d):
@@ -73,3 +74,13 @@ def random_strategy(rng, d_a, d_b, questions_a=2, questions_b=2, outcomes=2,
         alice=[gen(rng, d_a, outcomes) for _ in range(questions_a)],
         bob=[gen(rng, d_b, outcomes) for _ in range(questions_b)],
     )
+
+
+def overflowing_chsh():
+    """``canonical_chsh`` with the unnormalized state ``(0.9, 0.9, 0.9, 0.9)`` and
+    Bob's first element of question 1 replaced by ``[[1.7e308, 1.7e308], [0, 0]]``:
+    every product through that element overflows, so its rows read NaN."""
+    c = canonical_chsh()
+    big = np.array([[1.7e308, 1.7e308], [0.0, 0.0]], dtype=complex)
+    bob = [list(c.bob[0]), [big, c.bob[1][1]]]
+    return Strategy(state=np.full(4, 0.9), dims=c.dims, alice=c.alice, bob=bob)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from selftest_lab.schmidt import purify, restrict
 from helpers import (
     haar_isometry,
     haar_unitary,
+    overflowing_chsh,
     random_bipartite_state,
     random_density,
     random_povm,
@@ -981,3 +983,26 @@ def test_input_contracts_raise_their_error(case):
     make, exc = CONTRACTS[case]
     with pytest.raises(exc):
         make()
+
+
+@pytest.mark.parametrize("form", ["vector", "matrix"])
+def test_a_nan_row_reads_nan_eps(form):
+    # Bob's overflowing element gives a NaN row that is not the first one
+    s = overflowing_chsh()
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = dilation.check(s, s, identity_witness(s), form)
+    assert np.isnan(report.eps)
+
+
+def test_check_leaves_no_reference_cycle():
+    s = canonical_chsh()
+    w = identity_witness(s)
+    dilation.check(s, s, w)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            dilation.check(s, s, w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import linalg
+from selftest_lab import games, linalg
 from selftest_lab.errors import InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
 from selftest_lab.lab import canonical_chsh, trine_strategy
@@ -24,6 +24,7 @@ from selftest_lab.schmidt import local_supports, restrict, schmidt_decompose
 
 from helpers import (
     haar_unitary,
+    overflowing_chsh,
     random_bipartite_state,
     random_povm,
     random_pure_state,
@@ -464,6 +465,26 @@ def test_overlap_below_negative_dust_raises(excess, raises):
             strategy_metrics(s)
     else:
         assert strategy_metrics(s).alice_overlaps == ((0.0,),)
+
+
+def test_a_gated_leaky_element_reads_overlap_zero():
+    # the leaky element at excess 2e-10, completed to a family: it and its
+    # complement have <1-E, E> = -2e-10 (1 + 2e-10), and the gate at 1e-9 passes
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    e = np.diag([1.0 + 2e-10, 0.0]).astype(complex)
+    fam = [e, np.eye(2) - e]
+    s = Strategy(state=psi, dims=(2, 2), alice=[fam], bob=[[np.eye(2, dtype=complex)]])
+    assert games._is_valid(s, 1e-9)
+    assert strategy_metrics(s).alice_overlaps == ((0.0, 0.0),)
+
+
+def test_a_nan_overlap_or_commutator_reads_nan():
+    # a NaN is not dust: both aggregates keep it, though it is not the first entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = strategy_metrics(overflowing_chsh())
+    assert np.isnan(m.bob_overlaps[1][0]) and np.isnan(m.bob_commutator_norms[1][0])
+    assert np.isnan(m.projective_eps) and np.isnan(m.support_eps)
 
 
 def test_metrics_on_d324_dilation_build_no_dilated_operator():

@@ -22,6 +22,7 @@ from selftest_lab.games import (
     correlation_of,
 )
 from selftest_lab.lab import canonical_chsh
+from selftest_lab.metrics import strategy_metrics
 from selftest_lab.naimark import naimark_strategy
 from selftest_lab.schmidt import restrict
 
@@ -268,6 +269,65 @@ def test_an_unpickled_array_is_copied_though_its_base_is_bytes():
     for a in [s.state] + [e for fam in s.alice + s.bob for e in fam]:
         with pytest.raises(ValueError):
             a.setflags(write=True)
+
+
+EDGE = st.sampled_from((0.0, 0.5, 0.9, 0.99, 1.0))
+
+
+def _hermitian(rng, d, norm):
+    """A random Hermitian ``d x d`` matrix of unit ``norm`` (``2`` or ``"fro"``)."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = x + x.conj().T
+    return h / np.linalg.norm(h, norm)
+
+
+@st.composite
+def gate_edge_strategies(draw):
+    """A pure strategy of rank-1 effects pushed to the edge of the gate at ``t``,
+    and ``t``.  A family is ``T^{-1/2} x x* T^{-1/2}`` for ``m >= d`` random
+    vectors ``x`` (a basis of projections when ``m = d``); then one element is
+    scaled by ``1 + c t`` (completeness defect up to ``t``), and a Hermitian part
+    ``a t h`` (``||h|| = 1``) and an anti-Hermitian one ``i b t g / 2``
+    (``||g||_F = 1``) move from one element to another, each keeping the sum,
+    with ``a``, ``b``, ``c`` and ``|s|`` drawn from :data:`EDGE`.  The state's
+    norm is ``1 + s 0.9 t``."""
+    t = draw(st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3, 1e-2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+
+    def family(d):
+        xs = rng.normal(size=(draw(st.integers(d, d + 1)), d, 1))
+        xs = xs + 1j * rng.normal(size=xs.shape)
+        effects = xs @ xs.conj().transpose(0, 2, 1)
+        evals, evecs = np.linalg.eigh(effects.sum(axis=0))
+        inv_root = (evecs / np.sqrt(evals)) @ evecs.conj().T
+        fam = [inv_root @ e @ inv_root for e in effects]
+        j, k = rng.choice(len(fam), size=2)
+        fam[j] = fam[j] * (1.0 + draw(EDGE) * t)
+        if j != k:
+            step = draw(EDGE) * t * _hermitian(rng, d, 2)
+            step = step + 0.5j * draw(EDGE) * t * _hermitian(rng, d, "fro")
+            fam[j], fam[k] = fam[j] + step, fam[k] - step
+        return fam
+
+    sides = [[family(d) for _ in range(draw(st.integers(1, 2)))] for d in dims]
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    state = random_bipartite_state(rng, *dims) * (1.0 + sign * draw(EDGE) * 0.9 * t)
+    return Strategy(state=state, dims=dims, alice=sides[0], bob=sides[1]), t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gate_edge_strategies())
+def test_a_gated_strategy_is_not_checked_again(case):
+    # correlation_of and strategy_metrics trust the gate; its promise holds: each
+    # question pair's clipped entries sum to within 2 (n_a + n_b) t of one
+    s, t = case
+    if not games._is_valid(s, t):
+        return
+    table = correlation_of(s, t).table
+    strategy_metrics(s)
+    n_a, n_b = table.shape[2:]
+    assert np.max(np.abs(table.sum(axis=(2, 3)) - 1.0)) <= 2 * (n_a + n_b) * t + 1e-12
 
 
 @st.composite
