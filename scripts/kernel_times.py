@@ -16,14 +16,15 @@ compare on one host, never a gate.  Beside its time, ``verify_dilation``
 reports the dense checks one call makes (``dense/call``): the calls, counted
 through wrappers, of ``linalg.projector_defect`` (a ``P @ P``),
 ``games._completeness_defect`` (a summed family) and
-``naimark._compression_defect`` (a ``V* P V``).  An entry that a fact answers
-makes no such call, so 0 means the call read only facts, and ``2 N`` plus one
-per family, for ``N`` projections, means it measured every entry.  Last,
-``gate`` times the validity gate ``games._is_valid(copy.copy(dilated), 1e-9)``
-(a shallow copy shares the sealed projections, so it holds their records but
-no ``valid_tol``) and reports its Cholesky factorizations per call
-(``cholesky/call``, the calls of ``linalg._shifted_cholesky_exists``): 0 when
-every family's record answers it, one per projection when none does.
+``naimark._compression_defect`` (a ``V* P V``).  An entry that its family's
+proof answers makes no such call, so 0 means the call read only proofs, and
+``2 N`` plus one per family, for ``N`` projections, means it measured every
+entry.  Last, ``gate`` times the validity gate
+``games._is_valid(copy.copy(dilated), 1e-9)`` (a shallow copy shares the proven
+families, so each carries its proof, but the copy holds no ``_valid_tol``) and
+reports its Cholesky factorizations per call (``cholesky/call``, the calls of
+``linalg._shifted_cholesky_exists``): 0 when every family's proof answers it,
+one per projection when none does.
 
 The residual rows time ``matrix_form_residual`` and ``dilation_residuals`` on
 seeded mixed sources ``dst (x) tau`` of local dimension ``d = t k`` (4, 8, 12

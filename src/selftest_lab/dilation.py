@@ -105,8 +105,8 @@ def _report(form: str, rows) -> ResidualReport:
 
 
 def _side_rows(fams, dst_fams, row) -> tuple:
-    """``row(E, E~)`` of each element ``E`` of one side and its image ``E~``, as ``[s][a]``."""
-    return tuple(tuple(map(row, fam, dst_fam)) for fam, dst_fam in zip(fams, dst_fams))
+    """``row(E, F~, a)`` of each element ``E = F[a]`` of one side, ``F~`` the image of ``F``."""
+    return tuple(tuple(row(e, t, a) for a, e in enumerate(f)) for f, t in zip(fams, dst_fams))
 
 
 def _fit_witness(src: Strategy, dst: Strategy, u_a, u_b, dims_a, dims_b):
@@ -144,7 +144,7 @@ def _purified(s: Strategy) -> tuple[np.ndarray, int]:
     fixed checks of the state, which the gate has made at that ``tol``."""
     if s.is_pure:
         return s.state, 1
-    if games._recall(s, "valid_tol") is None:
+    if s._valid_tol is None:
         psi = schmidt.purify(s.state)
     else:  # the Hermitian part, which hermitian_eig takes anyway, to the same bits
         psi = schmidt._purification(linalg.hermitian_eig((s.state + linalg.dagger(s.state)) / 2))
@@ -175,18 +175,19 @@ class _Rotated:
         self.psi, self.d_b = psi.reshape(src.dims[0], -1), src.dims[1]
         self.dims = (*dims_a, *dims_b, d_p)
 
-    def alice(self, e=None, e_dst=None) -> tuple[np.ndarray, np.ndarray]:
-        """``((U_A E (x) 1 (x) 1_P) psi, E~ M~)``, or ``U_A`` and ``M~`` with no element."""
+    def alice(self, e=None, fam=None, a=None) -> tuple[np.ndarray, np.ndarray]:
+        """``((U_A E (x) 1 (x) 1_P) psi, E~ M~)`` with ``E~ = fam[a]``, or ``U_A`` and
+        ``M~`` with no element."""
         if e is None:
             return self.u_a @ self.psi, self.m_dst
-        return (self.u_a @ e) @ self.psi, games._times(e_dst, self.m_dst)
+        return (self.u_a @ e) @ self.psi, games._times(fam, a, self.m_dst)
 
-    def pair(self, half, f=None, f_dst=None) -> tuple[np.ndarray, np.ndarray]:
+    def pair(self, half, f=None, fam=None, b=None) -> tuple[np.ndarray, np.ndarray]:
         """``U_B F`` (``U_B`` with no element) on an :meth:`alice` half: the rotated
         source as a ``(.., P)`` matrix in the ``(A~ A^ B~ B^)`` rows of
-        :func:`_target_vector`, and ``E~ M~ F~^T``."""
+        :func:`_target_vector`, and ``E~ M~ F~^T`` with ``F~ = fam[b]``."""
         rotated, tgt = half
-        op, tgt = (self.u_b, tgt) if f is None else (self.u_b @ f, games._times(f_dst, tgt.T).T)
+        op, tgt = (self.u_b, tgt) if f is None else (self.u_b @ f, games._times(fam, b, tgt.T).T)
         return (op @ rotated.reshape(-1, self.d_b, self.dims[4])).reshape(-1, self.dims[4]), tgt
 
 
@@ -230,8 +231,8 @@ def dilation_residuals(
 
     return _report("vector", (
         row(*g.pair(one)),
-        _side_rows(src.alice, dst.alice, lambda e, t: row(*g.pair(g.alice(e, t)))),
-        _side_rows(src.bob, dst.bob, lambda f, t: row(*g.pair(one, f, t))),
+        _side_rows(src.alice, dst.alice, lambda e, *image: row(*g.pair(g.alice(e, *image)))),
+        _side_rows(src.bob, dst.bob, lambda f, *image: row(*g.pair(one, f, *image))),
     ))
 
 
@@ -281,14 +282,14 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
 
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
     bounded by the projectivity defect of ``s``.  The isometries are those
-    ``naimark_strategy(s)`` keeps as a fact of ``s``; before it has run, its steps
+    ``naimark_strategy(s)`` keeps on ``s``; before it has run, its steps
     build them under its gate and with no projection, so the order of the two
     calls does not change the witness.
     """
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
-    built = games._recall(s, "naimark_isometries")
+    built = s._naimark_isometries
     if built is None:  # naimark_strategy gates the families until s passed a gate
-        gate = games._recall(s, "valid_tol") is None
+        gate = s._valid_tol is None
         built = [naimark._step_isometries(f, gate, d)[1] for f, d in zip((s.alice, s.bob), s.dims)]
     return _trivial_ancilla_witness(*built)
 
@@ -403,10 +404,10 @@ def _matrix_report(src, dst, u_a, u_b, dims_a, dims_b, sigma_aux, purifier=None)
     rotated, m_dst = g.pair(g.alice())
     t_h = np.linalg.qr(factor(rotated, -m_dst, linalg.identity(hat)), mode="r").conj().T
 
-    def alice_rows(e, e_dst) -> tuple:
-        half = g.alice(e, e_dst)
-        return _side_rows(src.bob, dst.bob, lambda f, f_dst: linalg.frobenius(
-            factor(*g.pair(half, f, f_dst), g.sigma) @ t_h
+    def alice_rows(e, fam, a) -> tuple:
+        half = g.alice(e, fam, a)
+        return _side_rows(src.bob, dst.bob, lambda f, *image: linalg.frobenius(
+            factor(*g.pair(half, f, *image), g.sigma) @ t_h
         ))
 
     return _report("matrix", _side_rows(src.alice, dst.alice, alice_rows))
@@ -445,9 +446,9 @@ def _extraction_report(src, dst, u_a, u_b, purifier=None) -> ResidualReport:
 
     def side(fams, dst_fams, u, d_hat) -> tuple:
         eye = linalg.identity(d_hat)
-        return _side_rows(
-            fams, dst_fams, lambda e, t: linalg.frobenius(u @ e @ u.conj().T - np.kron(t, eye))
-        )
+        return _side_rows(fams, dst_fams, lambda e, f, a: linalg.frobenius(
+            u @ e @ u.conj().T - np.kron(f[a], eye)
+        ))
 
     return _report("extraction", (state, side(src.alice, dst.alice, g.u_a, dims_a[1]),
                                   side(src.bob, dst.bob, g.u_b, dims_b[1])))

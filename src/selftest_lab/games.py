@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import types
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +28,26 @@ from . import linalg
 from .errors import DimensionMismatch, InvalidState, InvalidStrategy, PureStateRequired
 
 
+def _is_sealed(a: np.ndarray) -> bool:
+    """Whether ``a`` is complex128, C-contiguous, read-only down its ``.base`` chain and
+    over ``bytes``, which numpy refuses to make writable.  An unpickled array can have
+    a ``bytes`` base and stay writable, so the base alone proves nothing."""
+    if a.dtype != np.complex128 or not a.flags.c_contiguous:
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return type(a) is bytes
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """``a`` sealed: itself when this function or :func:`_sealed` made it, else
-    a C-contiguous complex128 copy over a ``bytes`` object, which numpy refuses
-    to make writable.  An unpickled array can have a ``bytes`` base and stay
-    writable, so the base alone proves nothing."""
+    """``a`` itself when :func:`_is_sealed`, else a C-contiguous complex128 copy
+    over a new ``bytes`` object."""
     a = np.asarray(a)
-    if not _recall(a, "sealed"):
-        a = np.ndarray(a.shape, np.complex128, np.ascontiguousarray(a, np.complex128).tobytes())
-        _remember(a, sealed=True)
-    return a
+    if _is_sealed(a):
+        return a
+    return np.ndarray(a.shape, np.complex128, np.ascontiguousarray(a, np.complex128).tobytes())
 
 
 def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -49,27 +58,44 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     array (one family per row block) finishes all of them before it drops the
     alias and hands any out."""
     a = np.ndarray(shape, np.complex128, bytes(16 * math.prod(shape)))
-    _remember(a, sealed=True)
     # not a.__array_interface__: each read interns and drops the key "typestr", and in
     # a long run those dead entries make Python's interned-string table resize mid-job
     face = {"shape": a.shape, "typestr": "<c16", "data": (a.ctypes.data, False), "version": 3}
     return a, np.asarray(types.SimpleNamespace(__array_interface__=face, owner=a))
 
 
+class _ProvenFamily(tuple):
+    """The projections of one Naimark-dilated family, immutable, and ``proof``, the
+    ``naimark._Proof`` of exactly this tuple (``naimark._proven_dilation``).  A slice,
+    a regrouping, a copy, a pickle, or one built with no ``proof`` (as by
+    ``dataclasses.asdict``) is a plain tuple: what it holds is measured, not proven."""
+
+    def __new__(cls, projections, proof=None):
+        if proof is None:
+            return tuple(projections)
+        family = super().__new__(cls, projections)
+        object.__setattr__(family, "proof", proof)
+        return family
+
+    def __setattr__(self, *_):
+        raise AttributeError("a proven family is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """``raw`` as tuples of :func:`_freeze`-d elements.  An empty family raises
     :class:`InvalidStrategy`; an element not finite or not ``dim x dim``,
-    :class:`DimensionMismatch`.  An element with a ``family`` fact is not scanned:
-    ``naimark._proven_dilation`` records one only with finite bounds, so finite
+    :class:`DimensionMismatch`.  A :class:`_ProvenFamily` is kept as it is and not
+    scanned: its projections are sealed, and its proof has finite bounds, so finite
     ``delta``, ``e`` and ``f``; then ``||B_j||^2 <= f`` and every entry is finite."""
     families = []
     for q, family in enumerate(raw):
-        family = tuple(
-            _freeze(e)
-            if _recall(e, "family") is not None
-            else _freeze(linalg.require_finite(e, f"{side} element"))
-            for e in family
-        )
+        if type(family) is not _ProvenFamily:
+            family = tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in family)
         if not family:
             raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
         for e in family:
@@ -116,23 +142,25 @@ class Strategy:
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
     of dimension ``dims[0] * dims[1]``.  Construction checks that both local
     dimensions are at least 1, the state's shape, that the state and every
-    element are finite (a Naimark projection's ``family`` fact proves it, so
-    it is not scanned again), and that every family is non-empty with elements
-    of its side's ``d x d`` shape; semantic validity is checked by
+    element are finite (a Naimark-dilated family's proof shows it, so it is not
+    scanned again), and that every family is non-empty with elements of its
+    side's ``d x d`` shape; semantic validity is checked by
     :func:`validate_strategy`.
 
-    The state and the elements are stored sealed (:func:`_freeze`): an array
-    sealed already, as every array of a strategy is, is adopted as is;
-    any other input is copied, so later writes to the caller's arrays never
-    reach the strategy, and no stored array can be made writable.  Copies and
-    pickles are rebuilt through the constructor.
+    The state and the elements are stored sealed (:func:`_freeze`): a sealed
+    array, as every array of a strategy is, is adopted as is; any other input
+    is copied, so later writes to the caller's arrays never reach the strategy,
+    and no stored array can be made writable.  Copies and pickles are rebuilt
+    through the constructor.
 
-    Facts proven of a strategy or a sealed array (``valid_tol`` of a passed gate,
-    see :func:`_is_valid`; the ``naimark_isometries`` and each projection's
-    ``family`` record of ``naimark.naimark_strategy``) live in one table held by weak reference
-    (:func:`_remember`, :func:`_recall`), never on the object, so equality,
-    copies and reports ignore them.  An entry leaves with its object.
+    Two facts proven of the strategy are kept on it, outside the fields, so
+    equality, ``repr``, ``asdict``, copies and pickles ignore them: ``_valid_tol``,
+    the smallest ``tol`` of a passed gate (:func:`_is_valid`), and
+    ``_naimark_isometries`` of ``naimark.naimark_strategy``.  None until set.
     """
+
+    _valid_tol = None
+    _naimark_isometries = None
 
     state: np.ndarray
     dims: tuple[int, int]
@@ -228,9 +256,10 @@ def _completeness_defect(family) -> float:
 
 def _family_valid(family, tol: float) -> bool:
     """Validity at ``tol`` of a family of finite square complex128 elements: its
-    :func:`_record`'s ``gate`` at most ``tol``, or per element the Hermiticity
-    defect, then :func:`linalg.is_psd`, and last the completeness defect."""
-    proof = _record(family)
+    ``proof``'s ``gate`` at most ``tol`` (a :class:`_ProvenFamily`), or per element
+    the Hermiticity defect, then :func:`linalg.is_psd`, and last the completeness
+    defect."""
+    proof = getattr(family, "proof", None)
     if proof is not None and tol >= proof.gate:
         return True
     if not all(linalg._hermitian_psd(e, tol) for e in family):
@@ -238,54 +267,23 @@ def _family_valid(family, tol: float) -> bool:
     return _completeness_defect(family) <= tol
 
 
-# id(obj) -> (a weak reference to obj, {fact: value}) for each Strategy with a
-# proven fact and each sealed array; the entry leaves as obj dies, before its
-# id can be reused.  See Strategy.
-_FACTS: dict[int, tuple[weakref.ref, dict]] = {}
-
-
-def _remember(obj, **facts) -> None:
-    """Add ``facts`` to what is known of ``obj``."""
-    key = id(obj)
-    if key in _FACTS:
-        _FACTS[key][1].update(facts)
-    else:
-        # pop is bound now: at interpreter exit the module global may be gone first
-        _FACTS[key] = (weakref.ref(obj, lambda _, pop=_FACTS.pop: pop(key, None)), facts)
-
-
-def _recall(obj, name: str, default=None):
-    """The fact ``name`` of ``obj``, or ``default``."""
-    entry = _FACTS.get(id(obj))
-    return default if entry is None else entry[1].get(name, default)
-
-
-def _record(family):
-    """The ``naimark._Proof`` of a non-empty ``family`` that is exactly the record's
-    members in order, else None (for a copied element, a regrouped or truncated family)."""
-    proof = _recall(family[0], "family", (None,))[0]
-    members = None if proof is None else [(proof, j) for j in range(proof.m)]
-    return proof if [_recall(e, "family") for e in family] == members else None
-
-
-def _times(e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``e @ x`` for a thin ``x``, or ``proof.times(j, x)`` when ``e`` is a Naimark
-    projection with the fact ``family = (proof, j)`` (``naimark._Proof``), which
-    reads no ``D x D`` array; ``naimark._proven_dilation`` bounds their distance."""
-    fact = _recall(e, "family")
-    return e @ x if fact is None else fact[0].times(fact[1], x)
+def _times(family, j: int, x: np.ndarray) -> np.ndarray:
+    """``family[j] @ x`` for a thin ``x``, or ``proof.times(j, x)`` for a
+    :class:`_ProvenFamily`, which reads no ``D x D`` array;
+    ``naimark._proven_dilation`` bounds their distance."""
+    proof = getattr(family, "proof", None)
+    return family[j] @ x if proof is None else proof.times(j, x)
 
 
 def _is_valid(s: Strategy, tol: float) -> bool:
     """Validity of ``s`` at ``tol``, to the first failed check: per family
-    :func:`_family_valid` (a Naimark family's record answers at or above its
+    :func:`_family_valid` (a Naimark family's proof answers at or above its
     ``gate``), last the state's norm (pure), or its trace, Hermiticity and
     :func:`linalg.is_psd` (mixed).  No spectrum is computed.  The smallest ``tol``
-    that passed is remembered as the fact ``valid_tol`` and answers any ``tol`` at
-    or above it with no check: validity is monotone in ``tol``.  A failed check
-    records nothing."""
-    proven = _recall(s, "valid_tol")
-    if proven is not None and tol >= proven:
+    that passed is kept as ``s._valid_tol`` and answers any ``tol`` at or above
+    it with no check: validity is monotone in ``tol``.  A failed check records
+    nothing."""
+    if s._valid_tol is not None and tol >= s._valid_tol:
         return True
     with np.errstate(over="ignore"):  # a huge finite entry's defect is inf, and fails
         valid = all(_family_valid(family, tol) for family in s.alice + s.bob) and (
@@ -295,7 +293,7 @@ def _is_valid(s: Strategy, tol: float) -> bool:
             and linalg._hermitian_psd(s.state, tol)
         )
     if valid:
-        _remember(s, valid_tol=tol)
+        object.__setattr__(s, "_valid_tol", tol)
     return valid
 
 
@@ -442,18 +440,18 @@ def _reduced_table(state, alice, bob, n_a, n_b) -> np.ndarray:
     if state.ndim == 2:  # R = conj(M) F M^T
         m_conj = state.conj()
 
-        def reduce(f):
-            return m_conj @ _times(f, state.T)
+        def reduce(family, b):
+            return m_conj @ _times(family, b, state.T)
     else:  # R_ki = sum_lj rho[i, j, k, l] F_lj, one matrix-vector product
         r = state.transpose(2, 0, 3, 1).reshape(d_a * d_a, d_b * d_b)
 
-        def reduce(f):
-            return (r @ f.reshape(-1)).reshape(d_a, d_a)
+        def reduce(family, b):
+            return (r @ family[b].reshape(-1)).reshape(d_a, d_a)
 
     reduced = np.zeros((len(bob), n_b, d_a, d_a), dtype=np.complex128)
     for qt, family in enumerate(bob):
-        for b, f in enumerate(family):
-            reduced[qt, b] = reduce(f)
+        for b in range(len(family)):
+            reduced[qt, b] = reduce(family, b)
     table = np.zeros((len(alice), len(bob), n_a, n_b), dtype=np.float64)
     for qs, family in enumerate(alice):
         for a, e in enumerate(family):

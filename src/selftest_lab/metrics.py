@@ -71,10 +71,10 @@ def _element_tables(families, basis, m, gated: bool):
     comm, over = [], []
     for fam in families:
         comm_row, over_row = [], []
-        for e in fam:
-            x = games._times(e, m)
+        for j in range(len(fam)):
+            x = games._times(fam, j, m)
             comm_row.append(float(np.linalg.norm(x - basis @ (basis_h @ x))))
-            val = float(np.real(np.vdot(m, x - games._times(e, x))))
+            val = float(np.real(np.vdot(m, x - games._times(fam, j, x))))
             if not gated and val < NEGATIVE_DUST:
                 raise InvalidPovm(
                     f"<1-E, E> is {val:.3e} < {NEGATIVE_DUST:.3g}; "
@@ -97,11 +97,12 @@ class StrategyMetrics:
 
 
 def strategy_metrics(s: Strategy) -> StrategyMetrics:
-    """All per-element tables plus the two aggregate defects of a pure strategy."""
+    """All per-element tables plus the two aggregate defects of a pure strategy, gated
+    at the default ``tol`` unless a gate has passed (see :func:`_element_tables`)."""
     psi = s.pure_state()
     sd = schmidt.schmidt_decompose(psi, s.dims)
     m = psi.reshape(s.dims)
-    gated = games._recall(s, "valid_tol") is not None
+    gated = s._valid_tol is not None or games._is_valid(s, linalg.DEFAULT_TOL)
     a_comm, a_over = _element_tables(s.alice, sd.left, m, gated)
     b_comm, b_over = _element_tables(s.bob, sd.right, m.T.copy(), gated)
     # np.max, unlike max, keeps a NaN entry

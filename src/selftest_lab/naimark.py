@@ -40,17 +40,16 @@ element, the spectrum, ``||P - P*||_F <= 2e``, each family's completeness
 defect (of order ``gamma(m) (sqrt(D) + f + e)``, ``f = ||W_k||_F^2``) and
 each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  Each
 family's bounds, its validity ``gate`` among them, and its sealed ``W_k`` are one
-record, :class:`_Proof`, kept by each projection as its fact ``family`` (see
-``games.Strategy``).  The proof holds whatever ``V2_k`` is, because the Gram
-defect is measured on the stored ``W_k``.
+record, :class:`_Proof`, which the family carries as a ``games._ProvenFamily``.
+The proof holds whatever ``V2_k`` is, because the Gram defect is measured on
+the stored ``W_k``.
 
-``games._times`` takes ``P x`` for a thin ``x`` through the record
+``games._times`` takes ``P x`` for a thin ``x`` through the proof
 (:meth:`_Proof.times`), at ``D D_k`` per column in place of ``D^2``, so the
 pure-state kernels read no ``D x D`` projection of a dilated strategy.
 :func:`verify_dilation` reads a bound when it is at most ``tol`` and measures
-densely otherwise, so its verdict is the dense one.  A projection with no
-record (read from a file, or copied) is measured as a matrix, and the validity
-and completeness of a regrouped family are measured too.
+densely otherwise, so its verdict is the dense one.  A family with no proof
+(read from a file, copied, regrouped or truncated) is measured as matrices.
 
 The projections of one dilated side are the rows of one sealed ``N x D x D``
 arena, ``N`` the side's element count, each computed in place: a side's build
@@ -137,7 +136,7 @@ class _Proof:
     grouped by outcome; ``None`` for the last family), ``square`` bounding each
     :func:`linalg.projector_defect`, ``complete`` the family's completeness
     defect, ``kappa`` and ``norm`` of *Compressions*, and ``gate``, the ``tol`` from
-    which on the family passes the gate.  It holds no projection, so it dies with them."""
+    which on the family passes the gate.  It holds no projection: its family holds it."""
 
     w: np.ndarray | None
     m: int
@@ -167,8 +166,8 @@ def _factored_families(steps: list[np.ndarray], dim: int) -> list:
     sealed with its columns grouped by outcome, so each ``W_kj`` is a column
     slice: ``None`` for the last family ``1 (x) |j><j|``.  All projections of
     the side are rows of one sealed arena, ``games._sealed((N, D, D))`` with
-    ``N = sum_k m_k``: each is a C-contiguous view, not yet marked sealed,
-    built in place through the arena's one writable alias, so none is copied.
+    ``N = sum_k m_k``: each is a sealed C-contiguous view, built in place
+    through the arena's one writable alias, so none is copied.
     The alias covers every family, so all are built before it is dropped and
     any leaves."""
     arena, block = games._sealed((sum(v2.shape[0] // v2.shape[1] for v2 in steps), dim, dim))
@@ -210,7 +209,7 @@ def naimark_family(povms) -> NaimarkDilation:
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
     family on the dilated dimension ``D``.  The projections are built sealed, as
     views of one arena (see :class:`NaimarkDilation`), so a :class:`Strategy`
-    built from them adopts them without a copy, and each carries its family's
+    built from them adopts them without a copy, and each family carries its
     :class:`_Proof`.
     """
     pvms, v = _proven_dilation(povms, gate=True)
@@ -218,12 +217,11 @@ def naimark_family(povms) -> NaimarkDilation:
 
 
 def _proven_dilation(povms, gate: bool, d: int | None = None):
-    """The dilated families of :func:`naimark_family` and the isometry ``V``;
-    projection ``j`` of each family gets the fact ``family = (proof, j)``,
-    ``proof`` the family's :class:`_Proof`, when its bounds are finite.  Its
-    ``gate``, the largest ``t`` of *Spectrum*, *Hermiticity* and *Completeness*,
-    is a ``tol`` at and above which the dense ``games._family_valid`` passes on
-    the family.  ``d`` is the source dimension, as in :func:`_step_isometries`.
+    """The dilated families of :func:`naimark_family` and the isometry ``V``; a
+    family is a ``games._ProvenFamily`` of its :class:`_Proof` when the proof's
+    bounds are finite, else a plain tuple.  Its ``gate``, the largest ``t`` of
+    *Spectrum*, *Hermiticity* and *Completeness*, is a ``tol`` at and above which
+    the dense ``games._family_valid`` passes on the family.  ``d`` is the source dimension, as in :func:`_step_isometries`.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
     outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
@@ -263,8 +261,8 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     ``||P_0||_F <= ||X_0||_F + e <= sqrt(D) (1 + delta) + e``.  So the gate
     measures at most ``gamma(m - 1) ((2 + delta) sqrt(D) + e + 3f) r``.
     Neither bound reads a projection: the proof costs one Gram product
-    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the record's
-    ``complete``, read only for the record's members in order.
+    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the proof's
+    ``complete``, read only for the family that carries it.
 
     *Projectivity.*  ``X_j^2 - X_j = B_j (B_j* B_j - 1) B_j*`` for ``j >= 1``,
     and ``X_0^2 - X_0`` is the same with ``B_j`` the tail ``[B_1 ... B_{m-1}]``;
@@ -273,12 +271,12 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     ``||P^2 - P||_F <= (1 + delta) delta + (3 + 2 delta) e + e^2``.  The dense
     check rounds its ``P @ P`` by at most ``g ||P||_F^2 <= g D (1 + beta)^2``
     and its difference and norm by a relative ``gamma(2 D^2 + 2)``
-    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The record's
+    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The proof's
     ``square`` is that bound; it is at least ``3 e r``, so it also covers the
     Hermiticity term of :func:`linalg.projector_defect`.  A NaN in a factor
-    makes ``delta`` NaN, and every bound with it, so no projection of the
-    family gets a record.  The last family has 0/1 diagonals summing to the
-    identity: every bound is 0.
+    makes ``delta`` NaN, and every bound with it, so the family carries no
+    proof.  The last family has 0/1 diagonals summing to the identity: every
+    bound is 0.
 
     *Products through the factor* (:meth:`_Proof.times`, for a finite ``x`` with
     ``r`` columns).  With ``B = B_j`` (``j >= 1``), the computed ``B (B* x)``
@@ -295,7 +293,7 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     and every dense term is a product with 0 or 1.
 
     *Compressions* (:func:`verify_dilation`, with ``V`` (``D x d``) and ``R``
-    as the caller passes them).  The record's ``kappa = (e + gamma(D + D_k +
+    as the caller passes them).  The proof's ``kappa = (e + gamma(D + D_k +
     5) (f + 1 + delta)) r`` is the bound above less the dense product's
     rounding, so ``Z = proof.times(j, V)`` is within ``kappa ||V||_F`` of the
     exact ``P V`` (``kappa = 0`` in the last family), and its ``norm``
@@ -333,9 +331,7 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
         norm = (dim**0.5 * (1 + delta) + e) * r
         proof = _Proof(w, len(fam), square, complete, kappa, norm, gate)
         finite = all(map(math.isfinite, (square, complete, kappa, norm, gate)))
-        for j, p in enumerate(fam):
-            games._remember(p, sealed=True, **({"family": (proof, j)} if finite else {}))
-        pvms.append(fam)
+        pvms.append(games._ProvenFamily(fam, proof) if finite else fam)
     return tuple(reversed(pvms)), v
 
 
@@ -357,8 +353,8 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     The returned strategy is projective and produces the same correlation as
     the input.  Each family's :class:`_Proof` answers the validity gate at or
     above its ``gate`` with no Cholesky, so the gate measures only the state's
-    norm; the strategy holds no ``valid_tol`` until a gate passes.
-    ``V_A`` and ``V_B`` are kept as a fact of ``s`` (sealed copies) for
+    norm; the strategy holds no ``_valid_tol`` until a gate passes.
+    ``V_A`` and ``V_B`` are kept as ``s._naimark_isometries`` (sealed) for
     ``dilation.naimark_embedding``.  A side with no questions is dilated by the
     identity of its dimension.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
@@ -366,7 +362,7 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     kept past the strategy keeps its whole side's arena alive.
     """
     psi = s.pure_state()
-    gate = games._recall(s, "valid_tol") is None
+    gate = s._valid_tol is None
     pvms_a, v_a = _proven_dilation(s.alice, gate, s.dims[0])
     pvms_b, v_b = _proven_dilation(s.bob, gate, s.dims[1])
     dilated = Strategy(
@@ -375,7 +371,7 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
         alice=pvms_a,
         bob=pvms_b,
     )
-    games._remember(s, naimark_isometries=(games._freeze(v_a), games._freeze(v_b)))
+    object.__setattr__(s, "_naimark_isometries", (games._freeze(v_a), games._freeze(v_b)))
     return dilated, v_a, v_b
 
 
@@ -433,9 +429,10 @@ class DilationCheck:
     """Defect tables from verifying a claimed Naimark dilation.
 
     Each entry is the measured defect, or, when that is at most ``tol``, a
-    bound from the projection's :class:`_Proof` (:func:`verify_dilation`): its
-    ``square``, its family's ``complete``, or ``||R - V* P V||_F`` bounded
-    through its factor.  An entry from a record bounds the measured value.
+    bound from the :class:`_Proof` of the projection's family
+    (:func:`verify_dilation`): its ``square``, its ``complete``, or
+    ``||R - V* P V||_F`` bounded through its factor.  An entry from a proof
+    bounds the measured value.
     """
 
     tol: float
@@ -452,14 +449,13 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     Raises ``DimensionMismatch`` when the families and the dilation differ in
     family count, in element count per family (an empty family is one), or
     in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
-    The :class:`_Proof` of a dilation this module built stands in for a dense
-    check whenever its bound is at most ``tol``, and every other entry is
-    measured, so the verdict is the dense one: ``square`` for ``P @ P``,
-    ``complete`` for a family that is exactly the record's members in order,
-    and a bound on ``||R - V* P V||_F`` through the factor, at ``D d n`` in
-    place of ``D^2 d`` (:func:`_proven_dilation`, *Compressions*).  A copied
-    projection, a regrouped or truncated family, or a dilation read from a file
-    is measured densely.
+    Each family of a dilation this module built carries a :class:`_Proof`, which
+    stands in for a dense check whenever its bound is at most ``tol``; every other
+    entry is measured, so the verdict is the dense one: ``square`` for ``P @ P``,
+    ``complete`` for the summed family, and a bound on ``||R - V* P V||_F``
+    through the factor, at ``D d n`` in place of ``D^2 d`` (:func:`_proven_dilation`,
+    *Compressions*).  A family with no proof (copied, regrouped, truncated, or
+    read from a file) is measured densely.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
@@ -482,12 +478,15 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     v_f = linalg.frobenius(v) * s  # >= ||V||_F
     # >= ||V||_2, as ||V||_2^2 <= 1 + ||V* V - 1||_F (_proven_dilation, *Compressions*)
     v_2 = (1 + iso_defect * s + linalg._gamma(v.shape[0] + 2) * v_f * v_f) ** 0.5 * s
+    proofs, norms = [getattr(fam, "proof", None) for fam in d.pvms], (v_2, v_f, s)
     element_defects = tuple(
-        tuple(_element_defect(r, p, v, (v_2, v_f, s), tol) for r, p in zip(family, dilated))
-        for family, dilated in zip(povms, pvms)
+        tuple(_element_defect(r, fam[j], proof, j, v, norms, tol) for j, r in enumerate(family))
+        for family, fam, proof in zip(povms, pvms, proofs)
     )
-    projection_defects = tuple(tuple(_projection_defect(p, tol) for p in fam) for fam in pvms)
-    completeness = [_completeness(fam, tol) for fam in pvms]
+    projection_defects = tuple(
+        tuple(_projection_defect(p, proof, tol) for p in fam) for fam, proof in zip(pvms, proofs)
+    )
+    completeness = [_completeness(fam, proof, tol) for fam, proof in zip(pvms, proofs)]
     # np.max, unlike max, keeps a NaN defect, which then fails the verdict
     worst = np.max(
         [iso_defect]
@@ -505,24 +504,22 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     )
 
 
-def _projection_defect(p: np.ndarray, tol: float) -> float:
-    """``square`` of ``p``'s record when it is at most ``tol``, else the measured
-    :func:`linalg.projector_defect`."""
-    fact = games._recall(p, "family")
-    if fact is not None and fact[0].square <= tol:
-        return fact[0].square
+def _projection_defect(p: np.ndarray, proof: _Proof | None, tol: float) -> float:
+    """``square`` of the ``proof`` of ``p``'s family when it is at most ``tol``, else
+    the measured :func:`linalg.projector_defect`."""
+    if proof is not None and proof.square <= tol:
+        return proof.square
     return linalg.projector_defect(p)
 
 
-def _element_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray, norms, tol: float) -> float:
-    """A bound on :func:`_compression_defect` from ``p``'s record when ``p`` has one
-    and the bound is at most ``tol``, else the measured value.  ``norms`` holds the
-    bounds on ``||V||_2`` and ``||V||_F`` and the relative rounding ``s``.  The
-    bound multiplies through the factor and reads no ``D x D`` array
-    (:func:`_proven_dilation`, *Compressions*)."""
-    fact = games._recall(p, "family")
-    if fact is not None:
-        (proof, j), (v_2, v_f, s) = fact, norms
+def _element_defect(r, p, proof: _Proof | None, j: int, v, norms, tol: float) -> float:
+    """A bound on :func:`_compression_defect` from the ``proof`` of the family whose
+    projection ``j`` is ``p``, when there is one and the bound is at most ``tol``,
+    else the measured value.  ``norms`` holds the bounds on ``||V||_2`` and
+    ``||V||_F`` and the relative rounding ``s``.  The bound multiplies through the
+    factor and reads no ``D x D`` array (:func:`_proven_dilation`, *Compressions*)."""
+    if proof is not None:
+        v_2, v_f, s = norms
         z = proof.times(j, v)
         g = linalg._gamma(v.shape[0] + 2)
         rounding = g * v_f * (linalg.frobenius(z) * s + 3 * proof.norm * v_f)
@@ -537,10 +534,9 @@ def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
     return linalg.frobenius(r - v.conj().T @ p @ v)
 
 
-def _completeness(family, tol: float) -> float:
-    """``complete`` of ``family``'s ``games._record`` when it has one at most ``tol``,
+def _completeness(family, proof: _Proof | None, tol: float) -> float:
+    """``complete`` of the ``proof`` ``family`` carries when it is at most ``tol``,
     else the measured ``games._completeness_defect``."""
-    proof = games._record(family)
     if proof is not None and proof.complete <= tol:
         return proof.complete
     return games._completeness_defect(family)

@@ -569,7 +569,7 @@ def test_each_check_purifies_once_and_the_matrix_form_takes_each_alice_element_o
         assert len(calls) == 1 and calls[0] is src
     # one (U_A E) psi and one E~ M~ per Alice element, not one per pair of elements
     seen, times = [], games._times
-    monkeypatch.setattr(games, "_times", lambda e, x: seen.append(e) or times(e, x))
+    monkeypatch.setattr(games, "_times", lambda fam, j, x: seen.append(fam[j]) or times(fam, j, x))
     report = dilation.check(src, dst, w, "matrix")
     assert report.eps <= 1e-12 and sum(map(len, dst.bob)) == 4
     for e in (e for fam in dst.alice for e in fam):

@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selftest_lab import linalg
+from selftest_lab import games, linalg
 from selftest_lab.errors import DimensionMismatch, InvalidState, InvalidStrategy
 from selftest_lab.games import (
     Correlation,
@@ -465,6 +467,12 @@ def test_strategy_adopts_sealed_arrays():
     # a strategy's own arrays are sealed, so rebuilding from them copies nothing
     again = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice, bob=chsh.bob)
     assert all(x is y for x, y in zip(_strategy_arrays(again), _strategy_arrays(chsh)))
+    assert all(map(games._is_sealed, _strategy_arrays(chsh)))
+    # an array read off bytes is sealed, though no strategy made it
+    e = np.frombuffer(np.array(chsh.bob[0][0]).tobytes(), np.complex128).reshape(2, 2)
+    s = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice,
+                 bob=[[e, chsh.bob[0][1]], chsh.bob[1]])
+    assert games._is_sealed(e) and s.bob[0][0] is e
 
 
 def _copied_inputs():
@@ -484,6 +492,11 @@ def _copied_inputs():
     fortran.setflags(write=False)
     real = np.array(e.real)
     real.setflags(write=False)
+    # unpickled over bytes (arrays from 1 KiB up), an array stays writable; a
+    # read-only view of it is not sealed
+    unpickled = pickle.loads(pickle.dumps(np.array([e] * 16), protocol=4))[0]
+    unpickled.setflags(write=False)
+    assert type(unpickled.base.base) is bytes and unpickled.base.flags.writeable
     return {
         "writable": writable,
         "read-only owner": owner,
@@ -491,6 +504,7 @@ def _copied_inputs():
         "non-contiguous": strided,
         "Fortran-ordered": fortran,
         "real dtype": real,
+        "read-only view of an unpickled array": unpickled,
     }
 
 
@@ -498,10 +512,11 @@ def _copied_inputs():
 def test_strategy_copies_inputs_it_cannot_adopt(kind):
     chsh = canonical_chsh()
     e = _copied_inputs()[kind]
+    assert not games._is_sealed(e)
     s = Strategy(state=chsh.state, dims=chsh.dims, alice=chsh.alice,
                  bob=[[e, chsh.bob[0][1]], chsh.bob[1]])
     stored = s.bob[0][0]
-    assert stored is not e
+    assert stored is not e and games._is_sealed(stored)
     assert stored.dtype == np.complex128 and stored.flags.c_contiguous
     with pytest.raises(ValueError):
         stored.setflags(write=True)

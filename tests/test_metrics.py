@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -477,6 +478,20 @@ def test_a_gated_leaky_element_reads_overlap_zero():
     s = Strategy(state=psi, dims=(2, 2), alice=[fam], bob=[[np.eye(2, dtype=complex)]])
     assert games._is_valid(s, 1e-9)
     assert strategy_metrics(s).alice_overlaps == ((0.0, 0.0),)
+
+
+@pytest.mark.parametrize("correlation_first", [False, True], ids=["fresh", "gated"])
+def test_a_valid_leaky_family_reads_zero_in_either_call_order(correlation_first):
+    # E0 = diag(1 + 5e-10, 0) and E1 = 1 - E0 on |00>: the gate passes at the default
+    # tol, though <1-E0, E0> = -5e-10 (1 + 5e-10) is below NEGATIVE_DUST
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    e = np.diag([1.0 + 5e-10, 0.0]).astype(complex)
+    s = Strategy(state=psi, dims=(2, 2), alice=[[e, np.eye(2) - e]], bob=[[np.eye(2, dtype=complex)]])
+    assert games.validate_strategy(copy.copy(s), linalg.DEFAULT_TOL).valid  # s stays ungated
+    if correlation_first:
+        games.correlation_of(s)
+    assert strategy_metrics(s).projective_eps == 0.0
 
 
 def test_a_nan_overlap_or_commutator_reads_nan():

@@ -467,7 +467,7 @@ def test_dilated_projections_are_read_only_and_shared():
             assert not p.flags.writeable
             with pytest.raises(ValueError):
                 p[0, 0] = 0.0
-            w = games._recall(p, "family")[0].w
+            w = fam.proof.w
             if w is not None:  # the sealed W_k, which no caller can make writable, nor a slice
                 with pytest.raises(ValueError):
                     w[:, 1:].setflags(write=True)
@@ -478,13 +478,13 @@ def test_dilated_projections_are_read_only_and_shared():
     assert all(x is y for fam, fam_d in zip(shared.bob, dil.pvms) for x, y in zip(fam, fam_d))
 
 
-def _rebuilt_from_factor(fam, p):
-    """``p`` rebuilt from its family's record with the build's operations in its
-    order: ``B B*``, the identity less each ``B_j B_j*`` of ``fam`` in turn, or
-    the 0/1 rows of the last family."""
-    proof, j = games._recall(p, "family")
-    assert games._recall(fam[0], "family")[0] is proof and proof.m == len(fam)
-    dim = p.shape[0]
+def _rebuilt_from_factor(fam, j):
+    """Projection ``j`` of ``fam`` rebuilt from the family's proof with the build's
+    operations in its order: ``B B*``, the identity less each ``B_j B_j*`` of ``fam``
+    in turn, or the 0/1 rows of the last family."""
+    proof = fam.proof
+    assert type(fam) is games._ProvenFamily and proof.m == len(fam)
+    dim = fam[j].shape[0]
     if proof.w is None:
         want = np.zeros((dim, dim), dtype=complex)
         rows = np.arange(dim)[j::proof.m]
@@ -509,11 +509,12 @@ def _assert_one_arena(families):
     assert arena.shape == (len(views),) + views[0].shape
     assert all(p.base is arena and p.flags.c_contiguous for p in views)
     for x in views + [arena]:
+        assert games._is_sealed(x)
         with pytest.raises(ValueError):
             x.setflags(write=True)
     for fam in families:
-        for p in fam:
-            assert np.array_equal(p, _rebuilt_from_factor(fam, p))
+        for j, p in enumerate(fam):
+            assert np.array_equal(p, _rebuilt_from_factor(fam, j))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -572,7 +573,7 @@ def test_proven_projections_are_not_scanned_again(monkeypatch):
     assert not set(scanned) & set(big)
     Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dilated.bob)
     assert not set(scanned) & set(big)
-    # the same arrays read from a file carry no fact: every element is scanned
+    # the same arrays read from a file carry no proof: every element is scanned
     serialize.strategy_from_jsonable(serialize.strategy_to_jsonable(dilated))
     elements = [e.shape for fam in dilated.alice + dilated.bob for e in fam]
     assert sorted(x for x in scanned if x in big) == sorted(elements)
@@ -663,8 +664,8 @@ def _counting_dense_reads(monkeypatch):
 
 
 def _dense_check(fams, dil):
-    """``verify_dilation`` of ``dil`` on copies of its projections, which carry
-    no record: every entry measured, at the default ``tol``."""
+    """``verify_dilation`` of ``dil`` on copies of its projections in plain tuples,
+    which carry no proof: every entry measured, at the default ``tol``."""
     copied = tuple(tuple(p.copy() for p in fam) for fam in dil.pvms)
     return verify_dilation(fams, NaimarkDilation(copied, dil.isometry, dil.dims))
 
@@ -698,7 +699,7 @@ def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
     for fams, dil in _dilated_cases(fams_a, fams_b, seed):
         for fam in dil.pvms:
             for p in fam:
-                assert games._recall(p, "family")[0].square >= linalg.projector_defect(p)
+                assert fam.proof.square >= linalg.projector_defect(p)
         worst = _worst(_dense_check(fams, dil))
         for tol in (1e-12, 1e-10, 1e-8):
             assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
@@ -707,7 +708,7 @@ def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(povm_lists(), povm_lists(), st.integers(0, 2**32 - 1))
 def test_recorded_completeness_and_compressions_are_sound(fams_a, fams_b, seed):
-    # an entry read from a fact bounds the dense value; a measured one is it
+    # an entry read from a proof bounds the dense value; a measured one is it
     for fams, dil in _dilated_cases(fams_a, fams_b, seed):
         dense = _dense_check(fams, dil)
         for tol in (1e-10, 1e-13):
@@ -731,7 +732,7 @@ def test_proven_tol_covers_the_measured_defects(fams_a, fams_b, seed):
     dilated, _, _ = naimark_strategy(s)
     pvms, _ = naimark._proven_dilation(fams_a, gate=True)  # naimark_family's proof
     for fam in pvms + dilated.alice + dilated.bob:
-        proven = games._record(fam).gate
+        proven = fam.proof.gate
         assert games._completeness_defect(fam) <= proven
         for p in fam:
             assert linalg.hermiticity_defect(p) <= proven
@@ -747,11 +748,11 @@ def test_the_gate_that_reads_a_record_gives_the_dense_verdict(fams_a, fams_b, se
     for families in (naimark_family(fams_a).pvms, dilated.alice, dilated.bob):
         # the last family's 0/1 diagonals are singular unless it has one outcome,
         # and the dense gate refuses a singular projection at tol 0
-        assert games._record(families[-1]).gate > 0
+        assert families[-1].proof.gate > 0
         for fam in families:
-            gate = games._record(fam).gate
-            copies = [np.array(p) for p in fam]  # no record: the dense gate
-            assert games._record(copies) is None
+            gate = fam.proof.gate
+            copies = tuple(np.array(p) for p in fam)  # no proof: the dense gate
+            assert getattr(copies, "proof", None) is None
             for tol in (0.0, gate / 2, gate, 1e-9):
                 assert games._family_valid(fam, tol) == games._family_valid(copies, tol), tol
 
@@ -783,11 +784,11 @@ def test_a_shallow_copy_is_gated_by_its_records_a_deep_one_densely(monkeypatch):
 
 
 def _factored_product_bound(fam, p, x) -> float:
-    """The bound of ``naimark._proven_dilation`` on ``||games._times(p, x) - p @ x||_F``
-    for a projection ``p`` of the dilated family ``fam``: ``e`` plus both products'
-    rounding, times ``||x||_F``; 0 in the last family, whose 0/1 diagonals make both
-    products exact."""
-    w = games._recall(fam[0], "family")[0].w  # the stored W_k
+    """The bound of ``naimark._proven_dilation`` on ``||games._times(fam, j, x) - p @ x||_F``
+    for the projection ``p = fam[j]`` of the dilated family ``fam``: ``e`` plus both
+    products' rounding, times ``||x||_F``; 0 in the last family, whose 0/1 diagonals
+    make both products exact."""
+    w = fam.proof.w  # the stored W_k
     if w is None:
         return 0.0
     dim, dim_k = w.shape
@@ -806,13 +807,14 @@ def test_products_through_the_factors_match_the_dense_ones(fams_a, fams_b, seed)
     s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
     dilated, _, _ = naimark_strategy(s)
     for fam in dilated.alice + dilated.bob:
-        for p in fam:
-            assert games._recall(p, "family") is not None
+        assert type(fam) is games._ProvenFamily
+        for j, p in enumerate(fam):
             x = rng.normal(size=(p.shape[0], 3)) + 1j * rng.normal(size=(p.shape[0], 3))
-            assert np.linalg.norm(games._times(p, x) - p @ x) <= _factored_product_bound(fam, p, x)
-    # the same kernels on a copy with no facts take the dense products
+            got = games._times(fam, j, x)
+            assert np.linalg.norm(got - p @ x) <= _factored_product_bound(fam, p, x)
+    # the same kernels on a copy with no proofs take the dense products
     dense = serialize.strategy_from_jsonable(serialize.strategy_to_jsonable(dilated))
-    assert all(games._recall(p, "family") is None for fam in dense.alice + dense.bob for p in fam)
+    assert all(type(fam) is tuple for fam in dense.alice + dense.bob)
     assert np.max(np.abs(correlation_of(dilated).table - correlation_of(dense).table)) <= 1e-12
     got, want = strategy_metrics(dilated), strategy_metrics(dense)
     for name in ("alice_commutator_norms", "bob_commutator_norms", "alice_overlaps", "bob_overlaps"):
@@ -886,17 +888,22 @@ def test_a_regrouped_truncated_or_copied_family_is_measured(monkeypatch):
         check = verify_dilation([source, fams[1]], NaimarkDilation(pvms, dil.isometry, dil.dims))
         return sorted(calls), check.passed
 
-    assert reads((p0, p1, p2), fams[0]) == ([], True)
-    # each element still reads its own facts; the family's completeness is measured
-    assert reads((p1, p0, p2), [r1, r0, r2]) == (["_completeness_defect"], True)
-    assert reads((other[0], p1, p2), fams[0]) == (["_completeness_defect"], True)
-    assert reads((p0, p1), [r0, r1]) == (["_completeness_defect"], False)
-    # members of two families of one dilation, or one member twice: each element's
-    # own record still bounds its compression, the summed family is measured
-    assert reads((p0, p1, last[2]), fams[0]) == (["_completeness_defect"], False)
-    assert reads((p0, p0, p2), [r0, r0, r2]) == (["_completeness_defect"], False)
-    copied = ["_completeness_defect", "_compression_defect", "projector_defect"]
-    assert reads((p0, p1.copy(), p2), fams[0]) == (copied, True)
+    def measured(n):
+        """Every entry of a family of ``n`` measured: ``n`` compressions, ``n``
+        squares and the summed family."""
+        return sorted(["_completeness_defect"] + ["_compression_defect", "projector_defect"] * n)
+
+    assert reads(dil.pvms[0], fams[0]) == ([], True)
+    # a proof holds for its own family tuple alone: the same members in a new
+    # tuple, regrouped, truncated, mixed with another family's, repeated or
+    # copied, carry none, so every entry is measured
+    assert reads((p0, p1, p2), fams[0]) == (measured(3), True)
+    assert reads((p1, p0, p2), [r1, r0, r2]) == (measured(3), True)
+    assert reads((other[0], p1, p2), fams[0]) == (measured(3), True)
+    assert reads(dil.pvms[0][:2], [r0, r1]) == (measured(2), False)
+    assert reads((p0, p1, last[2]), fams[0]) == (measured(3), False)
+    assert reads((p0, p0, p2), [r0, r0, r2]) == (measured(3), False)
+    assert reads((p0, p1.copy(), p2), fams[0]) == (measured(3), True)
 
 
 def test_a_perturbed_element_or_isometry_fails_as_the_dense_check_does():
@@ -925,15 +932,19 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     p = dil.pvms[0][1]
-    bound = games._recall(p, "family")[0].square
+    bound = dil.pvms[0].proof.square
     assert 0 < bound <= 1e-10
-    calls = _counting_dense_reads(monkeypatch)
+    squared = []
+    real = linalg.projector_defect
+    monkeypatch.setattr(linalg, "projector_defect", lambda a: squared.append(a) or real(a))
 
     def defect(q, tol):
-        calls.clear()
-        pvms = (dil.pvms[0][:1] + (q,) + dil.pvms[0][2:], dil.pvms[1])
-        check = verify_dilation(fams, NaimarkDilation(pvms, dil.isometry, dil.dims), tol)
-        return check.projection_defects[0][1], calls.count("projector_defect")
+        """Entry 1 of the family, ``q`` in place of ``p`` unless it is ``p``, and the
+        squares measured of ``q``."""
+        squared.clear()
+        fam = dil.pvms[0] if q is p else dil.pvms[0][:1] + (q,) + dil.pvms[0][2:]
+        check = verify_dilation(fams, NaimarkDilation((fam, dil.pvms[1]), dil.isometry, dil.dims), tol)
+        return check.projection_defects[0][1], sum(a is q for a in squared)
 
     assert defect(p, 1e-10) == (bound, 0)
     measured = linalg.projector_defect(p)
@@ -941,22 +952,21 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     assert defect(p, bound / 2)[0] == measured  # its siblings share the bound: measured too
     assert defect(p.copy(), 1e-10) == (measured, 1)
     with pytest.raises(ValueError):
-        p.setflags(write=True)  # sealed: p cannot change, so its fact stands
+        p.setflags(write=True)  # sealed: p cannot change, so its family's proof stands
     assert defect(p, 1e-10) == (bound, 0)
 
 
-def _replace_record(family, **bounds):
-    """Give every member of ``family`` a copy of its record with ``bounds`` replaced,
-    so the family is still exactly the new record's members."""
-    bad = dataclasses.replace(games._recall(family[0], "family")[0], **bounds)
-    for j, p in enumerate(family):
-        games._remember(p, family=(bad, j))
+def _with_proof(dil, **bounds):
+    """``dil`` with its first family carrying a copy of its proof with ``bounds``
+    replaced, the members unchanged."""
+    first, *rest = dil.pvms
+    bad = games._ProvenFamily(first, dataclasses.replace(first.proof, **bounds))
+    return dataclasses.replace(dil, pvms=(bad, *rest))
 
 
 def test_a_nan_record_is_not_read(monkeypatch):
     fams = [trine_povm(), trine_povm()]
-    dil = naimark_family(fams)
-    _replace_record(dil.pvms[0], square=float("nan"))
+    dil = _with_proof(naimark_family(fams), square=float("nan"))
     calls = _counting_dense_reads(monkeypatch)
     check = verify_dilation(fams, dil, tol=1e-10)
     assert calls == ["projector_defect"] * 3 and check.passed  # the family's members
@@ -965,23 +975,22 @@ def test_a_nan_record_is_not_read(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["projection", "strategy"])
 def test_facts_leave_with_their_objects(kind):
-    refs = []
     if kind == "projection":
-        objs = [p for fam in naimark_family([trine_povm(), trine_povm()]).pvms for p in fam]
-        # the side's arena, and each family's W_k, which its record holds
-        refs = [weakref.ref(objs[0].base)] + [
-            weakref.ref(games._recall(p, "family")[0].w) for p in objs[::3][:-1]
-        ]
-        assert len(refs) == 2 and all(r() is not None for r in refs)
+        dil = naimark_family([trine_povm(), trine_povm()])
+        objs = [p for fam in dil.pvms for p in fam]
+        # the side's arena, each family's proof, and the W_k each proof holds
+        proofs = [fam.proof for fam in dil.pvms]
+        refs = [weakref.ref(objs[0].base)] + [weakref.ref(x) for x in proofs]
+        refs += [weakref.ref(proof.w) for proof in proofs if proof.w is not None]
+        assert len(refs) == 4 and all(r() is not None for r in refs)
+        del dil, proofs
     else:
         objs = [canonical_chsh()]
-        assert games._is_valid(objs[0], 1e-9)
-    keys = {id(x) for x in objs}
-    assert keys <= set(games._FACTS)
+        assert games._is_valid(objs[0], 1e-9) and objs[0]._valid_tol == 1e-9
+        refs = [weakref.ref(objs[0])]
     del objs
     gc.collect()
-    assert not keys & set(games._FACTS)
-    assert all(r() is None for r in refs)  # no record keeps a projection or W_k alive
+    assert all(r() is None for r in refs)  # no proof keeps a projection or W_k alive
 
 
 @pytest.mark.parametrize("fact", ["completeness", "kappa", "norm"])
@@ -989,10 +998,10 @@ def test_a_nan_completeness_or_compression_fact_is_not_read(monkeypatch, fact):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     if fact == "completeness":
-        _replace_record(dil.pvms[0], complete=float("nan"))
+        dil = _with_proof(dil, complete=float("nan"))
         read = ["_completeness_defect"]
     else:
-        _replace_record(dil.pvms[0], **{fact: float("nan")})
+        dil = _with_proof(dil, **{fact: float("nan")})
         read = ["_compression_defect"] * 3  # the family's members
     calls = _counting_dense_reads(monkeypatch)
     check = verify_dilation(fams, dil, tol=1e-10)

@@ -1,6 +1,6 @@
-"""The facts kept of a Strategy (``games._remember``, ``games._recall``), the
-proof records that answer the validity gate on what ``naimark_strategy``
-builds, and one tolerance per CLI run."""
+"""The facts kept on a Strategy (``_valid_tol`` and ``_naimark_isometries``), the
+proofs that the families ``naimark_strategy`` builds carry and that answer the
+validity gate, sealing read off each stored array, and one tolerance per CLI run."""
 
 import copy
 import dataclasses
@@ -38,8 +38,8 @@ TOLS = (1e-12, 1e-9, 1e-6)
 
 
 def _fresh(s):
-    """A strategy on copies of the arrays of ``s``: it, its families and its
-    elements hold no fact, so its gate is the dense one."""
+    """A strategy on copies of the arrays of ``s``: it holds no ``_valid_tol`` and
+    its families no proof, so its gate is the dense one."""
     return Strategy(
         state=np.array(s.state),
         dims=s.dims,
@@ -88,10 +88,10 @@ def test_proof_accepts_only_what_the_dense_gate_accepts(case):
     # a loose pass, so naimark_strategy dilates the defective families too
     assert games._is_valid(s, 1e-3)
     dilated, _, _ = naimark_strategy(s)
-    assert games._recall(dilated, "valid_tol") is None
+    assert dilated._valid_tol is None
     # what the records prove, with the state's norm the gate still measures
     families = dilated.alice + dilated.bob
-    proven = max([games._record(fam).gate for fam in families]
+    proven = max([fam.proof.gate for fam in families]
                  + [abs(np.linalg.norm(dilated.state) - 1.0)])
     dense = games._is_valid(_fresh(dilated), tol)
     if tol >= proven:
@@ -121,7 +121,7 @@ def _dusty_chsh(eigenvalue):
 def test_a_failed_gate_records_nothing():
     s = _dusty_chsh(-5e-7)
     assert not games._is_valid(s, 1e-9)
-    assert games._recall(s, "valid_tol") is None
+    assert s._valid_tol is None
 
 
 @pytest.mark.parametrize("t", TOLS[1:])
@@ -129,21 +129,21 @@ def test_a_pass_at_t_answers_every_tol_from_t_up(monkeypatch, t):
     s = _dusty_chsh(-t / 2)
     calls = _counting_gate(monkeypatch)
     assert games._is_valid(s, t)
-    assert games._recall(s, "valid_tol") == t
+    assert s._valid_tol == t
     ran = len(calls)
     for above in (t, 2 * t, 1.0):
         assert games._is_valid(s, above)
     assert len(calls) == ran  # answered by the record
     assert not games._is_valid(s, t / 10)
     assert len(calls) > ran  # below t the gate runs again
-    assert games._recall(s, "valid_tol") == t
+    assert s._valid_tol == t
 
 
 def test_a_lower_pass_lowers_the_record():
     s = canonical_chsh()
     assert games._is_valid(s, 1e-6)
     assert games._is_valid(s, 1e-12)
-    assert games._recall(s, "valid_tol") == 1e-12
+    assert s._valid_tol == 1e-12
 
 
 def test_no_stored_array_can_be_made_writable():
@@ -156,7 +156,7 @@ def test_no_stored_array_can_be_made_writable():
     for a in (s.bob[0][0], dilated.bob[0][1], w.u_a, w.aux):
         with pytest.raises(ValueError):
             a.setflags(write=True)
-    assert games._recall(s, "valid_tol") == 1e-9 and games._recall(s, "naimark_isometries")
+    assert s._valid_tol == 1e-9 and s._naimark_isometries
     assert games._is_valid(_fresh(s), 1e-9)
 
 
@@ -165,11 +165,11 @@ def test_the_record_is_not_a_field():
     dilated, _, _ = naimark_strategy(s)
     correlation_of(s)
     names = ["state", "dims", "alice", "bob"]
-    for x in (s, dilated):
+    for x, facts in ((s, ["_naimark_isometries", "_valid_tol"]), (dilated, [])):
         assert [f.name for f in dataclasses.fields(x)] == names
         assert list(dataclasses.asdict(x)) == names
         assert repr(x) == repr(_fresh(x))
-        assert list(vars(x)) == names
+        assert list(vars(x)) == names + facts  # the facts, once set, beside the fields
 
 
 def test_a_copy_recalls_nothing():
@@ -178,9 +178,9 @@ def test_a_copy_recalls_nothing():
     naimark_strategy(s)
     c = copy.copy(s)
     assert c == s and c.bob[0][0] is s.bob[0][0]
-    assert games._recall(c, "valid_tol") is None
-    assert games._recall(c, "naimark_isometries") is None
-    assert games._recall(s, "valid_tol") == 1e-9
+    assert c._valid_tol is None
+    assert c._naimark_isometries is None
+    assert s._valid_tol == 1e-9
 
 
 def _as_input(a, kind):
@@ -224,9 +224,8 @@ def _derived(s):
     rng = np.random.default_rng(0)
     d_a, d_b = s.dims
     dilated = naimark_strategy(s)[0]
-    # naimark_strategy stores the projections it built, each with its family's record
-    assert all(games._recall(p, "family") is not None
-               for fam in dilated.alice + dilated.bob for p in fam)
+    # naimark_strategy stores the families it built, each carrying its proof
+    assert all(type(fam) is games._ProvenFamily for fam in dilated.alice + dilated.bob)
     strategies = [
         s,
         Strategy(state=s.density(), dims=s.dims, alice=s.alice, bob=s.bob),
@@ -252,6 +251,7 @@ def test_every_stored_array_is_sealed_and_every_fact_is_current(s):
     stored = [a for x in strategies for a in [x.state] + [e for f in x.alice + x.bob for e in f]]
     stored += [a for w in witnesses for a in (w.u_a, w.u_b, w.aux)]
     for a in stored:
+        assert games._is_sealed(a)
         with pytest.raises(ValueError):
             a.setflags(write=True)
     for x in strategies:
