@@ -3,7 +3,7 @@
 
 from pathlib import Path
 
-from selftest_lab import lab, naimark, serialize
+from selftest_lab import lab, serialize
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -15,7 +15,7 @@ def main():
         "chsh.json": serialize.strategy_to_jsonable(lab.canonical_chsh()),
         "trine.json": serialize.strategy_to_jsonable(lab.trine_strategy()),
         "trine_minimal_naimark.json": serialize.dilation_to_jsonable(
-            naimark.minimal_trine_dilation()
+            lab.minimal_trine_dilation()
         ),
     }
     for name, payload in out.items():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import games, linalg, naimark, schmidt
+from . import games, linalg, schmidt
 from .errors import DimensionMismatch, FullRankRequired, WitnessMismatch
 from .games import Strategy
 
@@ -281,17 +281,15 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     """Witness embedding ``s`` into its constructed Naimark dilation.
 
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
-    bounded by the projectivity defect of ``s``.  The isometries are those
-    ``naimark_strategy(s)`` keeps on ``s``; before it has run, its steps
-    build them under its gate and with no projection, so the order of the two
-    calls does not change the witness.
+    bounded by the projectivity defect of ``s``.  The isometries come from
+    ``naimark``: those ``naimark_strategy(s)`` keeps on ``s``, or, before it has
+    run, the same ones built under its gate, so the order of the two calls does
+    not change the witness.
     """
+    from . import naimark
+
     s.pure_state()  # PureStateRequired on a mixed strategy, before any POVM work
-    built = s._naimark_isometries
-    if built is None:  # naimark_strategy gates the families until s passed a gate
-        gate = s._valid_tol is None
-        built = [naimark._step_isometries(f, gate, d)[1] for f, d in zip((s.alice, s.bob), s.dims)]
-    return _trivial_ancilla_witness(*built)
+    return _trivial_ancilla_witness(*naimark._strategy_isometries(s))
 
 
 def _complete_isometry(v: np.ndarray) -> np.ndarray:

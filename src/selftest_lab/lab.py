@@ -1,6 +1,6 @@
-"""Worked examples and quantitative diagnostics: CHSH, the trine extension,
-Bell functionals, eigengap overlap bounds, effective measurements, operator
-moments, and the rank-deficiency pencil.
+"""Worked examples and quantitative diagnostics: CHSH, the trine extension and
+its minimal dilations, Bell functionals, eigengap overlap bounds, effective
+measurements, operator moments, and the rank-deficiency pencil.
 
 Question and outcome conventions for the bundled strategies: Alice question 0
 measures Z, question 1 measures X; Bob question 0 measures (X+Z)/sqrt(2),
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import games, linalg, naimark
+from . import games, linalg
 from .errors import (
     DegenerateTopEigenvalue,
     DimensionMismatch,
@@ -26,8 +26,8 @@ from .errors import (
 )
 from .games import NonlocalGame, Strategy
 
-X = naimark.PAULI_X
-Z = naimark.PAULI_Z
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 CHSH_QUANTUM_VALUE = (2.0 + np.sqrt(2.0)) / 4.0
 """Largest eigenvalue of the CHSH game operator for the canonical qubit
@@ -63,12 +63,12 @@ def chsh_game() -> NonlocalGame:
 
 def canonical_chsh() -> Strategy:
     """The maximally entangled qubit strategy reaching the CHSH quantum value."""
-    h_obs = (X + Z) / np.sqrt(2.0)
-    k_obs = (Z - X) / np.sqrt(2.0)
+    h_obs = (PAULI_X + PAULI_Z) / np.sqrt(2.0)
+    k_obs = (PAULI_Z - PAULI_X) / np.sqrt(2.0)
     return Strategy(
         state=bell_state(),
         dims=(2, 2),
-        alice=[_projector_pair(Z), _projector_pair(X)],
+        alice=[_projector_pair(PAULI_Z), _projector_pair(PAULI_X)],
         bob=[_projector_pair(h_obs), _projector_pair(k_obs)],
     )
 
@@ -80,8 +80,56 @@ def trine_strategy() -> Strategy:
         state=base.state,
         dims=base.dims,
         alice=base.alice,
-        bob=list(base.bob) + [naimark.trine_povm()],
+        bob=list(base.bob) + [trine_povm()],
     )
+
+
+def trine_povm() -> list[np.ndarray]:
+    """The three-outcome qubit POVM with effects (1/3)(1 + n.sigma) on a trine.
+
+    The last element is defined as the completeness complement so the family
+    sums to the identity exactly in floating point.
+    """
+    eye = linalg.identity(2)
+    m0 = (eye + PAULI_Z) / 3.0
+    m1 = (eye - PAULI_Z / 2.0 + (np.sqrt(3.0) / 2.0) * PAULI_X) / 3.0
+    m2 = eye - m0 - m1
+    return [m0, m1, m2]
+
+
+def trine_projector_vectors() -> list[np.ndarray]:
+    """The rank-1 directions on C^3 whose projectors compress to the trine."""
+    e0 = np.array([np.sqrt(2.0), 0.0, 1.0], dtype=np.complex128) / np.sqrt(3.0)
+    e1 = np.array([-1.0, -np.sqrt(3.0), np.sqrt(2.0)], dtype=np.complex128) / np.sqrt(6.0)
+    e2 = np.array([-1.0, np.sqrt(3.0), np.sqrt(2.0)], dtype=np.complex128) / np.sqrt(6.0)
+    return [e0, e1, e2]
+
+
+def _minimal_trine_dilation(defect: tuple[int, int]):
+    """``V = np.eye(3, 2)`` and Bob's families of :func:`trine_strategy` dilated
+    through it: ``V F V*`` per element ``F`` of question ``q``, plus ``1 - V V*``
+    (exactly ``diag(0, 0, 1)``, off the support of ``V F V*``) at outcome
+    ``defect[q]``, and the trine as the rank-1 projectors onto
+    :func:`trine_projector_vectors`."""
+    v = np.eye(3, 2, dtype=np.complex128)
+    complement = linalg.identity(3) - v @ v.conj().T
+    families = []
+    for q, family in enumerate(canonical_chsh().bob):
+        pushed = [v @ f @ v.conj().T for f in family]
+        pushed[defect[q]] = pushed[defect[q]] + complement
+        families.append(tuple(pushed))
+    families.append(tuple(np.outer(e, e.conj()) for e in trine_projector_vectors()))
+    return v, tuple(families)
+
+
+def minimal_trine_dilation():
+    """Bob's families of :func:`trine_strategy` dilated minimally to C^3, as a
+    ``naimark.NaimarkDilation``: the off-range defect ``1 - V V*`` joins outcome 0
+    of question 0 and outcome 1 of question 1."""
+    from .naimark import NaimarkDilation
+
+    v, families = _minimal_trine_dilation((0, 1))
+    return NaimarkDilation(pvms=families, isometry=v, dims=(2, 3))
 
 
 @dataclass(frozen=True)
@@ -282,20 +330,15 @@ def minimal_dilation_strategies() -> tuple[Strategy, Strategy]:
 
     Both embed the shared state as ``(1 (x) V)`` into C^2 (x) C^3 and dilate
     all Bob families projectively; they differ only in which outcome of Bob's
-    second question absorbs the off-range defect ``1 - V V*``.  They induce
-    the same correlation but different higher-order moments: the word
-    ``[(2,0), (1,1), (2,0)]`` on Bob evaluates to (4-sqrt(2))/18 on the first
-    and (2-sqrt(2))/18 on the second.
+    second question absorbs the off-range defect ``1 - V V*``: outcome 1 in the
+    first, as in :func:`minimal_trine_dilation`, and 0 in the second.  They have
+    the same correlation but not the same moments: the Bob word ``[(2,0), (1,1),
+    (2,0)]`` reads (4-sqrt(2))/18 on the first and (2-sqrt(2))/18 on the second.
     """
-    dil = naimark.minimal_trine_dilation()
-    v = dil.isometry
-    base = trine_strategy()
+    base = canonical_chsh()
+    (v, bob1), (_, bob2) = (_minimal_trine_dilation(defect) for defect in ((0, 1), (0, 0)))
     psi = linalg.apply_factors(base.state, base.dims, (None, v))
-    fam_h, fam_k, fam_m = dil.pvms
-    complement = linalg.identity(3) - v @ v.conj().T
-    fam_k_alt = (fam_k[0] + complement, fam_k[1] - complement)
-    s1 = Strategy(state=psi, dims=(2, 3), alice=base.alice, bob=(fam_h, fam_k, fam_m))
-    s2 = Strategy(state=psi, dims=(2, 3), alice=base.alice, bob=(fam_h, fam_k_alt, fam_m))
+    s1, s2 = (Strategy(state=psi, dims=(2, 3), alice=base.alice, bob=bob) for bob in (bob1, bob2))
     return s1, s2
 
 

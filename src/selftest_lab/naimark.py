@@ -67,9 +67,6 @@ from . import games, linalg
 from .errors import DimensionMismatch, InvalidPovm
 from .games import Strategy
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class NaimarkDilation:
@@ -355,7 +352,7 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     above its ``gate`` with no Cholesky, so the gate measures only the state's
     norm; the strategy holds no ``_valid_tol`` until a gate passes.
     ``V_A`` and ``V_B`` are kept as ``s._naimark_isometries`` (sealed) for
-    ``dilation.naimark_embedding``.  A side with no questions is dilated by the
+    :func:`_strategy_isometries`.  A side with no questions is dilated by the
     identity of its dimension.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
     Each side's projections are views of one sealed arena, so a projection
@@ -375,53 +372,14 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     return dilated, v_a, v_b
 
 
-def trine_povm() -> list[np.ndarray]:
-    """The three-outcome qubit POVM with effects (1/3)(1 + n.sigma) on a trine.
-
-    The last element is defined as the completeness complement so the family
-    sums to the identity exactly in floating point.
-    """
-    eye = linalg.identity(2)
-    m0 = (eye + PAULI_Z) / 3.0
-    m1 = (eye - PAULI_Z / 2.0 + (np.sqrt(3.0) / 2.0) * PAULI_X) / 3.0
-    m2 = eye - m0 - m1
-    return [m0, m1, m2]
-
-
-def trine_projector_vectors() -> list[np.ndarray]:
-    """The rank-1 directions on C^3 whose projectors compress to the trine."""
-    e0 = np.array([np.sqrt(2.0), 0.0, 1.0], dtype=np.complex128) / np.sqrt(3.0)
-    e1 = np.array([-1.0, -np.sqrt(3.0), np.sqrt(2.0)], dtype=np.complex128) / np.sqrt(6.0)
-    e2 = np.array([-1.0, np.sqrt(3.0), np.sqrt(2.0)], dtype=np.complex128) / np.sqrt(6.0)
-    return [e0, e1, e2]
-
-
-def minimal_trine_dilation() -> NaimarkDilation:
-    """Minimal simultaneous dilation of Bob's three canonical families to C^3.
-
-    ``V`` is the canonical embedding C^2 -> C^3.  The trine becomes the three
-    rank-1 projectors onto the vectors of :func:`trine_projector_vectors`;
-    each binary family is extended projectively, with the off-range defect
-    ``1 - V V*`` joining the +1-eigenprojector of the underlying observable.
-    Family order matches the Bob questions of the canonical CHSH+trine
-    strategy: (X+Z)/sqrt(2) first, (Z-X)/sqrt(2) second, trine third.
-    """
-    v = np.zeros((3, 2), dtype=np.complex128)
-    v[0, 0] = 1.0
-    v[1, 1] = 1.0
-    eye3 = linalg.identity(3)
-    complement = eye3 - v @ v.conj().T
-
-    h_obs = (PAULI_X + PAULI_Z) / np.sqrt(2.0)
-    k_obs = (PAULI_Z - PAULI_X) / np.sqrt(2.0)
-    h_plus = (linalg.identity(2) + h_obs) / 2.0
-    k_plus = (linalg.identity(2) + k_obs) / 2.0
-    # k_minus is the +1-eigenprojector of (X-Z)/sqrt(2); the complement rides
-    # on the +1 side of each observable as written in the dilated basis
-    fam_h = (v @ h_plus @ v.conj().T + complement, v @ (linalg.identity(2) - h_plus) @ v.conj().T)
-    fam_k = (v @ k_plus @ v.conj().T, v @ (linalg.identity(2) - k_plus) @ v.conj().T + complement)
-    fam_m = tuple(np.outer(e, e.conj()) for e in trine_projector_vectors())
-    return NaimarkDilation(pvms=(fam_h, fam_k, fam_m), isometry=v, dims=(2, 3))
+def _strategy_isometries(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """``V_A`` and ``V_B`` of :func:`naimark_strategy`: those it kept on ``s``, or, before
+    it has run, its steps built under its gate with no projection, so they are the same."""
+    built = s._naimark_isometries
+    if built is None:
+        gate = s._valid_tol is None
+        built = tuple(_step_isometries(f, gate, d)[1] for f, d in zip((s.alice, s.bob), s.dims))
+    return built
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from selftest_lab import cli, linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import DilationWitness, scalar_aux
 from selftest_lab.games import Strategy, conjugate_strategy, correlation_of
-from selftest_lab.lab import canonical_chsh, trine_strategy
-from selftest_lab.naimark import minimal_trine_dilation
+from selftest_lab.lab import canonical_chsh, minimal_trine_dilation, trine_strategy
 
 from helpers import random_strategy
 

@@ -31,9 +31,9 @@ from selftest_lab.errors import (
     WitnessMismatch,
 )
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
-from selftest_lab.lab import canonical_chsh, trine_strategy
+from selftest_lab.lab import canonical_chsh, trine_povm, trine_strategy
 from selftest_lab.metrics import projective_eps, support_preserving_eps
-from selftest_lab.naimark import naimark_strategy, trine_povm
+from selftest_lab.naimark import naimark_strategy
 from selftest_lab.schmidt import purify, restrict
 
 from helpers import (

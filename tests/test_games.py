@@ -22,9 +22,10 @@ from selftest_lab.lab import (
     beta_functionals,
     canonical_chsh,
     chsh_game,
+    trine_povm,
     trine_strategy,
 )
-from selftest_lab.naimark import naimark_strategy, trine_povm
+from selftest_lab.naimark import naimark_strategy
 
 from helpers import (
     haar_unitary,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,15 @@ from selftest_lab.lab import (
     eigengap_analysis,
     higher_order_moment,
     minimal_dilation_strategies,
+    minimal_trine_dilation,
     perturb_state,
     rank_deficient_combination,
     robustness_constant,
+    trine_povm,
     trine_strategy,
 )
 from selftest_lab.metrics import projective_eps, support_preserving_eps
-from selftest_lab.naimark import minimal_trine_dilation, naimark_strategy, trine_povm
+from selftest_lab.naimark import naimark_strategy
 from selftest_lab.schmidt import purify
 
 from helpers import (
@@ -326,10 +330,25 @@ def test_higher_order_moment_reduces_to_correlation():
     assert abs(val.imag) <= 1e-12
 
 
+def _same_families(fams, others) -> bool:
+    return len(fams) == len(others) and all(
+        len(f) == len(g) and all(map(np.array_equal, f, g)) for f, g in zip(fams, others)
+    )
+
+
 def test_higher_order_moment_separating_values():
     s1, s2 = minimal_dilation_strategies()
     assert validate_strategy(s1).valid and validate_strategy(s2).valid
     assert np.max(np.abs(correlation_of(s1).table - correlation_of(s2).table)) <= 1e-12
+    # one builder: s1's Bob families are the minimal dilation's, and s2 moves the
+    # off-range defect 1 - V V* to outcome 0 of question 1, bit for bit
+    dil = minimal_trine_dilation()
+    assert _same_families(s1.bob, dil.pvms)
+    assert np.array_equal(s2.state, s1.state) and _same_families(s2.alice, s1.alice)
+    assert _same_families(s2.bob[::2], s1.bob[::2])
+    defect = np.eye(3) - dil.isometry @ dil.isometry.conj().T
+    assert np.array_equal(s2.bob[1][0] - s1.bob[1][0], defect)
+    assert np.array_equal(s1.bob[1][1] - s2.bob[1][1], defect)
     word = [(2, 0), (1, 1), (2, 0)]
     m1 = higher_order_moment(s1, [], word)
     m2 = higher_order_moment(s2, [], word)
@@ -337,6 +356,24 @@ def test_higher_order_moment_separating_values():
     assert m2.real == pytest.approx((2 - SQRT2) / 18, abs=1e-12)
     assert (m1 - m2).real == pytest.approx(1 / 9, abs=1e-12)
 
+
+
+def test_separating_bob_word_is_found_by_enumeration():
+    # every Bob word of length 1 to 3 over the 7 letters: the two dilations agree
+    # on all words of length 1 and 2 and first differ at length 3
+    s1, s2 = minimal_dilation_strategies()
+    letters = [(q, a) for q, fam in enumerate(s1.bob) for a in range(len(fam))]
+    assert len(letters) == 7
+    separating = {}
+    for n in (1, 2, 3):
+        words = list(itertools.product(letters, repeat=n))
+        separating[n] = [
+            w for w in words
+            if abs(higher_order_moment(s1, [], w) - higher_order_moment(s2, [], w)) > 1e-9
+        ]
+        assert len(words) == 7**n
+    assert [len(separating[n]) for n in (1, 2, 3)] == [0, 0, 18]
+    assert ((2, 0), (1, 1), (2, 0)) in separating[3]
 
 def _mixed_moment_case(seed, d_a=2, d_b=3, rank=3):
     """A strategy with a random rank-``rank`` density operator, and one word per side."""

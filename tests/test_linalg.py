@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from selftest_lab import linalg
 from selftest_lab.errors import DimensionMismatch, NotHermitian
-from selftest_lab.naimark import PAULI_X, PAULI_Z
+from selftest_lab.lab import PAULI_X, PAULI_Z
 
 from helpers import haar_isometry, haar_unitary, random_density, random_pure_state
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from selftest_lab import games, linalg
 from selftest_lab.errors import InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
-from selftest_lab.lab import canonical_chsh, trine_strategy
+from selftest_lab.lab import PAULI_X, PAULI_Z, canonical_chsh, trine_strategy
 from selftest_lab.metrics import (
     DUST_FLOOR,
     NEGATIVE_DUST,
@@ -20,7 +20,7 @@ from selftest_lab.metrics import (
     strategy_metrics,
     support_preserving_eps,
 )
-from selftest_lab.naimark import PAULI_X, PAULI_Z, naimark_strategy
+from selftest_lab.naimark import naimark_strategy
 from selftest_lab.schmidt import local_supports, restrict, schmidt_decompose
 
 from helpers import (

@@ -14,15 +14,18 @@ from selftest_lab import games, linalg, naimark, serialize
 from selftest_lab.dilation import dilation_residuals, naimark_embedding
 from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, correlation_of, validate_strategy
-from selftest_lab.lab import canonical_chsh, trine_strategy
+from selftest_lab.lab import (
+    canonical_chsh,
+    minimal_trine_dilation,
+    trine_povm,
+    trine_projector_vectors,
+    trine_strategy,
+)
 from selftest_lab.metrics import projective_eps, support_preserving_eps, strategy_metrics
 from selftest_lab.naimark import (
     NaimarkDilation,
-    minimal_trine_dilation,
     naimark_family,
     naimark_strategy,
-    trine_povm,
-    trine_projector_vectors,
     verify_dilation,
 )
 from helpers import random_bipartite_state, random_povm, random_pvm

@@ -75,12 +75,17 @@ IMPORT_SETS = [
     (["naimark", CHSH], "naimark", {"dilation", "lab", "metrics"}),
     (["metrics", CHSH], "metrics", {"dilation", "lab", "naimark"}),
     (["restrict", CHSH], "schmidt", {"dilation", "lab", "naimark"}),
-    (["check-dilation", CHSH, CHSH, "WITNESS"], "dilation", {"lab", "metrics"}),
-    (["repro", "chsh"], "lab", {"dilation", "metrics", "schmidt"}),
+    (["check-dilation", CHSH, CHSH, "WITNESS"], "dilation", {"lab", "metrics", "naimark"}),
+    (["repro", "chsh"], "lab", {"dilation", "metrics", "naimark", "schmidt"}),
+    (["repro", "moments"], "lab", {"dilation", "metrics", "naimark", "schmidt"}),
 ]
 
 
-@pytest.mark.parametrize("argv, calls, absent", IMPORT_SETS, ids=[a[0] for a, _, _ in IMPORT_SETS])
+# each row's id is its command name, and "repro-moments" for the second repro row
+IMPORT_IDS = [a[0] if a[:2] != ["repro", "moments"] else "repro-moments" for a, _, _ in IMPORT_SETS]
+
+
+@pytest.mark.parametrize("argv, calls, absent", IMPORT_SETS, ids=IMPORT_IDS)
 def test_cli_command_loads_only_what_it_runs(tmp_path, argv, calls, absent):
     argv = [identity_witness(tmp_path) if a == "WITNESS" else a for a in argv]
     out = json.loads(fresh_python(str(ROOT / "scripts" / "cli_modules.py"), *argv))

@@ -14,8 +14,9 @@ from selftest_lab import linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import ResidualReport
 from selftest_lab.games import ValidationReport
+from selftest_lab.lab import minimal_trine_dilation
 from selftest_lab.metrics import StrategyMetrics
-from selftest_lab.naimark import DilationCheck, minimal_trine_dilation, naimark_strategy
+from selftest_lab.naimark import DilationCheck, naimark_strategy
 
 from helpers import random_strategy
 
