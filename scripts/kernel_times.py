@@ -24,7 +24,11 @@ entry.  Last, ``gate`` times the validity gate
 families, so each carries its proof, but the copy holds no ``_valid_tol``) and
 reports its Cholesky factorizations per call (``cholesky/call``, the calls of
 ``linalg._shifted_cholesky_exists``): 0 when every family's proof answers it,
-one per projection when none does.
+one per projection when none does.  Before any timing, ``naimark pipeline``
+reports the arenas of Bob's side that one run of every timed call allocates
+(``arenas/call``, the ``games._sealed`` calls of shape ``(N, D, D)``), on a
+dilated strategy no call has read yet: 0 when none of them reads a ``D x D``
+projection of Bob's.
 
 The residual rows time ``matrix_form_residual`` and ``dilation_residuals`` on
 seeded mixed sources ``dst (x) tau`` of local dimension ``d = t k`` (4, 8, 12
@@ -59,6 +63,7 @@ DENSE_CHECKS = (
     (naimark, "_compression_defect"),
 )
 CHOLESKY = ((linalg, "_shifted_cholesky_exists"),)
+SEALED = ((games, "_sealed"),)
 
 
 def _povm(rng, d: int, m: int) -> list[np.ndarray]:
@@ -114,18 +119,19 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _calls(fn, functions) -> int:
-    """The calls one run of ``fn`` makes to ``functions``, (module, name) pairs."""
+def _calls(fn, functions) -> list[tuple]:
+    """The arguments of each call one run of ``fn`` makes to ``functions``, (module,
+    name) pairs."""
     calls = []
     saved = [getattr(module, name) for module, name in functions]
     try:
         for (module, name), real in zip(functions, saved):
-            setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
+            setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
         fn()
     finally:
         for (module, name), real in zip(functions, saved):
             setattr(module, name, real)
-    return len(calls)
+    return calls
 
 
 def kernel_rows(seed: int, repeat: int) -> dict:
@@ -149,15 +155,20 @@ def kernel_rows(seed: int, repeat: int) -> dict:
             "dilation_residuals": lambda: dilation.dilation_residuals(s, dilated, witness),
             "gate": lambda: games._is_valid(copy.copy(dilated), 1e-9),
         }
+        dim = dilated.dims[1]
+        shapes = _calls(lambda: [fn() for fn in timed.values()], SEALED)
+        rows[f"naimark pipeline {tag} arenas/call"] = sum(
+            shape[1:] == (dim, dim) for (shape,) in shapes if len(shape) == 3
+        )
         for name, fn in timed.items():
             faults = _minflt()
             rows[f"{name} {tag} ms"] = _best_ms(fn, repeat)
             if name == "naimark_strategy":
                 rows[f"{name} {tag} minflt/call"] = round((_minflt() - faults) / repeat, 1)
             if name == "verify_dilation":
-                rows[f"{name} {tag} dense/call"] = _calls(fn, DENSE_CHECKS)
+                rows[f"{name} {tag} dense/call"] = len(_calls(fn, DENSE_CHECKS))
             if name == "gate":
-                rows[f"{name} {tag} cholesky/call"] = _calls(fn, CHOLESKY)
+                rows[f"{name} {tag} cholesky/call"] = len(_calls(fn, CHOLESKY))
     for t, k in MIXED_SIZES:
         src, dst, tau = mixed_source(seed, t, k)
         if not games.validate_strategy(src).valid:

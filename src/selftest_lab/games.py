@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import types
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,44 +65,66 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return a, np.asarray(types.SimpleNamespace(__array_interface__=face, owner=a))
 
 
-class _ProvenFamily(tuple):
+class _ProvenFamily(Sequence):
     """The projections of one Naimark-dilated family, immutable, and ``proof``, the
-    ``naimark._Proof`` of exactly this tuple (``naimark._proven_dilation``).  A slice,
-    a regrouping, a copy, a pickle, or one built with no ``proof`` (as by
-    ``dataclasses.asdict``) is a plain tuple: what it holds is measured, not proven."""
+    ``naimark._Proof`` of exactly this family (``naimark._proven_dilation``).  ``_read()``
+    returns the projections as a tuple; the first read of any family of a side builds
+    that side's arena, so a side that is never read allocates no ``D x D`` array.
+    ``len`` is the proof's ``m``; indexing and iteration read the projections, and
+    ``==`` and ``repr`` are those of their tuple, which no hash takes.  A slice, a
+    regrouping, a copy, a pickle, or ``dataclasses.asdict`` gives a plain tuple: what
+    it holds is measured, not proven."""
 
-    def __new__(cls, projections, proof=None):
-        if proof is None:
-            return tuple(projections)
-        family = super().__new__(cls, projections)
-        object.__setattr__(family, "proof", proof)
-        return family
+    __slots__ = ("_read", "proof")
+
+    def __init__(self, read, proof):
+        object.__setattr__(self, "_read", read)
+        object.__setattr__(self, "proof", proof)
 
     def __setattr__(self, *_):
         raise AttributeError("a proven family is immutable")
 
     __delattr__ = __setattr__
 
+    def __len__(self):
+        return self.proof.m
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other):
+        if type(other) is _ProvenFamily:
+            other = other._read()
+        return self._read() == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self):
+        return repr(self._read())
+
     def __reduce__(self):
-        return tuple, (tuple(self),)
+        return tuple, (self._read(),)
 
 
 def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """``raw`` as tuples of :func:`_freeze`-d elements.  An empty family raises
     :class:`InvalidStrategy`; an element not finite or not ``dim x dim``,
     :class:`DimensionMismatch`.  A :class:`_ProvenFamily` is kept as it is and not
-    scanned: its projections are sealed, and its proof has finite bounds, so finite
-    ``delta``, ``e`` and ``f``; then ``||B_j||^2 <= f`` and every entry is finite."""
+    read: its proof gives its dimension, its projections are sealed, and its proof
+    has finite bounds, so finite ``delta``, ``e`` and ``f``; then ``||B_j||^2 <= f``
+    and every entry is finite."""
     families = []
     for q, family in enumerate(raw):
-        if type(family) is not _ProvenFamily:
+        proven = type(family) is _ProvenFamily
+        if not proven:
             family = tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in family)
         if not family:
             raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
-        for e in family:
-            if e.shape != (dim, dim):
+        for shape in [(family.proof.dim,) * 2] if proven else (e.shape for e in family):
+            if shape != (dim, dim):
                 raise DimensionMismatch(
-                    f"{side} element has shape {e.shape}, expected {(dim, dim)}"
+                    f"{side} element has shape {shape}, expected {(dim, dim)}"
                 )
         families.append(family)
     return tuple(families)

@@ -31,7 +31,7 @@ The second form of ``P_k0`` is the telescoped sum of the defects
 projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
 
 :func:`naimark_family` and :func:`naimark_strategy` prove their output valid
-from the same factors, reading no projection once it is built:
+from the same factors, with no projection built or read:
 ``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``) and a GEMM rounding
 term put every stored ``P_kj`` within ``e`` (Frobenius) of a Hermitian
 ``X_kj`` with spectrum near ``[0, 1]``.  That bounds, in place of the gate's
@@ -52,13 +52,18 @@ densely otherwise, so its verdict is the dense one.  A family with no proof
 (read from a file, copied, regrouped or truncated) is measured as matrices.
 
 The projections of one dilated side are the rows of one sealed ``N x D x D``
-arena, ``N`` the side's element count, each computed in place: a side's build
-allocates and first-touches one buffer, not one ``D x D`` buffer per projection.
+arena, ``N`` the side's element count, built when any projection of the side is
+first read, each computed in place from its family's ``W_k``: a side that is read
+allocates and first-touches one buffer, not one ``D x D`` buffer per projection,
+and a side that no caller reads (as the pure-state kernels and a
+:func:`verify_dilation` that reads only proofs) allocates none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +81,9 @@ class NaimarkDilation:
     is a projection, each family sums to the identity, and the compressions
     ``V* P V`` reproduce the source POVM elements.
 
-    The projections of :func:`naimark_family` are views of one sealed arena,
-    so a kept projection keeps every projection of the dilation alive.
+    The projections of :func:`naimark_family` are views of one sealed arena, built
+    when the first of them is read, so a kept projection keeps every projection of
+    the dilation alive.
     """
 
     pvms: tuple[tuple[np.ndarray, ...], ...]
@@ -129,7 +135,7 @@ def _step_isometries(
 @dataclass(frozen=True, eq=False)
 class _Proof:
     """What :func:`_proven_dilation` proves of one dilated family of ``m``
-    projections, compared by identity: its sealed factor ``w = W_k`` (columns
+    projections on ``C^dim``, compared by identity: its sealed factor ``w = W_k`` (columns
     grouped by outcome; ``None`` for the last family), ``square`` bounding each
     :func:`linalg.projector_defect`, ``complete`` the family's completeness
     defect, ``kappa`` and ``norm`` of *Compressions*, and ``gate``, the ``tol`` from
@@ -137,6 +143,7 @@ class _Proof:
 
     w: np.ndarray | None
     m: int
+    dim: int
     square: float
     complete: float
     kappa: float
@@ -158,42 +165,69 @@ class _Proof:
         return y if j else x - y
 
 
-def _factored_families(steps: list[np.ndarray], dim: int) -> list:
-    """Each dilated family, the last first, with its factor ``W_k`` stored
-    sealed with its columns grouped by outcome, so each ``W_kj`` is a column
-    slice: ``None`` for the last family ``1 (x) |j><j|``.  All projections of
-    the side are rows of one sealed arena, ``games._sealed((N, D, D))`` with
-    ``N = sum_k m_k``: each is a sealed C-contiguous view, built in place
-    through the arena's one writable alias, so none is copied.
-    The alias covers every family, so all are built before it is dropped and
-    any leaves."""
-    arena, block = games._sealed((sum(v2.shape[0] // v2.shape[1] for v2 in steps), dim, dim))
-    end = len(arena)
-    families = []
+def _factors(steps: list[np.ndarray]) -> list[tuple[np.ndarray | None, int]]:
+    """Each dilated family's ``(W_k, m_k)`` in order, ``W_k`` built from the last step
+    back and stored sealed with its columns grouped by outcome, so each ``W_kj`` is a
+    column slice: ``None`` for the last family ``1 (x) |j><j|``."""
+    factors = []
     w = None  # W_k, columns grouped (D_{k-1}, m); the identity for the last family
     for v2 in reversed(steps):
         dim_prev = v2.shape[1]
         m = v2.shape[0] // dim_prev
-        end -= m
-        fam, outs = tuple(arena[end:end + m]), block[end:end + m]
-        if w is None:
-            w_k = None
-            for j in range(m):
-                outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
-        else:
+        w_k = None
+        if w is not None:
+            dim = w.shape[0]
             w_k, out = games._sealed((dim, m * dim_prev))
             out.reshape(dim, m, dim_prev)[...] = w.reshape(dim, dim_prev, m).transpose(0, 2, 1)
             del out
-            outs[0][np.diag_indices(dim)] = 1.0
-            for j in range(1, m):
-                b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
-                np.matmul(b, b.conj().T, out=outs[j])
-                np.subtract(outs[0], outs[j], out=outs[0])
-        del outs  # the writable alias lives on in block alone
-        families.append((fam, w_k))
+        factors.append((w_k, m))
         w = v2 if w is None else w @ v2
-    del block  # the writable alias dies before any family leaves
-    return families
+    return factors[::-1]
+
+
+class _Arena:
+    """The projections of one dilated side, from its ``factors`` (:func:`_factors`),
+    built when any of them is first read as the rows of one sealed arena,
+    ``games._sealed((N, D, D))`` with ``N = sum_k m_k``: ``P_kj = W_kj W_kj*`` for
+    ``j >= 1``, the identity less each in turn at ``j = 0``, and the 0/1 diagonals of
+    the last family.  Each is a sealed C-contiguous view, built in place through the
+    arena's one writable alias, so none is copied.  The alias covers every family, so
+    all are built before it is dropped and any is handed out."""
+
+    def __init__(self, dim: int, factors: list[tuple[np.ndarray | None, int]]):
+        self._dim, self._factors, self._families = dim, factors, None
+        self._lock = threading.Lock()
+
+    def family(self, k: int) -> tuple[np.ndarray, ...]:
+        """The projections of family ``k``, built with the whole side on the first call
+        (once, also when threads make it at the same time)."""
+        if self._families is None:
+            with self._lock:
+                if self._families is None:
+                    self._families = self._build()
+        return self._families[k]
+
+    def _build(self) -> list[tuple[np.ndarray, ...]]:
+        dim = self._dim
+        arena, block = games._sealed((sum(m for _, m in self._factors), dim, dim))
+        families, start = [], 0
+        for w_k, m in self._factors:
+            outs = block[start:start + m]
+            if w_k is None:
+                for j in range(m):
+                    outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
+            else:
+                dim_prev = w_k.shape[1] // m
+                outs[0][np.diag_indices(dim)] = 1.0
+                for j in range(1, m):
+                    b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
+                    np.matmul(b, b.conj().T, out=outs[j])
+                    np.subtract(outs[0], outs[j], out=outs[0])
+            del outs  # the writable alias lives on in block alone
+            families.append(tuple(arena[start:start + m]))
+            start += m
+        del block  # the writable alias dies before any family leaves
+        return families
 
 
 def naimark_family(povms) -> NaimarkDilation:
@@ -204,10 +238,10 @@ def naimark_family(povms) -> NaimarkDilation:
     ``P_k0 = 1 - sum_{j>=1} P_kj``, which equals the iterative
     construction's ``W_k0 W_k0*`` plus the telescoped identity defects
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
-    family on the dilated dimension ``D``.  The projections are built sealed, as
-    views of one arena (see :class:`NaimarkDilation`), so a :class:`Strategy`
-    built from them adopts them without a copy, and each family carries its
-    :class:`_Proof`.
+    family on the dilated dimension ``D``, paid when a projection is first read.  The
+    projections are built sealed, as views of one arena (see :class:`NaimarkDilation`),
+    so a :class:`Strategy` built from them adopts them without a copy, and each family
+    carries its :class:`_Proof`.
     """
     pvms, v = _proven_dilation(povms, gate=True)
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
@@ -215,8 +249,9 @@ def naimark_family(povms) -> NaimarkDilation:
 
 def _proven_dilation(povms, gate: bool, d: int | None = None):
     """The dilated families of :func:`naimark_family` and the isometry ``V``; a
-    family is a ``games._ProvenFamily`` of its :class:`_Proof` when the proof's
-    bounds are finite, else a plain tuple.  Its ``gate``, the largest ``t`` of
+    family is a ``games._ProvenFamily`` of its :class:`_Proof`, read from its side's
+    :class:`_Arena`, when the proof's bounds are finite, else a plain tuple of the
+    arena's projections, built at once.  Its ``gate``, the largest ``t`` of
     *Spectrum*, *Hermiticity* and *Completeness*, is a ``tol`` at and above which
     the dense ``games._family_valid`` passes on the family.  ``d`` is the source dimension, as in :func:`_step_isometries`.
 
@@ -313,11 +348,12 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     c = 2 * dim * linalg._U
     g = linalg._gamma(dim + 2)
     r = 1 + linalg._gamma(2 * dim * dim + 16)
+    factors = _factors(steps)
+    arena = _Arena(dim, factors)
     pvms = []
-    for fam, w in _factored_families(steps, dim):
+    for k, (w, m) in enumerate(factors):
         beta = square = complete = delta = e = kappa = 0.0
         if w is not None:
-            m = len(fam)
             delta, e, f = _factor_errors(w, m)
             beta = delta + e
             square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
@@ -326,10 +362,11 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
             kappa = (e + linalg._gamma(dim + w.shape[1] + 5) * (f + 1 + delta)) * r
         gate = max((beta + c * (1 + beta)) / (1 - c), 2 * e * r, complete)
         norm = (dim**0.5 * (1 + delta) + e) * r
-        proof = _Proof(w, len(fam), square, complete, kappa, norm, gate)
+        proof = _Proof(w, m, dim, square, complete, kappa, norm, gate)
+        read = functools.partial(arena.family, k)
         finite = all(map(math.isfinite, (square, complete, kappa, norm, gate)))
-        pvms.append(games._ProvenFamily(fam, proof) if finite else fam)
-    return tuple(reversed(pvms)), v
+        pvms.append(games._ProvenFamily(read, proof) if finite else read())
+    return tuple(pvms), v
 
 
 def _factor_errors(w: np.ndarray, m: int) -> tuple[float, float, float]:
@@ -355,8 +392,10 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     :func:`_strategy_isometries`.  A side with no questions is dilated by the
     identity of its dimension.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
-    Each side's projections are views of one sealed arena, so a projection
-    kept past the strategy keeps its whole side's arena alive.
+    Each side's projections are views of one sealed arena, built when the first of
+    them is read, so a strategy that is only gated and run through the pure-state
+    kernels holds no ``D x D`` array, and a projection kept past the strategy keeps
+    its whole side's arena alive.
     """
     psi = s.pure_state()
     gate = s._valid_tol is None
@@ -413,11 +452,14 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     ``complete`` for the summed family, and a bound on ``||R - V* P V||_F``
     through the factor, at ``D d n`` in place of ``D^2 d`` (:func:`_proven_dilation`,
     *Compressions*).  A family with no proof (copied, regrouped, truncated, or
-    read from a file) is measured densely.
+    read from a file) is measured densely.  A proven family's shape is its proof's,
+    so a projection is read, and its side's arena built, only where an entry is
+    measured.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
-    pvms = [[linalg.as_complex(p) for p in fam] for fam in d.pvms]
+    # a proven family stays as it is, unread; every other family's elements are read here
+    pvms = [fam if _proof(fam) else [linalg.as_complex(p) for p in fam] for fam in d.pvms]
     if len(povms) != len(pvms):
         raise DimensionMismatch(f"{len(povms)} families against {len(pvms)} dilated ones")
     for k, (family, dilated) in enumerate(zip(povms, pvms)):
@@ -425,10 +467,12 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
             raise DimensionMismatch(
                 f"family {k} has {len(family)} elements, its dilation {len(dilated)}"
             )
-        for r, p in zip(family, dilated):
-            if r.shape != (v.shape[1],) * 2 or p.shape != (v.shape[0],) * 2:
+        proof = _proof(dilated)
+        shapes = [(proof.dim,) * 2] * len(dilated) if proof else [p.shape for p in dilated]
+        for r, shape in zip(family, shapes):
+            if r.shape != (v.shape[1],) * 2 or shape != (v.shape[0],) * 2:
                 raise DimensionMismatch(
-                    f"family {k} pairs elements of shape {r.shape} and {p.shape} "
+                    f"family {k} pairs elements of shape {r.shape} and {shape} "
                     f"with an isometry of shape {v.shape}"
                 )
     iso_defect = linalg._identity_defect(v.conj().T @ v)
@@ -436,15 +480,14 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     v_f = linalg.frobenius(v) * s  # >= ||V||_F
     # >= ||V||_2, as ||V||_2^2 <= 1 + ||V* V - 1||_F (_proven_dilation, *Compressions*)
     v_2 = (1 + iso_defect * s + linalg._gamma(v.shape[0] + 2) * v_f * v_f) ** 0.5 * s
-    proofs, norms = [getattr(fam, "proof", None) for fam in d.pvms], (v_2, v_f, s)
     element_defects = tuple(
-        tuple(_element_defect(r, fam[j], proof, j, v, norms, tol) for j, r in enumerate(family))
-        for family, fam, proof in zip(povms, pvms, proofs)
+        tuple(_element_defect(r, fam, j, v, (v_2, v_f, s), tol) for j, r in enumerate(family))
+        for family, fam in zip(povms, pvms)
     )
     projection_defects = tuple(
-        tuple(_projection_defect(p, proof, tol) for p in fam) for fam, proof in zip(pvms, proofs)
+        tuple(_projection_defect(fam, j, tol) for j in range(len(fam))) for fam in pvms
     )
-    completeness = [_completeness(fam, proof, tol) for fam, proof in zip(pvms, proofs)]
+    completeness = [_completeness(fam, tol) for fam in pvms]
     # np.max, unlike max, keeps a NaN defect, which then fails the verdict
     worst = np.max(
         [iso_defect]
@@ -462,20 +505,27 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     )
 
 
-def _projection_defect(p: np.ndarray, proof: _Proof | None, tol: float) -> float:
-    """``square`` of the ``proof`` of ``p``'s family when it is at most ``tol``, else
-    the measured :func:`linalg.projector_defect`."""
+def _proof(family) -> _Proof | None:
+    """The :class:`_Proof` that ``family`` carries, or None."""
+    return getattr(family, "proof", None)
+
+
+def _projection_defect(family, j: int, tol: float) -> float:
+    """``square`` of the proof of ``family`` when it is at most ``tol``, else the
+    measured :func:`linalg.projector_defect` of its projection ``j``."""
+    proof = _proof(family)
     if proof is not None and proof.square <= tol:
         return proof.square
-    return linalg.projector_defect(p)
+    return linalg.projector_defect(family[j])
 
 
-def _element_defect(r, p, proof: _Proof | None, j: int, v, norms, tol: float) -> float:
-    """A bound on :func:`_compression_defect` from the ``proof`` of the family whose
-    projection ``j`` is ``p``, when there is one and the bound is at most ``tol``,
-    else the measured value.  ``norms`` holds the bounds on ``||V||_2`` and
-    ``||V||_F`` and the relative rounding ``s``.  The bound multiplies through the
-    factor and reads no ``D x D`` array (:func:`_proven_dilation`, *Compressions*)."""
+def _element_defect(r, family, j: int, v, norms, tol: float) -> float:
+    """A bound on :func:`_compression_defect` of projection ``j`` of ``family`` from
+    the family's proof, when there is one and the bound is at most ``tol``, else the
+    measured value.  ``norms`` holds the bounds on ``||V||_2`` and ``||V||_F`` and
+    the relative rounding ``s``.  The bound multiplies through the factor and reads
+    no ``D x D`` array (:func:`_proven_dilation`, *Compressions*)."""
+    proof = _proof(family)
     if proof is not None:
         v_2, v_f, s = norms
         z = proof.times(j, v)
@@ -484,7 +534,7 @@ def _element_defect(r, p, proof: _Proof | None, j: int, v, norms, tol: float) ->
         bound = (linalg.frobenius(r - v.conj().T @ z) * s + v_2 * proof.kappa * v_f + rounding) * s
         if bound <= tol:
             return bound
-    return _compression_defect(r, p, v)
+    return _compression_defect(r, family[j], v)
 
 
 def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
@@ -492,9 +542,10 @@ def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
     return linalg.frobenius(r - v.conj().T @ p @ v)
 
 
-def _completeness(family, proof: _Proof | None, tol: float) -> float:
-    """``complete`` of the ``proof`` ``family`` carries when it is at most ``tol``,
-    else the measured ``games._completeness_defect``."""
+def _completeness(family, tol: float) -> float:
+    """``complete`` of the proof of ``family`` when it is at most ``tol``, else the
+    measured ``games._completeness_defect``."""
+    proof = _proof(family)
     if proof is not None and proof.complete <= tol:
         return proof.complete
     return games._completeness_defect(family)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidStrategy, LabError, ParseError
-from .games import Strategy, _is_valid, validate_strategy
+from .games import Strategy, _is_valid, _ProvenFamily, validate_strategy
 
 if TYPE_CHECKING:
     from .dilation import DilationWitness
@@ -140,7 +140,7 @@ def _plain(obj):
         return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _ProvenFamily)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
@@ -210,7 +210,7 @@ def _value(obj, nl: str) -> str:
         return _dict({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, nl)
     if isinstance(obj, dict):
         return _dict(obj, nl)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _ProvenFamily)):
         return _list(obj, nl)
     if isinstance(obj, (np.ndarray, np.generic)):  # numpy arrays and scalars
         return _value(obj.tolist(), nl)

@@ -28,10 +28,11 @@ from selftest_lab.lab import (
     rank_deficient_combination,
     robustness_constant,
     trine_povm,
+    trine_projector_vectors,
     trine_strategy,
 )
 from selftest_lab.metrics import projective_eps, support_preserving_eps
-from selftest_lab.naimark import naimark_strategy
+from selftest_lab.naimark import naimark_family, naimark_strategy, verify_dilation
 from selftest_lab.schmidt import purify
 
 from helpers import (
@@ -415,3 +416,84 @@ def test_robustness_constant_chsh():
     g = chsh_game()
     # sum_st pi * sum_ab V = 2 (two winning pairs per question pair), answers 2
     assert robustness_constant(g) == pytest.approx(2 * 2 * 2, abs=1e-12)
+
+
+def test_minimal_trine_vectors():
+    e = trine_projector_vectors()
+    gram = np.array([[np.vdot(a, b) for b in e] for a in e])
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+    v = minimal_trine_dilation().isometry
+    m = trine_povm()
+    for vec, target in zip(e, m):
+        proj = np.outer(vec, vec.conj())
+        assert np.max(np.abs(v.conj().T @ proj @ v - target)) <= 1e-12
+
+
+def test_minimal_trine_dilation_families():
+    dil = minimal_trine_dilation()
+    check = verify_dilation(trine_strategy().bob, dil, tol=1e-12)
+    assert check.passed
+    fam_m = dil.pvms[2]
+    assert np.max(np.abs(sum(fam_m) - np.eye(3))) <= 1e-12
+    fam_h = dil.pvms[0]
+    assert np.max(np.abs(fam_h[0] + fam_h[1] - np.eye(3))) <= 1e-12
+    assert linalg.projector_defect(fam_h[0]) <= 1e-12
+
+
+def test_minimal_dilations_related_by_unitary():
+    # Two independent minimal dilations of the trine are unitarily equivalent:
+    # compress the square-root construction to its minimal subspace and find
+    # the explicit unitary onto the rank-1-vector construction.
+    m = trine_povm()
+    generic = naimark_family([m])
+    v6 = generic.isometry
+    # each block span{P_j V phi} is one-dimensional (rank-1 effects), spanned
+    # by u_j (x) e_j with u_j the range direction of sqrt(M_j)
+    basis = []
+    for j, p in enumerate(generic.pvms[0]):
+        block = p @ v6  # 6 x 2, rank 1
+        u_svd, sing, _ = np.linalg.svd(block)
+        assert sing[1] <= 1e-12
+        basis.append(u_svd[:, 0])
+    w = np.column_stack(basis)  # isometry C^3 -> C^6 onto the minimal subspace
+    v_min = w.conj().T @ v6
+    p_min = [w.conj().T @ p @ w for p in generic.pvms[0]]
+    # (p_min, v_min) is itself a minimal dilation of the trine
+    for r, p in zip(m, p_min):
+        assert np.max(np.abs(v_min.conj().T @ p @ v_min - r)) <= 1e-12
+        assert linalg.projector_defect(p) <= 1e-12
+
+    dil = minimal_trine_dilation()
+    e_vecs = trine_projector_vectors()
+    v3 = dil.isometry
+    # the relating unitary maps the j-th minimal basis vector to e_j with the
+    # phase aligning the two isometries
+    cols = []
+    for j, e in enumerate(e_vecs):
+        overlap = np.vdot(v_min[j, :], v3.conj().T @ e)
+        phase = overlap / abs(overlap)
+        cols.append(phase * e)
+    u = np.column_stack(cols)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
+    assert np.max(np.abs(u @ v_min - v3)) <= 1e-12
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        phi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        phi /= np.linalg.norm(phi)
+        for p, m_proj in zip(p_min, dil.pvms[2]):
+            lhs = u @ (p @ (v_min @ phi))
+            rhs = m_proj @ (v3 @ phi)
+            assert np.linalg.norm(lhs - rhs) <= 1e-12
+
+
+def test_residual_identity_minimal_trine():
+    phi = canonical_chsh().state
+    dil = minimal_trine_dilation()
+    v = dil.isometry
+    sigma_b = np.eye(2) / 2
+    for fam, pfam in zip(trine_strategy().bob, dil.pvms):
+        for r, p in zip(fam, pfam):
+            lhs_vec = linalg.apply_factors(phi, (2, 2), (None, v @ r - p @ v))
+            lhs = float(np.linalg.norm(lhs_vec)) ** 2
+            rhs = float(np.real(np.trace((np.eye(2) - r) @ r @ sigma_b)))
+            assert lhs == pytest.approx(rhs, abs=1e-12)

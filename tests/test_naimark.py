@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import gc
 import pickle
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -14,13 +16,7 @@ from selftest_lab import games, linalg, naimark, serialize
 from selftest_lab.dilation import dilation_residuals, naimark_embedding
 from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, correlation_of, validate_strategy
-from selftest_lab.lab import (
-    canonical_chsh,
-    minimal_trine_dilation,
-    trine_povm,
-    trine_projector_vectors,
-    trine_strategy,
-)
+from selftest_lab.lab import canonical_chsh, trine_povm, trine_strategy
 from selftest_lab.metrics import projective_eps, support_preserving_eps, strategy_metrics
 from selftest_lab.naimark import (
     NaimarkDilation,
@@ -198,74 +194,6 @@ def test_naimark_strategy_rejects_mixed():
         naimark_strategy(s)
 
 
-def test_minimal_trine_vectors():
-    e = trine_projector_vectors()
-    gram = np.array([[np.vdot(a, b) for b in e] for a in e])
-    assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
-    v = minimal_trine_dilation().isometry
-    m = trine_povm()
-    for vec, target in zip(e, m):
-        proj = np.outer(vec, vec.conj())
-        assert np.max(np.abs(v.conj().T @ proj @ v - target)) <= 1e-12
-
-
-def test_minimal_trine_dilation_families():
-    dil = minimal_trine_dilation()
-    check = verify_dilation(trine_strategy().bob, dil, tol=1e-12)
-    assert check.passed
-    fam_m = dil.pvms[2]
-    assert np.max(np.abs(sum(fam_m) - np.eye(3))) <= 1e-12
-    fam_h = dil.pvms[0]
-    assert np.max(np.abs(fam_h[0] + fam_h[1] - np.eye(3))) <= 1e-12
-    assert linalg.projector_defect(fam_h[0]) <= 1e-12
-
-
-def test_minimal_dilations_related_by_unitary():
-    # Two independent minimal dilations of the trine are unitarily equivalent:
-    # compress the square-root construction to its minimal subspace and find
-    # the explicit unitary onto the rank-1-vector construction.
-    m = trine_povm()
-    generic = naimark_family([m])
-    v6 = generic.isometry
-    # each block span{P_j V phi} is one-dimensional (rank-1 effects), spanned
-    # by u_j (x) e_j with u_j the range direction of sqrt(M_j)
-    basis = []
-    for j, p in enumerate(generic.pvms[0]):
-        block = p @ v6  # 6 x 2, rank 1
-        u_svd, sing, _ = np.linalg.svd(block)
-        assert sing[1] <= 1e-12
-        basis.append(u_svd[:, 0])
-    w = np.column_stack(basis)  # isometry C^3 -> C^6 onto the minimal subspace
-    v_min = w.conj().T @ v6
-    p_min = [w.conj().T @ p @ w for p in generic.pvms[0]]
-    # (p_min, v_min) is itself a minimal dilation of the trine
-    for r, p in zip(m, p_min):
-        assert np.max(np.abs(v_min.conj().T @ p @ v_min - r)) <= 1e-12
-        assert linalg.projector_defect(p) <= 1e-12
-
-    dil = minimal_trine_dilation()
-    e_vecs = trine_projector_vectors()
-    v3 = dil.isometry
-    # the relating unitary maps the j-th minimal basis vector to e_j with the
-    # phase aligning the two isometries
-    cols = []
-    for j, e in enumerate(e_vecs):
-        overlap = np.vdot(v_min[j, :], v3.conj().T @ e)
-        phase = overlap / abs(overlap)
-        cols.append(phase * e)
-    u = np.column_stack(cols)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
-    assert np.max(np.abs(u @ v_min - v3)) <= 1e-12
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        phi /= np.linalg.norm(phi)
-        for p, m_proj in zip(p_min, dil.pvms[2]):
-            lhs = u @ (p @ (v_min @ phi))
-            rhs = m_proj @ (v3 @ phi)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12
-
-
 def test_residual_identity_random():
     # ||(V R (x) 1)psi - (P V (x) 1)psi||^2 = <psi|(1-R)R (x) 1|psi>
     for _ in range(20):
@@ -283,19 +211,6 @@ def test_residual_identity_random():
                 lhs = float(np.linalg.norm(lhs_vec)) ** 2
                 rhs = float(np.real(np.trace((np.eye(d_a) - r) @ r @ sigma_a)))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_residual_identity_minimal_trine():
-    phi = canonical_chsh().state
-    dil = minimal_trine_dilation()
-    v = dil.isometry
-    sigma_b = np.eye(2) / 2
-    for fam, pfam in zip(trine_strategy().bob, dil.pvms):
-        for r, p in zip(fam, pfam):
-            lhs_vec = linalg.apply_factors(phi, (2, 2), (None, v @ r - p @ v))
-            lhs = float(np.linalg.norm(lhs_vec)) ** 2
-            rhs = float(np.real(np.trace((np.eye(2) - r) @ r @ sigma_b)))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_support_preserving_zero_projective_dilation():
@@ -536,21 +451,114 @@ def test_each_dilated_side_is_one_sealed_arena(fams_a, fams_b, seed):
         assert all(x is y for fam, fam_d in zip(side, side_d) for x, y in zip(fam, fam_d))
 
 
-def test_every_side_allocates_one_arena(monkeypatch):
-    shapes = []
+def _counting_arenas(monkeypatch):
+    """The shapes of the 3-d arrays ``games._sealed`` allocates from now on: the
+    arenas of dilated sides."""
+    arenas = []
     real = games._sealed
-    monkeypatch.setattr(games, "_sealed", lambda shape: shapes.append(shape) or real(shape))
+
+    def sealed(shape):
+        if len(shape) == 3:
+            arenas.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(games, "_sealed", sealed)
+    return arenas
+
+
+def test_every_side_allocates_one_arena(monkeypatch):
+    arenas = _counting_arenas(monkeypatch)
     s = canonical_chsh()
     src = Strategy(state=s.state, dims=s.dims, alice=[], bob=s.bob)
     dilated, _, v_b = naimark_strategy(src)
-    dim = v_b.shape[0]
-    arenas = [x for x in shapes if len(x) == 3]
-    assert arenas == [(0, 2, 2), (4, dim, dim)]  # Alice has no questions, then Bob
-    _assert_one_arena(dilated.bob)
-    shapes.clear()
     dil = naimark_family(s.bob)
-    assert [x for x in shapes if len(x) == 3] == [(4, dim, dim)]
-    _assert_one_arena(dil.pvms)
+    dim = v_b.shape[0]
+    assert arenas == []  # no projection read yet, so no arena
+    for side in (dilated.bob, dil.pvms):
+        side[1][0]  # one Bob element read builds the whole side
+        assert arenas == [(4, dim, dim)]
+        _assert_one_arena(side)  # every projection read again: no second arena
+        assert arenas == [(4, dim, dim)]
+        arenas.clear()
+
+
+def test_threads_reading_a_fresh_side_share_one_arena(monkeypatch):
+    arenas = _counting_arenas(monkeypatch)
+    dil = naimark_family([trine_povm()] * 3)
+    n = 8
+    barrier, seen = threading.Barrier(n), []
+
+    def read():
+        barrier.wait()
+        seen.append([p for fam in dil.pvms for p in fam])
+
+    threads = [threading.Thread(target=read) for _ in range(n)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads) and len(seen) == n
+    assert len(arenas) == 1  # one build, however the first reads interleave
+    assert all(x is y for views in seen for x, y in zip(views, seen[0], strict=True))
+
+
+def test_a_proven_family_reads_as_its_tuple():
+    dilated, _, _ = naimark_strategy(trine_strategy())
+    fam = dilated.bob[2]
+    members = tuple(fam)
+    assert type(fam) is games._ProvenFamily and len(fam) == fam.proof.m == len(members) == 3
+    assert all(x is y for x, y in zip(fam, members, strict=True))  # iteration order
+    assert fam[-1] is members[2] and fam[0] is fam[-3] is members[0]
+    assert type(fam[1:]) is tuple and fam[1:] == members[1:] and fam[:0] == ()
+    with pytest.raises(IndexError):
+        fam[3]
+    assert fam == members and members == fam and fam != members[:2] and fam != list(members)
+    assert repr(fam) == repr(members)
+    with pytest.raises(TypeError):  # as for its tuple: numpy arrays do not hash
+        hash(fam)
+    assert copy.copy(dilated) == dilated and copy.copy(dilated).bob[2] is fam
+    with pytest.raises(AttributeError):
+        fam.proof = None
+    plain = dataclasses.asdict(dilated)["bob"][2]
+    for other in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam), plain):
+        assert type(other) is tuple and len(other) == 3
+        assert all(np.array_equal(x, y) for x, y in zip(other, members))
+
+
+def test_naimark_strategy_builds_no_projection():
+    # Bob dilates to D = 324; its 13 projections would take 20.8 MiB
+    s = _deep_source(910)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dilated, _, _ = naimark_strategy(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dilated.dims == (12, 324)
+    assert peak - start < 4 * 2**20
+
+
+def test_a_dense_fallback_builds_its_side_once(monkeypatch):
+    # six trine families dilate to D = 2 * 3^6 = 1458, where 15 of the 18
+    # projectivity bounds exceed the default tol: those entries are measured
+    fams = [trine_povm()] * 6
+    dil = naimark_family(fams)
+    arenas = _counting_arenas(monkeypatch)
+    squares = []
+    real = linalg.projector_defect
+    monkeypatch.setattr(linalg, "projector_defect", lambda p: squares.append(1) or real(p))
+    check = verify_dilation(fams, dil)
+    assert check.passed and len(squares) == 15 and arenas == [(18, 1458, 1458)]
+    proven = [x for fam, row in zip(dil.pvms, check.projection_defects) for x in row
+              if x == fam.proof.square]
+    assert len(proven) == 18 - 15
 
 
 def test_a_pickled_projection_holds_its_own_bytes_not_the_arena():
@@ -584,8 +592,8 @@ def test_proven_projections_are_not_scanned_again(monkeypatch):
 
 def test_naimark_strategy_peak_memory_near_its_output():
     # Bob dilates to D = 3*2*2*3*3*3 = 324: 13 projections of 1.6 MiB each.
-    # Holding each projection once, the peak stays near the output's size;
-    # a second copy of every projection would double it.
+    # Holding each projection once, the peak of the build and a read of every
+    # projection stays near their size; a second copy of each would double it.
     rng = np.random.default_rng(902)
     s = Strategy(
         state=random_bipartite_state(rng, 3, 3, rank=2),
@@ -598,12 +606,12 @@ def test_naimark_strategy_peak_memory_near_its_output():
         start, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         dilated, _, _ = naimark_strategy(s)
+        elements = [e for fam in dilated.alice + dilated.bob for e in fam]  # built here
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert dilated.dims == (12, 324)
-    element_bytes = sum(e.nbytes for fam in dilated.alice + dilated.bob for e in fam)
-    assert peak - start < 1.25 * element_bytes
+    assert peak - start < 1.25 * sum(e.nbytes for e in elements)
 
 
 def _deep_source(seed):
@@ -963,7 +971,7 @@ def _with_proof(dil, **bounds):
     """``dil`` with its first family carrying a copy of its proof with ``bounds``
     replaced, the members unchanged."""
     first, *rest = dil.pvms
-    bad = games._ProvenFamily(first, dataclasses.replace(first.proof, **bounds))
+    bad = games._ProvenFamily(first._read, dataclasses.replace(first.proof, **bounds))
     return dataclasses.replace(dil, pvms=(bad, *rest))
 
 
