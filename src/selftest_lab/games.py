@@ -66,20 +66,29 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ProvenFamily(Sequence):
-    """The projections of one Naimark-dilated family, immutable, and ``proof``, the
-    ``naimark._Proof`` of exactly this family (``naimark._proven_dilation``).  ``_read()``
-    returns the projections as a tuple; the first read of any family of a side builds
-    that side's arena, so a side that is never read allocates no ``D x D`` array.
-    ``len`` is the proof's ``m``; indexing and iteration read the projections, and
-    ``==`` and ``repr`` are those of their tuple, which no hash takes.  A slice, a
-    regrouping, a copy, a pickle, or ``dataclasses.asdict`` gives a plain tuple: what
-    it holds is measured, not proven."""
+    """One Naimark-dilated family of ``m`` projections on ``C^dim``, immutable, with
+    what ``naimark._proven_dilation`` proves of exactly it:
 
-    __slots__ = ("_read", "proof")
+    - ``w``, its sealed factor ``W_k``, columns grouped by outcome (``None`` for the
+      last family);
+    - ``gate``, the ``tol`` from which on it passes the validity gate;
+    - ``square``, a bound on each :func:`linalg.projector_defect`;
+    - ``complete``, a bound on its completeness defect;
+    - ``kappa`` and ``norm``, the bounds of its compressions.
 
-    def __init__(self, read, proof):
-        object.__setattr__(self, "_read", read)
-        object.__setattr__(self, "proof", proof)
+    ``_read()`` returns the projections as a tuple; the first read of any family of
+    a side builds the whole side.  ``len`` is ``m``; indexing and iteration read the
+    projections, and ``==`` and ``repr`` are those of their tuple, which no hash
+    takes.  A slice, a regrouping, a copy, a pickle, or ``dataclasses.asdict`` gives
+    a plain tuple: what it holds is measured, not proven.  Only this exact type is
+    trusted."""
+
+    _FIELDS = ("_read", "w", "m", "dim", "gate", "square", "complete", "kappa", "norm")
+    __slots__ = _FIELDS + ("__weakref__",)
+
+    def __init__(self, *values):
+        for name, value in zip(self._FIELDS, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("a proven family is immutable")
@@ -87,7 +96,7 @@ class _ProvenFamily(Sequence):
     __delattr__ = __setattr__
 
     def __len__(self):
-        return self.proof.m
+        return self.m
 
     def __getitem__(self, i):
         return self._read()[i]
@@ -106,14 +115,28 @@ class _ProvenFamily(Sequence):
     def __reduce__(self):
         return tuple, (self._read(),)
 
+    def times(self, j: int, x: np.ndarray) -> np.ndarray:
+        """``P_kj x`` for a thin ``x``: ``B (B* x)`` with ``B = W_kj`` for ``j >= 1``,
+        ``x - T (T* x)`` with the tail ``T = [W_k1 ... W_k(m-1)]`` for ``j = 0``, and
+        the rows ``j::m`` of ``x`` in the last family.  That costs ``D n r`` for a
+        ``D x n`` factor and ``r`` columns, in place of ``D^2 r``."""
+        if self.w is None:
+            out = np.zeros(x.shape, np.result_type(np.complex128, x))
+            out[j::self.m] = x[j::self.m]
+            return out
+        n = self.w.shape[1] // self.m
+        b = self.w[:, max(j, 1) * n:(j + 1) * n if j else None]
+        y = b @ (b.T @ x.conj()).conj()  # B* x as conj(B^T conj(x)): no copy of B
+        return y if j else x - y
+
 
 def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """``raw`` as tuples of :func:`_freeze`-d elements.  An empty family raises
     :class:`InvalidStrategy`; an element not finite or not ``dim x dim``,
     :class:`DimensionMismatch`.  A :class:`_ProvenFamily` is kept as it is and not
-    read: its proof gives its dimension, its projections are sealed, and its proof
-    has finite bounds, so finite ``delta``, ``e`` and ``f``; then ``||B_j||^2 <= f``
-    and every entry is finite."""
+    read: it carries its dimension, its projections are sealed, and its bounds are
+    finite, so finite ``delta``, ``e`` and ``f``; then ``||B_j||^2 <= f`` and every
+    entry is finite."""
     families = []
     for q, family in enumerate(raw):
         proven = type(family) is _ProvenFamily
@@ -121,7 +144,7 @@ def _families(raw, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
             family = tuple(_freeze(linalg.require_finite(e, f"{side} element")) for e in family)
         if not family:
             raise InvalidStrategy(f"{side} question {q} has an empty measurement family")
-        for shape in [(family.proof.dim,) * 2] if proven else (e.shape for e in family):
+        for shape in [(family.dim,) * 2] if proven else (e.shape for e in family):
             if shape != (dim, dim):
                 raise DimensionMismatch(
                     f"{side} element has shape {shape}, expected {(dim, dim)}"
@@ -165,7 +188,7 @@ class Strategy:
     ``state`` is a vector (pure) or density matrix (mixed) on the joint space
     of dimension ``dims[0] * dims[1]``.  Construction checks that both local
     dimensions are at least 1, the state's shape, that the state and every
-    element are finite (a Naimark-dilated family's proof shows it, so it is not
+    element are finite (a :class:`_ProvenFamily`'s bounds show it, so it is not
     scanned again), and that every family is non-empty with elements of its
     side's ``d x d`` shape; semantic validity is checked by
     :func:`validate_strategy`.
@@ -279,11 +302,10 @@ def _completeness_defect(family) -> float:
 
 def _family_valid(family, tol: float) -> bool:
     """Validity at ``tol`` of a family of finite square complex128 elements: its
-    ``proof``'s ``gate`` at most ``tol`` (a :class:`_ProvenFamily`), or per element
-    the Hermiticity defect, then :func:`linalg.is_psd`, and last the completeness
+    ``gate`` at most ``tol`` (a :class:`_ProvenFamily`), or per element the
+    Hermiticity defect, then :func:`linalg.is_psd`, and last the completeness
     defect."""
-    proof = getattr(family, "proof", None)
-    if proof is not None and tol >= proof.gate:
+    if type(family) is _ProvenFamily and tol >= family.gate:
         return True
     if not all(linalg._hermitian_psd(e, tol) for e in family):
         return False
@@ -291,16 +313,15 @@ def _family_valid(family, tol: float) -> bool:
 
 
 def _times(family, j: int, x: np.ndarray) -> np.ndarray:
-    """``family[j] @ x`` for a thin ``x``, or ``proof.times(j, x)`` for a
+    """``family[j] @ x`` for a thin ``x``, or ``family.times(j, x)`` for a
     :class:`_ProvenFamily`, which reads no ``D x D`` array;
     ``naimark._proven_dilation`` bounds their distance."""
-    proof = getattr(family, "proof", None)
-    return family[j] @ x if proof is None else proof.times(j, x)
+    return family.times(j, x) if type(family) is _ProvenFamily else family[j] @ x
 
 
 def _is_valid(s: Strategy, tol: float) -> bool:
     """Validity of ``s`` at ``tol``, to the first failed check: per family
-    :func:`_family_valid` (a Naimark family's proof answers at or above its
+    :func:`_family_valid` (a :class:`_ProvenFamily` answers at or above its
     ``gate``), last the state's norm (pure), or its trace, Hermiticity and
     :func:`linalg.is_psd` (mixed).  No spectrum is computed.  The smallest ``tol``
     that passed is kept as ``s._valid_tol`` and answers any ``tol`` at or above

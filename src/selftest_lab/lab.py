@@ -334,6 +334,12 @@ def minimal_dilation_strategies() -> tuple[Strategy, Strategy]:
     first, as in :func:`minimal_trine_dilation`, and 0 in the second.  They have
     the same correlation but not the same moments: the Bob word ``[(2,0), (1,1),
     (2,0)]`` reads (4-sqrt(2))/18 on the first and (2-sqrt(2))/18 on the second.
+
+    The state-level forms relate the pair: the state never reaches ``1 - V V*``,
+    so the identity witness certifies either direction in the vector form (0.0)
+    and the matrix form (round-off), while the extraction form refuses both, the
+    state's Schmidt rank 2 being below Bob's 3.  Only an operator moment, whose
+    product leaves the state's support, separates them.
     """
     base = canonical_chsh()
     (v, bob1), (_, bob2) = (_minimal_trine_dilation(defect) for defect in ((0, 1), (0, 0)))

@@ -30,33 +30,21 @@ The second form of ``P_k0`` is the telescoped sum of the defects
 ``1 (x) |j><j|``.  Family ``k`` costs ``D^2 D_k`` (one Gram product per
 projection) instead of ``O(n)`` products of ``D x D`` matrices per element.
 
-:func:`naimark_family` and :func:`naimark_strategy` prove their output valid
-from the same factors, with no projection built or read:
-``||W_k* W_k - 1||_F`` (one Gram product, ``D D_k^2``) and a GEMM rounding
-term put every stored ``P_kj`` within ``e`` (Frobenius) of a Hermitian
-``X_kj`` with spectrum near ``[0, 1]``.  That bounds, in place of the gate's
-``D^3/3`` Cholesky and its ``O(D^2)`` Hermiticity and completeness passes per
-element, the spectrum, ``||P - P*||_F <= 2e``, each family's completeness
-defect (of order ``gamma(m) (sqrt(D) + f + e)``, ``f = ||W_k||_F^2``) and
-each ``||P_kj^2 - P_kj||_F`` (:func:`_proven_dilation` derives them).  Each
-family's bounds, its validity ``gate`` among them, and its sealed ``W_k`` are one
-record, :class:`_Proof`, which the family carries as a ``games._ProvenFamily``.
-The proof holds whatever ``V2_k`` is, because the Gram defect is measured on
-the stored ``W_k``.
-
-``games._times`` takes ``P x`` for a thin ``x`` through the proof
-(:meth:`_Proof.times`), at ``D D_k`` per column in place of ``D^2``, so the
-pure-state kernels read no ``D x D`` projection of a dilated strategy.
-:func:`verify_dilation` reads a bound when it is at most ``tol`` and measures
-densely otherwise, so its verdict is the dense one.  A family with no proof
-(read from a file, copied, regrouped or truncated) is measured as matrices.
-
-The projections of one dilated side are the rows of one sealed ``N x D x D``
-arena, ``N`` the side's element count, built when any projection of the side is
-first read, each computed in place from its family's ``W_k``: a side that is read
-allocates and first-touches one buffer, not one ``D x D`` buffer per projection,
-and a side that no caller reads (as the pure-state kernels and a
-:func:`verify_dilation` that reads only proofs) allocates none.
+Each dilated family is a ``games._ProvenFamily``: one immutable sequence that
+carries its sealed factor ``W_k`` and what :func:`_proven_dilation` proves of the
+family from that factor alone, at one Gram product ``W_k* W_k`` (``D D_k^2``): its
+validity ``gate``, read by the validity gate in place of a ``D^3/3`` Cholesky and
+``O(D^2)`` Hermiticity and completeness passes per element, and bounds on each
+projector defect, the completeness defect and the compressions.  ``games._times``
+takes ``P x`` for a thin ``x`` through ``W_k``, at ``D D_k`` per column in place of
+``D^2``, so the pure-state kernels read no projection; :func:`verify_dilation`
+reads a bound where it is at most ``tol`` and measures densely otherwise, so its
+verdict is the dense one.  The projections of one side are the rows of one sealed
+``N x D x D`` arena, ``N`` the side's element count, built once, under the side's
+lock, when any of its families is first read, so a side no caller reads allocates
+none, and a kept projection keeps its whole side alive.  Only that exact type is
+trusted: a family read from a file, copied, regrouped or truncated is a plain
+tuple and is measured as matrices.
 """
 
 from __future__ import annotations
@@ -79,11 +67,8 @@ class NaimarkDilation:
 
     Invariants: ``V* V = 1`` on the source space, every element of ``pvms``
     is a projection, each family sums to the identity, and the compressions
-    ``V* P V`` reproduce the source POVM elements.
-
-    The projections of :func:`naimark_family` are views of one sealed arena, built
-    when the first of them is read, so a kept projection keeps every projection of
-    the dilation alive.
+    ``V* P V`` reproduce the source POVM elements.  The families of
+    :func:`naimark_family` are those of the module docstring's last paragraph.
     """
 
     pvms: tuple[tuple[np.ndarray, ...], ...]
@@ -132,102 +117,33 @@ def _step_isometries(
     return steps, v_total
 
 
-@dataclass(frozen=True, eq=False)
-class _Proof:
-    """What :func:`_proven_dilation` proves of one dilated family of ``m``
-    projections on ``C^dim``, compared by identity: its sealed factor ``w = W_k`` (columns
-    grouped by outcome; ``None`` for the last family), ``square`` bounding each
-    :func:`linalg.projector_defect`, ``complete`` the family's completeness
-    defect, ``kappa`` and ``norm`` of *Compressions*, and ``gate``, the ``tol`` from
-    which on the family passes the gate.  It holds no projection: its family holds it."""
-
-    w: np.ndarray | None
-    m: int
-    dim: int
-    square: float
-    complete: float
-    kappa: float
-    norm: float
-    gate: float
-
-    def times(self, j: int, x: np.ndarray) -> np.ndarray:
-        """``P_kj x`` for a thin ``x``: ``B (B* x)`` with ``B = W_kj`` for ``j >= 1``,
-        ``x - T (T* x)`` with the tail ``T = [W_k1 ... W_k(m-1)]`` for ``j = 0``, and
-        the rows ``j::m`` of ``x`` in the last family.  That costs ``D n r`` for a
-        ``D x n`` factor and ``r`` columns, in place of ``D^2 r``."""
-        if self.w is None:
-            out = np.zeros(x.shape, np.result_type(np.complex128, x))
-            out[j::self.m] = x[j::self.m]
-            return out
-        n = self.w.shape[1] // self.m
-        b = self.w[:, max(j, 1) * n:(j + 1) * n if j else None]
-        y = b @ (b.T @ x.conj()).conj()  # B* x as conj(B^T conj(x)): no copy of B
-        return y if j else x - y
-
-
-def _factors(steps: list[np.ndarray]) -> list[tuple[np.ndarray | None, int]]:
-    """Each dilated family's ``(W_k, m_k)`` in order, ``W_k`` built from the last step
-    back and stored sealed with its columns grouped by outcome, so each ``W_kj`` is a
-    column slice: ``None`` for the last family ``1 (x) |j><j|``."""
-    factors = []
-    w = None  # W_k, columns grouped (D_{k-1}, m); the identity for the last family
-    for v2 in reversed(steps):
-        dim_prev = v2.shape[1]
-        m = v2.shape[0] // dim_prev
-        w_k = None
-        if w is not None:
-            dim = w.shape[0]
-            w_k, out = games._sealed((dim, m * dim_prev))
-            out.reshape(dim, m, dim_prev)[...] = w.reshape(dim, dim_prev, m).transpose(0, 2, 1)
-            del out
-        factors.append((w_k, m))
-        w = v2 if w is None else w @ v2
-    return factors[::-1]
-
-
-class _Arena:
-    """The projections of one dilated side, from its ``factors`` (:func:`_factors`),
-    built when any of them is first read as the rows of one sealed arena,
-    ``games._sealed((N, D, D))`` with ``N = sum_k m_k``: ``P_kj = W_kj W_kj*`` for
-    ``j >= 1``, the identity less each in turn at ``j = 0``, and the 0/1 diagonals of
-    the last family.  Each is a sealed C-contiguous view, built in place through the
-    arena's one writable alias, so none is copied.  The alias covers every family, so
-    all are built before it is dropped and any is handed out."""
-
-    def __init__(self, dim: int, factors: list[tuple[np.ndarray | None, int]]):
-        self._dim, self._factors, self._families = dim, factors, None
-        self._lock = threading.Lock()
-
-    def family(self, k: int) -> tuple[np.ndarray, ...]:
-        """The projections of family ``k``, built with the whole side on the first call
-        (once, also when threads make it at the same time)."""
-        if self._families is None:
-            with self._lock:
-                if self._families is None:
-                    self._families = self._build()
-        return self._families[k]
-
-    def _build(self) -> list[tuple[np.ndarray, ...]]:
-        dim = self._dim
-        arena, block = games._sealed((sum(m for _, m in self._factors), dim, dim))
-        families, start = [], 0
-        for w_k, m in self._factors:
-            outs = block[start:start + m]
-            if w_k is None:
-                for j in range(m):
-                    outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
-            else:
-                dim_prev = w_k.shape[1] // m
-                outs[0][np.diag_indices(dim)] = 1.0
-                for j in range(1, m):
-                    b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
-                    np.matmul(b, b.conj().T, out=outs[j])
-                    np.subtract(outs[0], outs[j], out=outs[0])
-            del outs  # the writable alias lives on in block alone
-            families.append(tuple(arena[start:start + m]))
-            start += m
-        del block  # the writable alias dies before any family leaves
-        return families
+def _side(dim: int, factors: list[tuple[np.ndarray | None, int]]) -> list[tuple]:
+    """The projections of one dilated side from its families' ``(W_k, m_k)``, as the
+    rows of one sealed arena, ``games._sealed((N, D, D))`` with ``N = sum_k m_k``:
+    ``P_kj = W_kj W_kj*`` for ``j >= 1``, the identity less each in turn at ``j = 0``,
+    and the 0/1 diagonals of the last family.  Each is a sealed C-contiguous view,
+    built in place through the arena's one writable alias, so none is copied.  The
+    alias covers every family, so all are built before it is dropped and any is
+    handed out."""
+    arena, block = games._sealed((sum(m for _, m in factors), dim, dim))
+    families, start = [], 0
+    for w_k, m in factors:
+        outs = block[start:start + m]
+        if w_k is None:
+            for j in range(m):
+                outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
+        else:
+            dim_prev = w_k.shape[1] // m
+            outs[0][np.diag_indices(dim)] = 1.0
+            for j in range(1, m):
+                b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
+                np.matmul(b, b.conj().T, out=outs[j])
+                np.subtract(outs[0], outs[j], out=outs[0])
+        del outs  # the writable alias lives on in block alone
+        families.append(tuple(arena[start:start + m]))
+        start += m
+    del block  # the writable alias dies before any family leaves
+    return families
 
 
 def naimark_family(povms) -> NaimarkDilation:
@@ -238,10 +154,9 @@ def naimark_family(povms) -> NaimarkDilation:
     ``P_k0 = 1 - sum_{j>=1} P_kj``, which equals the iterative
     construction's ``W_k0 W_k0*`` plus the telescoped identity defects
     ``1 - W_k W_k*`` (see the module docstring).  Costs ``D^2 D_k`` per
-    family on the dilated dimension ``D``, paid when a projection is first read.  The
-    projections are built sealed, as views of one arena (see :class:`NaimarkDilation`),
-    so a :class:`Strategy` built from them adopts them without a copy, and each family
-    carries its :class:`_Proof`.
+    family on the dilated dimension ``D``, paid when a projection is first read.  Each
+    family is a sealed ``games._ProvenFamily`` (module docstring), so a
+    :class:`Strategy` adopts it without a copy.
     """
     pvms, v = _proven_dilation(povms, gate=True)
     return NaimarkDilation(pvms=pvms, isometry=v, dims=(v.shape[1], v.shape[0]))
@@ -249,11 +164,13 @@ def naimark_family(povms) -> NaimarkDilation:
 
 def _proven_dilation(povms, gate: bool, d: int | None = None):
     """The dilated families of :func:`naimark_family` and the isometry ``V``; a
-    family is a ``games._ProvenFamily`` of its :class:`_Proof`, read from its side's
-    :class:`_Arena`, when the proof's bounds are finite, else a plain tuple of the
-    arena's projections, built at once.  Its ``gate``, the largest ``t`` of
-    *Spectrum*, *Hermiticity* and *Completeness*, is a ``tol`` at and above which
-    the dense ``games._family_valid`` passes on the family.  ``d`` is the source dimension, as in :func:`_step_isometries`.
+    family is a ``games._ProvenFamily`` when its bounds are finite, else a plain
+    tuple of its projections, built at once.  Each ``W_k`` is built from the last
+    step back and stored sealed with its columns grouped by outcome, so each
+    ``W_kj`` is a column slice.  A family's ``gate``, the largest ``t`` of *Spectrum*,
+    *Hermiticity* and *Completeness*, is a ``tol`` at and above which the dense
+    ``games._family_valid`` passes on the family.  ``d`` is the source dimension, as
+    in :func:`_step_isometries`.
 
     Let ``B = W_k`` (``D x D_k``, as stored), ``B_j`` its column block of
     outcome ``j`` (``D x n``, ``D_k = n m``), ``f = ||B||_F^2`` and ``X_j``
@@ -292,9 +209,9 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     GEMM bound, and ``sum_j ||B_j||_F^2 = f``) and
     ``||P_0||_F <= ||X_0||_F + e <= sqrt(D) (1 + delta) + e``.  So the gate
     measures at most ``gamma(m - 1) ((2 + delta) sqrt(D) + e + 3f) r``.
-    Neither bound reads a projection: the proof costs one Gram product
-    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the proof's
-    ``complete``, read only for the family that carries it.
+    Neither bound reads a projection: they cost one Gram product
+    ``W_k* W_k`` (``D D_k^2``) per family.  The second is the family's
+    ``complete``.
 
     *Projectivity.*  ``X_j^2 - X_j = B_j (B_j* B_j - 1) B_j*`` for ``j >= 1``,
     and ``X_0^2 - X_0`` is the same with ``B_j`` the tail ``[B_1 ... B_{m-1}]``;
@@ -303,15 +220,15 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     ``||P^2 - P||_F <= (1 + delta) delta + (3 + 2 delta) e + e^2``.  The dense
     check rounds its ``P @ P`` by at most ``g ||P||_F^2 <= g D (1 + beta)^2``
     and its difference and norm by a relative ``gamma(2 D^2 + 2)``
-    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The proof's
+    (``gamma(2 D^2 + 16)`` also covers evaluating this bound).  The family's
     ``square`` is that bound; it is at least ``3 e r``, so it also covers the
     Hermiticity term of :func:`linalg.projector_defect`.  A NaN in a factor
-    makes ``delta`` NaN, and every bound with it, so the family carries no
-    proof.  The last family has 0/1 diagonals summing to the identity: every
+    makes ``delta`` NaN, and every bound with it, so the family is a plain
+    tuple.  The last family has 0/1 diagonals summing to the identity: every
     bound is 0.
 
-    *Products through the factor* (:meth:`_Proof.times`, for a finite ``x`` with
-    ``r`` columns).  With ``B = B_j`` (``j >= 1``), the computed ``B (B* x)``
+    *Products through the factor* (``games._ProvenFamily.times``, for a finite
+    ``x`` with ``r`` columns).  With ``B = B_j`` (``j >= 1``), the computed ``B (B* x)``
     errs from ``X_j x`` by at most ``(gamma(D + 2) + gamma(n + 2) (1 +
     gamma(D + 2))) ||B||_F^2 ||x||_F``, the entrywise GEMM bound of each
     product, and ``||B_j||_F^2 <= f``.  With ``T`` the tail (``j = 0``, inner
@@ -325,9 +242,9 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     and every dense term is a product with 0 or 1.
 
     *Compressions* (:func:`verify_dilation`, with ``V`` (``D x d``) and ``R``
-    as the caller passes them).  The proof's ``kappa = (e + gamma(D + D_k +
+    as the caller passes them).  The family's ``kappa = (e + gamma(D + D_k +
     5) (f + 1 + delta)) r`` is the bound above less the dense product's
-    rounding, so ``Z = proof.times(j, V)`` is within ``kappa ||V||_F`` of the
+    rounding, so ``Z = family.times(j, V)`` is within ``kappa ||V||_F`` of the
     exact ``P V`` (``kappa = 0`` in the last family), and its ``norm``
     ``N = (sqrt(D) (1 + delta) + e) r >= ||P||_F``.  The
     dense check forms ``C = fl(fl(V* P) V)``, within ``g ||P||_F ||V||_F (2
@@ -348,25 +265,44 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     c = 2 * dim * linalg._U
     g = linalg._gamma(dim + 2)
     r = 1 + linalg._gamma(2 * dim * dim + 16)
-    factors = _factors(steps)
-    arena = _Arena(dim, factors)
-    pvms = []
-    for k, (w, m) in enumerate(factors):
+    # the side is built from its own list of (W_k, m_k), not from the families, so
+    # no family refers to itself and each is freed by reference counting alone
+    factors, pvms = [None] * len(steps), [None] * len(steps)
+    lock, built = threading.Lock(), []
+
+    def read(k: int) -> tuple[np.ndarray, ...]:
+        """Family ``k``'s projections; the first read builds the whole side, once, also
+        when threads make it at the same time."""
+        if not built:
+            with lock:
+                if not built:
+                    built.append(_side(dim, factors))
+        return built[0][k]
+
+    w = None  # W_k, columns grouped (D_{k-1}, m); the identity for the last family
+    for k in reversed(range(len(steps))):
+        dim_prev = steps[k].shape[1]
+        m = steps[k].shape[0] // dim_prev
+        w_k = None
         beta = square = complete = delta = e = kappa = 0.0
         if w is not None:
-            delta, e, f = _factor_errors(w, m)
+            w_k, out = games._sealed((dim, m * dim_prev))
+            out.reshape(dim, m, dim_prev)[...] = w.reshape(dim, dim_prev, m).transpose(0, 2, 1)
+            del out
+            delta, e, f = _factor_errors(w_k, m)
             beta = delta + e
             square = (1 + delta) * delta + (3 + 2 * delta) * e + e * e + g * dim * (1 + beta) ** 2
             square *= r
             complete = linalg._gamma(m - 1) * ((2 + delta) * dim**0.5 + e + 3 * f) * r
-            kappa = (e + linalg._gamma(dim + w.shape[1] + 5) * (f + 1 + delta)) * r
+            kappa = (e + linalg._gamma(dim + w_k.shape[1] + 5) * (f + 1 + delta)) * r
         gate = max((beta + c * (1 + beta)) / (1 - c), 2 * e * r, complete)
         norm = (dim**0.5 * (1 + delta) + e) * r
-        proof = _Proof(w, m, dim, square, complete, kappa, norm, gate)
-        read = functools.partial(arena.family, k)
-        finite = all(map(math.isfinite, (square, complete, kappa, norm, gate)))
-        pvms.append(games._ProvenFamily(read, proof) if finite else read())
-    return tuple(pvms), v
+        factors[k] = w_k, m
+        bounds = gate, square, complete, kappa, norm
+        if all(map(math.isfinite, bounds)):
+            pvms[k] = games._ProvenFamily(functools.partial(read, k), w_k, m, dim, *bounds)
+        w = steps[k] if w is None else w @ steps[k]
+    return tuple(read(k) if fam is None else fam for k, fam in enumerate(pvms)), v
 
 
 def _factor_errors(w: np.ndarray, m: int) -> tuple[float, float, float]:
@@ -385,17 +321,13 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     """Dilate both players' families; the state is embedded as ``(V_A (x) V_B) psi``.
 
     The returned strategy is projective and produces the same correlation as
-    the input.  Each family's :class:`_Proof` answers the validity gate at or
-    above its ``gate`` with no Cholesky, so the gate measures only the state's
-    norm; the strategy holds no ``_valid_tol`` until a gate passes.
+    the input.  Its families are ``games._ProvenFamily`` (module docstring), so
+    gating it measures only the state's norm; the strategy holds no
+    ``_valid_tol`` until a gate passes.
     ``V_A`` and ``V_B`` are kept as ``s._naimark_isometries`` (sealed) for
     :func:`_strategy_isometries`.  A side with no questions is dilated by the
     identity of its dimension.  A source that has passed the validity
     gate (at any ``tol``) is dilated without gating its families again.
-    Each side's projections are views of one sealed arena, built when the first of
-    them is read, so a strategy that is only gated and run through the pure-state
-    kernels holds no ``D x D`` array, and a projection kept past the strategy keeps
-    its whole side's arena alive.
     """
     psi = s.pure_state()
     gate = s._valid_tol is None
@@ -426,10 +358,10 @@ class DilationCheck:
     """Defect tables from verifying a claimed Naimark dilation.
 
     Each entry is the measured defect, or, when that is at most ``tol``, a
-    bound from the :class:`_Proof` of the projection's family
+    bound that the projection's ``games._ProvenFamily`` carries
     (:func:`verify_dilation`): its ``square``, its ``complete``, or
-    ``||R - V* P V||_F`` bounded through its factor.  An entry from a proof
-    bounds the measured value.
+    ``||R - V* P V||_F`` bounded through its factor.  Such an entry bounds
+    the measured value.
     """
 
     tol: float
@@ -446,20 +378,22 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     Raises ``DimensionMismatch`` when the families and the dilation differ in
     family count, in element count per family (an empty family is one), or
     in dimension (each ``R`` on the domain of ``V``, each ``P`` on its codomain).
-    Each family of a dilation this module built carries a :class:`_Proof`, which
-    stands in for a dense check whenever its bound is at most ``tol``; every other
-    entry is measured, so the verdict is the dense one: ``square`` for ``P @ P``,
-    ``complete`` for the summed family, and a bound on ``||R - V* P V||_F``
-    through the factor, at ``D d n`` in place of ``D^2 d`` (:func:`_proven_dilation`,
-    *Compressions*).  A family with no proof (copied, regrouped, truncated, or
-    read from a file) is measured densely.  A proven family's shape is its proof's,
-    so a projection is read, and its side's arena built, only where an entry is
-    measured.
+    A ``games._ProvenFamily`` (module docstring) stands in for a dense check wherever
+    its bound is at most ``tol``; every other entry is measured, so the verdict is
+    the dense one: ``square`` for ``P @ P``, ``complete`` for the summed family,
+    and a bound on ``||R - V* P V||_F`` through the factor, at ``D d n`` in place
+    of ``D^2 d`` (:func:`_proven_dilation`, *Compressions*).  Any other family
+    (copied, regrouped, truncated, or read from a file) is measured densely.  A
+    proven family's shape is its ``dim``, so a projection is read, and its side
+    built, only where an entry is measured.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]
     # a proven family stays as it is, unread; every other family's elements are read here
-    pvms = [fam if _proof(fam) else [linalg.as_complex(p) for p in fam] for fam in d.pvms]
+    pvms = [
+        fam if type(fam) is games._ProvenFamily else [linalg.as_complex(p) for p in fam]
+        for fam in d.pvms
+    ]
     if len(povms) != len(pvms):
         raise DimensionMismatch(f"{len(povms)} families against {len(pvms)} dilated ones")
     for k, (family, dilated) in enumerate(zip(povms, pvms)):
@@ -467,8 +401,8 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
             raise DimensionMismatch(
                 f"family {k} has {len(family)} elements, its dilation {len(dilated)}"
             )
-        proof = _proof(dilated)
-        shapes = [(proof.dim,) * 2] * len(dilated) if proof else [p.shape for p in dilated]
+        proven = type(dilated) is games._ProvenFamily
+        shapes = [(dilated.dim,) * 2] * len(dilated) if proven else [p.shape for p in dilated]
         for r, shape in zip(family, shapes):
             if r.shape != (v.shape[1],) * 2 or shape != (v.shape[0],) * 2:
                 raise DimensionMismatch(
@@ -505,33 +439,26 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     )
 
 
-def _proof(family) -> _Proof | None:
-    """The :class:`_Proof` that ``family`` carries, or None."""
-    return getattr(family, "proof", None)
-
-
 def _projection_defect(family, j: int, tol: float) -> float:
-    """``square`` of the proof of ``family`` when it is at most ``tol``, else the
+    """``square`` of a proven ``family`` when it is at most ``tol``, else the
     measured :func:`linalg.projector_defect` of its projection ``j``."""
-    proof = _proof(family)
-    if proof is not None and proof.square <= tol:
-        return proof.square
+    if type(family) is games._ProvenFamily and family.square <= tol:
+        return family.square
     return linalg.projector_defect(family[j])
 
 
 def _element_defect(r, family, j: int, v, norms, tol: float) -> float:
     """A bound on :func:`_compression_defect` of projection ``j`` of ``family`` from
-    the family's proof, when there is one and the bound is at most ``tol``, else the
+    its factor, when it is proven and the bound is at most ``tol``, else the
     measured value.  ``norms`` holds the bounds on ``||V||_2`` and ``||V||_F`` and
     the relative rounding ``s``.  The bound multiplies through the factor and reads
     no ``D x D`` array (:func:`_proven_dilation`, *Compressions*)."""
-    proof = _proof(family)
-    if proof is not None:
+    if type(family) is games._ProvenFamily:
         v_2, v_f, s = norms
-        z = proof.times(j, v)
+        z = family.times(j, v)
         g = linalg._gamma(v.shape[0] + 2)
-        rounding = g * v_f * (linalg.frobenius(z) * s + 3 * proof.norm * v_f)
-        bound = (linalg.frobenius(r - v.conj().T @ z) * s + v_2 * proof.kappa * v_f + rounding) * s
+        rounding = g * v_f * (linalg.frobenius(z) * s + 3 * family.norm * v_f)
+        bound = (linalg.frobenius(r - v.conj().T @ z) * s + v_2 * family.kappa * v_f + rounding) * s
         if bound <= tol:
             return bound
     return _compression_defect(r, family[j], v)
@@ -543,9 +470,8 @@ def _compression_defect(r: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
 
 
 def _completeness(family, tol: float) -> float:
-    """``complete`` of the proof of ``family`` when it is at most ``tol``, else the
+    """``complete`` of a proven ``family`` when it is at most ``tol``, else the
     measured ``games._completeness_defect``."""
-    proof = _proof(family)
-    if proof is not None and proof.complete <= tol:
-        return proof.complete
+    if type(family) is games._ProvenFamily and family.complete <= tol:
+        return family.complete
     return games._completeness_defect(family)

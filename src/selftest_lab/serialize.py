@@ -71,7 +71,7 @@ def strategy_from_jsonable(obj) -> Strategy:
         return Strategy(state=state, dims=dims, alice=alice, bob=bob)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, LabError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, LabError) as exc:
         raise ParseError(f"malformed strategy object: {exc}") from exc
 
 
@@ -100,7 +100,7 @@ def witness_arrays_from_jsonable(obj) -> tuple[np.ndarray, np.ndarray, np.ndarra
         return u_a, u_b, aux, form
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed witness object: {exc}") from exc
 
 
@@ -129,7 +129,7 @@ def dilation_from_jsonable(obj) -> NaimarkDilation:
                 f"the isometry of shape {isometry.shape}"
             )
         return NaimarkDilation(pvms=pvms, isometry=isometry, dims=dims)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed dilation object: {exc}") from exc
 
 
@@ -277,16 +277,24 @@ def emit_report(result, fmt: str = "json") -> bytes:
 
 
 def load_json_file(path) -> object:
+    """The JSON value in the file at ``path``; a :class:`ParseError` when the file
+    cannot be read or decoded, or is not JSON that ``json.loads`` can parse (an
+    integer literal over its digit limit, or arrays nested past the recursion
+    limit)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def parse_strategy_file(path, tol: float | None = linalg.DEFAULT_TOL) -> Strategy:

@@ -744,6 +744,35 @@ def test_cli_tol_zero_is_accepted(capsys):
     assert json.loads(capsys.readouterr().out)["valid"] is False
 
 
+MALFORMED_JSON = {
+    "not UTF-8": lambda text: b"\xff\xfe{}",
+    "over the int digit limit": lambda text: b"[" + b"1" * 4301 + b"]",
+    "nested past the recursion limit": lambda text: b"[" * 200000,
+    # the file's first entry as a 401-digit integer, which no float holds
+    "beyond the float range": lambda text: text.replace("1.0", "1" + "0" * 400, 1).encode(),
+}
+
+
+@pytest.mark.parametrize("role", ["strategy", "witness"])
+@pytest.mark.parametrize("case", MALFORMED_JSON)
+def test_cli_refuses_malformed_json_in_one_line(tmp_path, capsys, role, case):
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    witness = serialize.dumps_json({"U_A": eye, "U_B": eye, "aux": [[1.0, 0.0]]})
+    valid = (FIXTURES / "chsh.json").read_text() if role == "strategy" else witness
+    path = tmp_path / "bad.json"
+    chsh = str(FIXTURES / "chsh.json")
+    argv = ["validate"] if role == "strategy" else ["check-dilation", chsh, chsh]
+    argv.append(str(path))
+    path.write_text(valid)
+    assert run(argv) == 0  # the file parses before it is broken
+    capsys.readouterr()
+    path.write_bytes(MALFORMED_JSON[case](valid))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_cli_names_the_missing_witness_field(capsys):
     # a strategy file given as the witness
     trine, chsh = str(FIXTURES / "trine.json"), str(FIXTURES / "chsh.json")

@@ -3,9 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from selftest_lab import linalg
+from selftest_lab import dilation, linalg
 from selftest_lab.dilation import naimark_embedding, reverse_witness
-from selftest_lab.errors import DegenerateTopEigenvalue, DimensionMismatch, LabError
+from selftest_lab.errors import (
+    DegenerateTopEigenvalue,
+    DimensionMismatch,
+    FullRankRequired,
+    LabError,
+)
 from selftest_lab.games import (
     Strategy,
     correlation_of,
@@ -357,6 +362,22 @@ def test_higher_order_moment_separating_values():
     assert m2.real == pytest.approx((2 - SQRT2) / 18, abs=1e-12)
     assert (m1 - m2).real == pytest.approx(1 / 9, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["s1 to s2", "s2 to s1"])
+def test_the_state_level_forms_relate_the_paper_pair_and_a_moment_separates_it(swap):
+    # the pair differs only where the state never reaches (1 - V V*), so the identity
+    # witness certifies it in the vector and matrix forms; the extraction form needs
+    # full Schmidt rank, and an operator product leaves the state's support
+    src, dst = minimal_dilation_strategies()[::-1 if swap else 1]
+    w = dilation._trivial_ancilla_witness(np.eye(2), np.eye(3))
+    assert dilation.check(src, dst, w, "vector").eps == 0.0
+    assert dilation.check(src, dst, w, "matrix").eps <= 1e-15
+    with pytest.raises(FullRankRequired):
+        dilation.check(src, dst, w, "extraction")
+    word = [(2, 0), (1, 1), (2, 0)]
+    gap = higher_order_moment(src, [], word) - higher_order_moment(dst, [], word)
+    assert abs(abs(gap) - 1 / 9) <= 1e-15
 
 
 def test_separating_bob_word_is_found_by_enumeration():

@@ -385,7 +385,7 @@ def test_dilated_projections_are_read_only_and_shared():
             assert not p.flags.writeable
             with pytest.raises(ValueError):
                 p[0, 0] = 0.0
-            w = fam.proof.w
+            w = fam.w
             if w is not None:  # the sealed W_k, which no caller can make writable, nor a slice
                 with pytest.raises(ValueError):
                     w[:, 1:].setflags(write=True)
@@ -397,19 +397,18 @@ def test_dilated_projections_are_read_only_and_shared():
 
 
 def _rebuilt_from_factor(fam, j):
-    """Projection ``j`` of ``fam`` rebuilt from the family's proof with the build's
+    """Projection ``j`` of ``fam`` rebuilt from the family's factor with the build's
     operations in its order: ``B B*``, the identity less each ``B_j B_j*`` of ``fam``
     in turn, or the 0/1 rows of the last family."""
-    proof = fam.proof
-    assert type(fam) is games._ProvenFamily and proof.m == len(fam)
+    assert type(fam) is games._ProvenFamily and fam.m == len(fam)
     dim = fam[j].shape[0]
-    if proof.w is None:
+    if fam.w is None:
         want = np.zeros((dim, dim), dtype=complex)
-        rows = np.arange(dim)[j::proof.m]
+        rows = np.arange(dim)[j::fam.m]
         want[rows, rows] = 1.0
         return want
-    n = proof.w.shape[1] // proof.m
-    blocks = [proof.w[:, i * n:(i + 1) * n] for i in range(proof.m)]
+    n = fam.w.shape[1] // fam.m
+    blocks = [fam.w[:, i * n:(i + 1) * n] for i in range(fam.m)]
     if j:
         return blocks[j] @ blocks[j].conj().T
     want = np.eye(dim, dtype=complex)
@@ -511,7 +510,7 @@ def test_a_proven_family_reads_as_its_tuple():
     dilated, _, _ = naimark_strategy(trine_strategy())
     fam = dilated.bob[2]
     members = tuple(fam)
-    assert type(fam) is games._ProvenFamily and len(fam) == fam.proof.m == len(members) == 3
+    assert type(fam) is games._ProvenFamily and len(fam) == fam.m == len(members) == 3
     assert all(x is y for x, y in zip(fam, members, strict=True))  # iteration order
     assert fam[-1] is members[2] and fam[0] is fam[-3] is members[0]
     assert type(fam[1:]) is tuple and fam[1:] == members[1:] and fam[:0] == ()
@@ -523,7 +522,7 @@ def test_a_proven_family_reads_as_its_tuple():
         hash(fam)
     assert copy.copy(dilated) == dilated and copy.copy(dilated).bob[2] is fam
     with pytest.raises(AttributeError):
-        fam.proof = None
+        fam.gate = None
     plain = dataclasses.asdict(dilated)["bob"][2]
     for other in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam), plain):
         assert type(other) is tuple and len(other) == 3
@@ -557,7 +556,7 @@ def test_a_dense_fallback_builds_its_side_once(monkeypatch):
     check = verify_dilation(fams, dil)
     assert check.passed and len(squares) == 15 and arenas == [(18, 1458, 1458)]
     proven = [x for fam, row in zip(dil.pvms, check.projection_defects) for x in row
-              if x == fam.proof.square]
+              if x == fam.square]
     assert len(proven) == 18 - 15
 
 
@@ -710,7 +709,7 @@ def test_recorded_projectivity_is_sound(fams_a, fams_b, seed):
     for fams, dil in _dilated_cases(fams_a, fams_b, seed):
         for fam in dil.pvms:
             for p in fam:
-                assert fam.proof.square >= linalg.projector_defect(p)
+                assert fam.square >= linalg.projector_defect(p)
         worst = _worst(_dense_check(fams, dil))
         for tol in (1e-12, 1e-10, 1e-8):
             assert verify_dilation(fams, dil, tol).passed == (worst <= tol)
@@ -743,7 +742,7 @@ def test_proven_tol_covers_the_measured_defects(fams_a, fams_b, seed):
     dilated, _, _ = naimark_strategy(s)
     pvms, _ = naimark._proven_dilation(fams_a, gate=True)  # naimark_family's proof
     for fam in pvms + dilated.alice + dilated.bob:
-        proven = fam.proof.gate
+        proven = fam.gate
         assert games._completeness_defect(fam) <= proven
         for p in fam:
             assert linalg.hermiticity_defect(p) <= proven
@@ -759,11 +758,11 @@ def test_the_gate_that_reads_a_record_gives_the_dense_verdict(fams_a, fams_b, se
     for families in (naimark_family(fams_a).pvms, dilated.alice, dilated.bob):
         # the last family's 0/1 diagonals are singular unless it has one outcome,
         # and the dense gate refuses a singular projection at tol 0
-        assert families[-1].proof.gate > 0
+        assert families[-1].gate > 0
         for fam in families:
-            gate = fam.proof.gate
+            gate = fam.gate
             copies = tuple(np.array(p) for p in fam)  # no proof: the dense gate
-            assert getattr(copies, "proof", None) is None
+            assert type(copies) is not games._ProvenFamily
             for tol in (0.0, gate / 2, gate, 1e-9):
                 assert games._family_valid(fam, tol) == games._family_valid(copies, tol), tol
 
@@ -799,7 +798,7 @@ def _factored_product_bound(fam, p, x) -> float:
     for the projection ``p = fam[j]`` of the dilated family ``fam``: ``e`` plus both
     products' rounding, times ``||x||_F``; 0 in the last family, whose 0/1 diagonals
     make both products exact."""
-    w = fam.proof.w  # the stored W_k
+    w = fam.w  # the stored W_k
     if w is None:
         return 0.0
     dim, dim_k = w.shape
@@ -917,6 +916,29 @@ def test_a_regrouped_truncated_or_copied_family_is_measured(monkeypatch):
     assert reads((p0, p1.copy(), p2), fams[0]) == (measured(3), True)
 
 
+class _Forged(tuple):
+    """A tuple that carries what a proven family carries, but is not one."""
+
+
+def test_only_a_proven_family_is_trusted():
+    # three zero projections under the fields of a real family: the forged family
+    # is measured, so its completeness defect is ||0 - 1||_F = sqrt(18)
+    fams = [trine_povm()] * 2
+    dil = naimark_family(fams)
+    real = dil.pvms[0]
+    bad = _Forged(np.zeros((18, 18), dtype=complex) for _ in range(3))
+    for name in type(real).__slots__:
+        if name not in ("_read", "__weakref__"):
+            setattr(bad, name, getattr(real, name))
+    check = verify_dilation(fams, dataclasses.replace(dil, pvms=(bad, dil.pvms[1])))
+    assert not check.passed
+    assert abs(check.completeness_defects[0] - 18**0.5) <= 1e-12
+    assert not games._family_valid(bad, 1e-9)
+    x = RNG.normal(size=(18, 2)) + 1j * RNG.normal(size=(18, 2))
+    for j in range(3):
+        assert np.array_equal(games._times(bad, j, x), bad[j] @ x)
+
+
 def test_a_perturbed_element_or_isometry_fails_as_the_dense_check_does():
     s = _deep_source(908)
     dilated, _, v = naimark_strategy(s)
@@ -943,7 +965,7 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
     fams = [trine_povm(), trine_povm()]
     dil = naimark_family(fams)
     p = dil.pvms[0][1]
-    bound = dil.pvms[0].proof.square
+    bound = dil.pvms[0].square
     assert 0 < bound <= 1e-10
     squared = []
     real = linalg.projector_defect
@@ -968,10 +990,11 @@ def test_a_copied_or_loosely_proven_projection_is_measured(monkeypatch):
 
 
 def _with_proof(dil, **bounds):
-    """``dil`` with its first family carrying a copy of its proof with ``bounds``
+    """``dil`` with its first family rebuilt from its fields with ``bounds``
     replaced, the members unchanged."""
     first, *rest = dil.pvms
-    bad = games._ProvenFamily(first._read, dataclasses.replace(first.proof, **bounds))
+    fields = {name: getattr(first, name) for name in games._ProvenFamily._FIELDS}
+    bad = games._ProvenFamily(*{**fields, **bounds}.values())
     return dataclasses.replace(dil, pvms=(bad, *rest))
 
 
@@ -989,12 +1012,12 @@ def test_facts_leave_with_their_objects(kind):
     if kind == "projection":
         dil = naimark_family([trine_povm(), trine_povm()])
         objs = [p for fam in dil.pvms for p in fam]
-        # the side's arena, each family's proof, and the W_k each proof holds
-        proofs = [fam.proof for fam in dil.pvms]
-        refs = [weakref.ref(objs[0].base)] + [weakref.ref(x) for x in proofs]
-        refs += [weakref.ref(proof.w) for proof in proofs if proof.w is not None]
+        # the side's arena, each family, and the W_k each family holds
+        families = list(dil.pvms)
+        refs = [weakref.ref(objs[0].base)] + [weakref.ref(x) for x in families]
+        refs += [weakref.ref(fam.w) for fam in families if fam.w is not None]
         assert len(refs) == 4 and all(r() is not None for r in refs)
-        del dil, proofs
+        del dil, families
     else:
         objs = [canonical_chsh()]
         assert games._is_valid(objs[0], 1e-9) and objs[0]._valid_tol == 1e-9

@@ -255,6 +255,15 @@ def test_dilation_dims_must_repeat_the_isometry_shape(field, value):
         serialize.dilation_from_jsonable(obj)
 
 
+@pytest.mark.parametrize("kind, array", [("witness", "U_A"), ("dilation", "isometry")])
+def test_an_integer_beyond_the_float_range_is_a_parse_error(kind, array):
+    # json.loads keeps a 401-digit literal as an int, which no float holds
+    obj = PARSERS[kind][0]()
+    obj[array][0][0][0] = 10**400
+    with pytest.raises(serialize.ParseError, match=f"malformed {kind} object: int too large"):
+        PARSERS[kind][1](obj)
+
+
 @pytest.mark.parametrize("kind, first", [("witness", "U_A"), ("dilation", "pvms")])
 def test_parse_error_on_a_non_object_names_the_first_field(kind, first):
     with pytest.raises(serialize.ParseError) as info:

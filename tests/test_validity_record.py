@@ -91,7 +91,7 @@ def test_proof_accepts_only_what_the_dense_gate_accepts(case):
     assert dilated._valid_tol is None
     # what the records prove, with the state's norm the gate still measures
     families = dilated.alice + dilated.bob
-    proven = max([fam.proof.gate for fam in families]
+    proven = max([fam.gate for fam in families]
                  + [abs(np.linalg.norm(dilated.state) - 1.0)])
     dense = games._is_valid(_fresh(dilated), tol)
     if tol >= proven:
