@@ -157,11 +157,11 @@ class _Rotated:
 
     Construction makes the checks of those rows, in order: the witness contract
     (:func:`_fit_witness`), ``dst`` pure, ``sigma`` (when given) a finite square
-    matrix on the hat factors, then one purification of the source (its vector if
-    ``pure``), whose purifier factor must be any declared ``purifier`` (else
+    matrix on the hat factors, then one purification of the source, whose
+    purifier factor must be any declared ``purifier`` (else
     :class:`WitnessMismatch`)."""
 
-    def __init__(self, src, dst, u_a, u_b, dims_a, dims_b, sigma=None, purifier=None, pure=False):
+    def __init__(self, src, dst, u_a, u_b, dims_a, dims_b, sigma=None, purifier=None):
         self.u_a, self.u_b = _fit_witness(src, dst, u_a, u_b, dims_a, dims_b)
         self.m_dst = dst.pure_state().reshape(dst.dims)
         if sigma is not None:
@@ -169,7 +169,7 @@ class _Rotated:
             if sigma.shape[0] != dims_a[1] * dims_b[1]:
                 raise DimensionMismatch("sigma_aux does not match the hat dimensions")
         self.sigma = sigma
-        psi, d_p = (src.pure_state(), 1) if pure else _purified(src)
+        psi, d_p = _purified(src)
         if purifier not in (None, d_p):
             raise WitnessMismatch(f"aux purifier factor is {purifier}, purification needs {d_p}")
         self.psi, self.d_b = psi.reshape(src.dims[0], -1), src.dims[1]
@@ -281,10 +281,9 @@ def naimark_embedding(s: Strategy) -> DilationWitness:
     """Witness embedding ``s`` into its constructed Naimark dilation.
 
     Certifies ``s -> naimark_strategy(s)`` with trivial ancillas at epsilon
-    bounded by the projectivity defect of ``s``.  The isometries come from
-    ``naimark``: those ``naimark_strategy(s)`` keeps on ``s``, or, before it has
-    run, the same ones built under its gate, so the order of the two calls does
-    not change the witness.
+    bounded by the projectivity defect of ``s``.  The isometries are those
+    ``naimark_strategy(s)`` keeps on ``s``; it runs first if it has not run yet,
+    so the order of the two calls does not change the witness.
     """
     from . import naimark
 
@@ -433,7 +432,7 @@ def extraction_residual(src: Strategy, dst: Strategy, u_a, u_b) -> ResidualRepor
 def _extraction_report(src, dst, u_a, u_b, purifier=None) -> ResidualReport:
     dims_a, dims_b = _extraction_dims(src, dst)
     # a declared purifier factor (from check) is checked against the purification
-    g = _Rotated(src, dst, u_a, u_b, dims_a, dims_b, purifier=purifier, pure=purifier is None)
+    g = _Rotated(src, dst, u_a, u_b, dims_a, dims_b, purifier=purifier)
     for st, name in ((src, "src"), (dst, "dst")):
         sd = schmidt.schmidt_decompose(st.pure_state(), st.dims)
         if sd.rank != min(st.dims) or st.dims[0] != st.dims[1]:

@@ -6,11 +6,11 @@ state as a density matrix of the same total dimension.  Measurement families
 are per-question lists of POVM elements indexed by answer.
 
 Correlations and game operators are contractions, element by element, with
-no ``kron`` per pair of elements.  With ``dA <= dB`` (else the roles swap)
-each Bob element ``F`` is first reduced to a ``dA x dA`` operator: for a pure
-state, ``conj(M) F M^T`` on the state matrix ``M`` (``dA dB^2`` time);
-for a mixed state, one matrix-vector product with the reordered density
-matrix (``dA^2 dB^2``).  Each pair of elements then costs ``dA^2``.
+no ``kron`` per pair of elements.  Each Bob element ``F`` is first reduced to
+a ``dA x dA`` operator: for a pure state, ``conj(M) F M^T`` on the state
+matrix ``M`` (``dA dB^2`` time); for a mixed state, one matrix-vector product
+with the reordered density matrix (``dA^2 dB^2``).  Each pair of elements
+then costs ``dA^2``.
 :func:`game_operator` sums ``pi V`` over Bob's elements (``dB^2`` per pair)
 and takes one ``kron`` per Alice element; :func:`win_probability` needs no
 game operator.  Intermediates are at most the size of the state.
@@ -461,43 +461,29 @@ def correlation_of(s: Strategy, tol: float = linalg.DEFAULT_TOL) -> Correlation:
 
 def _outcome_table(s: Strategy, n_a: int, n_b: int) -> np.ndarray:
     """Unclipped ``Re tr((A_sa (x) B_tb) rho)`` indexed ``[s, t, a, b]`` over
-    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; no gate.
-
-    The larger side's elements are reduced to operators on the smaller side
-    (see the module docstring), so the roles swap when ``dA > dB``.
-    """
+    ``n_a`` and ``n_b`` answers, zero for answers a family lacks; no gate.  Each
+    Bob element ``F`` is reduced, from the state matrix ``M`` (``dA x dB``) or the
+    density tensor ``rho[i, j, k, l]``, to the ``dA x dA`` operator ``R`` with
+    ``tr((E (x) F) rho) = sum_ki E_ki R_ki``."""
     d_a, d_b = s.dims
-    if s.is_pure:
-        state, swap = s.state.reshape(d_a, d_b), (1, 0)
-    else:
-        state, swap = s.state.reshape(d_a, d_b, d_a, d_b), (1, 0, 3, 2)
-    if d_a <= d_b:
-        return _reduced_table(state, s.alice, s.bob, n_a, n_b)
-    return _reduced_table(state.transpose(swap), s.bob, s.alice, n_b, n_a).transpose(1, 0, 3, 2)
-
-
-def _reduced_table(state, alice, bob, n_a, n_b) -> np.ndarray:
-    """:func:`_outcome_table` from the state matrix ``M`` (``dA x dB``) or the
-    density tensor ``rho[i, j, k, l]``, each Bob element ``F`` reduced to the
-    ``dA x dA`` operator ``R`` with ``tr((E (x) F) rho) = sum_ki E_ki R_ki``."""
-    d_a, d_b = state.shape[:2]
-    if state.ndim == 2:  # R = conj(M) F M^T
+    if s.is_pure:  # R = conj(M) F M^T
+        state = s.state.reshape(d_a, d_b)
         m_conj = state.conj()
 
         def reduce(family, b):
             return m_conj @ _times(family, b, state.T)
     else:  # R_ki = sum_lj rho[i, j, k, l] F_lj, one matrix-vector product
-        r = state.transpose(2, 0, 3, 1).reshape(d_a * d_a, d_b * d_b)
+        r = s.state.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 3, 1).reshape(d_a * d_a, -1)
 
         def reduce(family, b):
             return (r @ family[b].reshape(-1)).reshape(d_a, d_a)
 
-    reduced = np.zeros((len(bob), n_b, d_a, d_a), dtype=np.complex128)
-    for qt, family in enumerate(bob):
+    reduced = np.zeros((len(s.bob), n_b, d_a, d_a), dtype=np.complex128)
+    for qt, family in enumerate(s.bob):
         for b in range(len(family)):
             reduced[qt, b] = reduce(family, b)
-    table = np.zeros((len(alice), len(bob), n_a, n_b), dtype=np.float64)
-    for qs, family in enumerate(alice):
+    table = np.zeros((len(s.alice), len(s.bob), n_a, n_b), dtype=np.float64)
+    for qs, family in enumerate(s.alice):
         for a, e in enumerate(family):
             table[qs, :, a, :] = np.tensordot(reduced, e, axes=([2, 3], [0, 1])).real
     return table

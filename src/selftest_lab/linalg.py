@@ -59,18 +59,9 @@ def _identity_defect(x: np.ndarray) -> float:
     return frobenius(x)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """``np.all(np.isfinite(a))``, from one sum when that sum is finite: a sum
-    with a NaN or infinite term is not finite, and one that overflowed (or had
-    ``inf`` and ``-inf`` terms) is checked entry by entry."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum()
-    return bool(np.isfinite(total) or np.all(np.isfinite(a)))
-
-
 def require_finite(a, what: str = "array") -> np.ndarray:
     a = as_complex(a)
-    if not _all_finite(a):
+    if not np.isfinite(a).all():
         raise DimensionMismatch(f"{what} contains non-finite entries")
     return a
 
@@ -166,7 +157,7 @@ def is_psd(h, tol: float = DEFAULT_TOL) -> bool:
     reads one triangle and returns NaN there without raising.
     """
     h = require_square(as_complex(h))
-    if not _all_finite(h):
+    if not np.isfinite(h).all():
         return False
     return _shifted_cholesky_exists(h, dagger(h), tol)
 
@@ -276,11 +267,18 @@ def encode_complex_array(a) -> list:
 
 
 def decode_complex_array(obj) -> np.ndarray:
-    """Inverse of :func:`encode_complex_array`; exact for round-tripped floats, whose
-    parts are assigned (``re + 1j*im`` warns on an infinite imaginary part)."""
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
+    """Inverse of :func:`encode_complex_array`: nested ``[re, im]`` pairs of a vector
+    or a matrix (else :class:`DimensionMismatch`), each entry an ``int`` or a
+    ``float``, never a ``bool``, ``str`` or ``None``, which numpy would read as a
+    number (else :class:`TypeError`).  Exact for round-tripped floats, whose parts
+    are assigned (``re + 1j*im`` warns on an infinite imaginary part)."""
+    entries = np.asarray(obj, dtype=object)
+    if entries.ndim not in (2, 3) or entries.shape[-1] != 2:
         raise DimensionMismatch("expected nested [re, im] pairs for a vector or matrix")
+    if not set(map(type, entries.flat)) <= {int, float}:
+        bad = next(x for x in entries.flat if type(x) not in (int, float))
+        raise TypeError(f"matrix entries must be numbers, not {bad!r}")
+    arr = entries.astype(np.float64)
     out = np.empty(arr.shape[:-1], dtype=np.complex128)
     out.real, out.imag = arr[..., 0], arr[..., 1]
     return out

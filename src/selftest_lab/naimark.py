@@ -325,9 +325,10 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
     gating it measures only the state's norm; the strategy holds no
     ``_valid_tol`` until a gate passes.
     ``V_A`` and ``V_B`` are kept as ``s._naimark_isometries`` (sealed) for
-    :func:`_strategy_isometries`.  A side with no questions is dilated by the
-    identity of its dimension.  A source that has passed the validity
-    gate (at any ``tol``) is dilated without gating its families again.
+    :func:`_strategy_isometries`, which runs this first if it has not run on
+    ``s`` yet.  A side with no questions is dilated by the identity of its
+    dimension.  A source that has passed the validity gate (at any ``tol``) is
+    dilated without gating its families again.
     """
     psi = s.pure_state()
     gate = s._valid_tol is None
@@ -344,13 +345,11 @@ def naimark_strategy(s: Strategy) -> tuple[Strategy, np.ndarray, np.ndarray]:
 
 
 def _strategy_isometries(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    """``V_A`` and ``V_B`` of :func:`naimark_strategy`: those it kept on ``s``, or, before
-    it has run, its steps built under its gate with no projection, so they are the same."""
-    built = s._naimark_isometries
-    if built is None:
-        gate = s._valid_tol is None
-        built = tuple(_step_isometries(f, gate, d)[1] for f, d in zip((s.alice, s.bob), s.dims))
-    return built
+    """``V_A`` and ``V_B`` that :func:`naimark_strategy` kept on ``s``; it runs first if
+    it has not run on ``s`` yet."""
+    if s._naimark_isometries is None:
+        naimark_strategy(s)
+    return s._naimark_isometries
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ library spells them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -53,8 +54,21 @@ def _field(obj, path: str, kind: str = "strategy"):
         raise ParseError(f"malformed {kind} object: missing field {path}") from None
 
 
-def strategy_from_jsonable(obj) -> Strategy:
+@contextlib.contextmanager
+def _malformed(kind: str):
+    """Any error of reading a ``kind`` object, a matrix that
+    :func:`linalg.decode_complex_array` refuses among them, as a :class:`ParseError`
+    that begins ``malformed {kind} object:``; a :class:`ParseError` as it is."""
     try:
+        yield
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, LabError) as exc:
+        raise ParseError(f"malformed {kind} object: {exc}") from exc
+
+
+def strategy_from_jsonable(obj) -> Strategy:
+    with _malformed("strategy"):
         dims = (_field(obj, "dims.A"), _field(obj, "dims.B"))
         if not all(type(d) is int for d in dims):  # bool, float and str are refused
             raise ParseError(f"malformed strategy object: dims must be integers, not {dims!r}")
@@ -69,10 +83,6 @@ def strategy_from_jsonable(obj) -> Strategy:
         alice = [[linalg.decode_complex_array(e) for e in fam] for fam in _field(obj, "alice")]
         bob = [[linalg.decode_complex_array(e) for e in fam] for fam in _field(obj, "bob")]
         return Strategy(state=state, dims=dims, alice=alice, bob=bob)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, LabError) as exc:
-        raise ParseError(f"malformed strategy object: {exc}") from exc
 
 
 def witness_to_jsonable(w: DilationWitness, form: str = "vector") -> dict:
@@ -86,9 +96,9 @@ def witness_to_jsonable(w: DilationWitness, form: str = "vector") -> dict:
 
 def witness_arrays_from_jsonable(obj) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Decode the raw witness arrays; factorizations are derived by callers
-    from the destination strategy's dimensions.  Non-finite entries are a
-    :class:`ParseError`."""
-    try:
+    from the destination strategy's dimensions.  A malformed array or entry,
+    and a non-finite entry, is a :class:`ParseError`."""
+    with _malformed("witness"):
         field = functools.partial(_field, obj, kind="witness")
         u_a, u_b, aux = (linalg.decode_complex_array(field(key)) for key in ("U_A", "U_B", "aux"))
         for key, arr in (("U_A", u_a), ("U_B", u_b), ("aux", aux)):
@@ -98,10 +108,6 @@ def witness_arrays_from_jsonable(obj) -> tuple[np.ndarray, np.ndarray, np.ndarra
         if form not in ("vector", "matrix", "extraction"):
             raise ParseError(f"unknown witness form {form!r}")
         return u_a, u_b, aux, form
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed witness object: {exc}") from exc
 
 
 def dilation_to_jsonable(d: NaimarkDilation) -> dict:
@@ -118,7 +124,7 @@ def dilation_from_jsonable(obj) -> NaimarkDilation:
     from .naimark import NaimarkDilation
 
     field = functools.partial(_field, obj, kind="dilation")
-    try:
+    with _malformed("dilation"):
         pvms = tuple(tuple(linalg.decode_complex_array(p) for p in fam) for fam in field("pvms"))
         isometry = linalg.decode_complex_array(field("isometry"))
         declared = (field("dims.in"), field("dims.out"))
@@ -129,8 +135,6 @@ def dilation_from_jsonable(obj) -> NaimarkDilation:
                 f"the isometry of shape {isometry.shape}"
             )
         return NaimarkDilation(pvms=pvms, isometry=isometry, dims=dims)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed dilation object: {exc}") from exc
 
 
 def _plain(obj):

@@ -706,6 +706,46 @@ def test_cli_check_dilation_rejects_non_finite_witness(tmp_path, capsys, form, a
     assert captured.err == f"error: witness {array} contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("entry", [["1.0", False], [True, 0.0], [None, 0.0]],
+                         ids=["string", "bool", "null"])
+def test_cli_refuses_a_strategy_entry_that_is_not_a_number(tmp_path, capsys, entry):
+    obj = json.loads((FIXTURES / "chsh.json").read_text())
+    obj["alice"][0][0][0] = entry
+    assert run(["validate", write_json(tmp_path, "entry.json", obj)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed strategy object: matrix entries must be numbers, not {entry[0]!r}\n"
+    )
+
+
+@pytest.mark.parametrize("entry", [True, "1", None], ids=repr)
+def test_cli_refuses_a_witness_entry_that_is_not_a_number(tmp_path, capsys, entry):
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    bad = copy.deepcopy(eye)
+    bad[0][0][0] = entry
+    wit = write_json(tmp_path, "w.json", {"U_A": bad, "U_B": eye, "aux": [[1.0, 0.0]]})
+    chsh = str(FIXTURES / "chsh.json")
+    assert run(["check-dilation", chsh, chsh, wit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed witness object: matrix entries must be numbers, not {entry!r}\n"
+    )
+
+
+def test_cli_refuses_a_witness_that_does_not_factor_over_dst(tmp_path, capsys):
+    # U_A has 3 rows, which the 2-dimensional dst factor does not divide
+    u_a = linalg.encode_complex_array(np.eye(3, 2, dtype=complex))
+    u_b = linalg.encode_complex_array(np.eye(2, dtype=complex))
+    wit = write_json(tmp_path, "w.json", {"U_A": u_a, "U_B": u_b, "aux": [[1.0, 0.0]]})
+    chsh = str(FIXTURES / "chsh.json")
+    assert run(["check-dilation", chsh, chsh, wit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness isometries do not factor over the dst dimensions\n"
+
+
 def test_cli_unwritable_out_is_one_error_line(capsys):
     out = "/nonexistent/dir/x.json"
     assert run(["validate", str(FIXTURES / "chsh.json"), "--out", out]) == 2

@@ -1006,3 +1006,30 @@ def test_check_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_witness_refuses_aux_that_does_not_factor_over_the_hat_dimensions():
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(WitnessMismatch, match="not a multiple of the hat dimensions"):
+        DilationWitness(u_a=eye, u_b=eye, dims_a=(1, 2), dims_b=(2, 1), aux=np.ones(3) / 3**0.5)
+
+
+def test_vector_witness_refuses_a_rotation_onto_an_orthogonal_state():
+    # Z on Alice takes the Bell state to the orthogonal (|00> - |11>)/sqrt(2)
+    chsh = canonical_chsh()
+    z = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(WitnessMismatch, match="no component along the target state"):
+        vector_witness_from_matrix_form(chsh, chsh, z, np.eye(2), (2, 1), (2, 1))
+
+
+def test_extraction_compression_refuses_a_witness_with_a_product_ancilla():
+    # the identity on C^4 = C^2 (x) C^2 with aux e0 (x) e0 is an exact vector-form witness
+    chsh = canonical_chsh()
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    src = attach_product_ancilla(chsh, e0, e0)
+    eye = np.eye(4, dtype=complex)
+    w = DilationWitness(u_a=eye, u_b=eye, dims_a=(2, 2), dims_b=(2, 2), aux=np.kron(e0, e0))
+    assert dilation_residuals(src, chsh, w).eps == 0.0
+    # aux has Schmidt rank 1, so each compressed isometry is 2 x 4, not square
+    with pytest.raises(FullRankRequired, match="compressed witnesses are not square"):
+        extraction_witness_from_vector(src, chsh, w)

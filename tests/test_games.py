@@ -601,3 +601,10 @@ def test_contractions_match_loop_oracles(drawn):
     assert np.max(np.abs(game_operator(g, s) - loop_game_operator(g, s))) <= 1e-12
     omega = np.sum(g.pi[:, :, None, None] * g.predicate * loop_table(s, *g.shape[2:]))
     assert abs(win_probability(g, s) - omega) <= 1e-12
+
+
+def test_proven_family_equals_one_rebuilt_from_its_fields():
+    fam = naimark_strategy(trine_strategy())[0].bob[0]
+    rebuilt = games._ProvenFamily(*(getattr(fam, name) for name in fam._FIELDS))
+    assert type(rebuilt) is games._ProvenFamily
+    assert fam == rebuilt and rebuilt == fam

@@ -66,6 +66,20 @@ def test_beta_functionals_canonical():
     assert betas.beta1 == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "questions, message",
+    [((3, 3), "expected two binary Alice questions"),
+     ((2, 2), "expected two binary Bob questions plus one trine-like question")],
+    ids=["three-alice-questions", "chsh"],
+)
+def test_beta_functionals_refuses_another_scenario(questions, message):
+    s = canonical_chsh()
+    alice = (s.alice * 2)[:questions[0]]
+    s = Strategy(state=s.state, dims=s.dims, alice=alice, bob=(s.bob * 2)[:questions[1]])
+    with pytest.raises(DimensionMismatch, match=message):
+        beta_functionals(s)
+
+
 def test_beta_functionals_deterministic_strategy():
     one = np.eye(2, dtype=complex)
     zero = np.zeros((2, 2), dtype=complex)

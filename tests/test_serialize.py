@@ -264,6 +264,57 @@ def test_an_integer_beyond_the_float_range_is_a_parse_error(kind, array):
         PARSERS[kind][1](obj)
 
 
+@pytest.mark.parametrize("entry", ["1.0", True, False, None], ids=repr)
+@pytest.mark.parametrize("kind, array", [("witness", "U_A"), ("dilation", "isometry")])
+def test_a_matrix_entry_that_is_not_a_number_is_a_parse_error(kind, array, entry):
+    # numpy reads each of these as a float; a JSON integer is a number and parses
+    build, parse = PARSERS[kind]
+    obj = build()
+    assert obj[array][0][0][0] == 1.0
+    obj[array][0][0][0] = 1
+    parse(obj)
+    obj[array][0][0][0] = entry
+    with pytest.raises(serialize.ParseError) as info:
+        parse(obj)
+    assert str(info.value) == f"malformed {kind} object: matrix entries must be numbers, not {entry!r}"
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [("witness", lambda obj: obj.update(U_A=1)), ("witness", lambda obj: obj.update(aux=[1.0])),
+     ("dilation", lambda obj: obj["pvms"][0].__setitem__(0, 5)),
+     ("dilation", lambda obj: obj.update(isometry=[[[1.0, 0.0]], [[0.0]]]))],
+    ids=["witness-scalar", "witness-flat", "dilation-scalar", "dilation-ragged"],
+)
+def test_a_malformed_matrix_is_a_parse_error(kind, edit):
+    obj = PARSERS[kind][0]()
+    edit(obj)
+    with pytest.raises(serialize.ParseError, match=f"^malformed {kind} object: "):
+        PARSERS[kind][1](obj)
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [("weird", [[1.0, 0.0]] * 4, "unknown state kind 'weird'"),
+     ("pure", [[[1.0, 0.0]] * 4] * 4, "pure state data must be a vector"),
+     ("mixed", [[1.0, 0.0]] * 4, "mixed state data must be a matrix")],
+    ids=["weird", "pure-matrix", "mixed-vector"],
+)
+def test_strategy_state_kind_must_fit_its_data(kind, data, message):
+    obj = serialize.strategy_to_jsonable(random_strategy(np.random.default_rng(5), 2, 2))
+    obj["state"] = {"kind": kind, "data": data}
+    with pytest.raises(serialize.ParseError) as info:
+        serialize.strategy_from_jsonable(obj)
+    assert str(info.value) == message
+
+
+def test_unknown_witness_form_is_a_parse_error():
+    obj = {**identity_witness_jsonable(), "form": "bogus"}
+    with pytest.raises(serialize.ParseError) as info:
+        serialize.witness_arrays_from_jsonable(obj)
+    assert str(info.value) == "unknown witness form 'bogus'"
+
+
 @pytest.mark.parametrize("kind, first", [("witness", "U_A"), ("dilation", "pvms")])
 def test_parse_error_on_a_non_object_names_the_first_field(kind, first):
     with pytest.raises(serialize.ParseError) as info:
