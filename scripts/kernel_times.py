@@ -25,9 +25,9 @@ families, so each carries its proof, but the copy holds no ``_valid_tol``) and
 reports its Cholesky factorizations per call (``cholesky/call``, the calls of
 ``linalg._shifted_cholesky_exists``): 0 when every family's proof answers it,
 one per projection when none does.  Before any timing, ``naimark pipeline``
-reports the arenas of Bob's side that one run of every timed call allocates
-(``arenas/call``, the ``games._sealed`` calls of shape ``(N, D, D)``), on a
-dilated strategy no call has read yet: 0 when none of them reads a ``D x D``
+reports the ``(m, D, D)`` blocks of Bob's dilated families that one run of every
+timed call builds (``arenas/call``, the ``games._sealed`` calls of that shape), on
+a dilated strategy no call has read yet: 0 when none of them reads a ``D x D``
 projection of Bob's.
 
 The residual rows time ``matrix_form_residual`` and ``dilation_residuals`` on

@@ -295,7 +295,3 @@ def main():
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
-
-
-if __name__ == "__main__":
-    main()

@@ -19,6 +19,7 @@ game operator.  Intermediates are at most the size of the state.
 from __future__ import annotations
 
 import math
+import threading
 import types
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,9 +56,8 @@ def _sealed(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """A new sealed array of complex128 zeros and a writable alias of its memory,
     to build it in place with no copy.  The ``bytes`` object is new, so nothing
     else sees the writes; drop the alias before the array is shared.  The alias
-    covers every view of the array, so a build that keeps several results in one
-    array (one family per row block) finishes all of them before it drops the
-    alias and hands any out."""
+    covers every row of the array, so a build that keeps several results in its
+    rows finishes all of them before it drops the alias and hands any out."""
     a = np.ndarray(shape, np.complex128, bytes(16 * math.prod(shape)))
     # not a.__array_interface__: each read interns and drops the key "typestr", and in
     # a long run those dead entries make Python's interned-string table resize mid-job
@@ -76,19 +76,21 @@ class _ProvenFamily(Sequence):
     - ``complete``, a bound on its completeness defect;
     - ``kappa`` and ``norm``, the bounds of its compressions.
 
-    ``_read()`` returns the projections as a tuple; the first read of any family of
-    a side builds the whole side.  ``len`` is ``m``; indexing and iteration read the
-    projections, and ``==`` and ``repr`` are those of their tuple, which no hash
-    takes.  A slice, a regrouping, a copy, a pickle, or ``dataclasses.asdict`` gives
-    a plain tuple: what it holds is measured, not proven.  Only this exact type is
-    trusted."""
+    ``_read()`` returns the projections as a tuple, the rows of one sealed
+    ``(m, dim, dim)`` block that the first read builds from ``w`` under the family's
+    own lock.  ``len`` is ``m``; indexing and iteration read the projections, and
+    ``==`` and ``repr`` are those of their tuple, which no hash takes.  A slice, a
+    regrouping, a copy, a pickle, or ``dataclasses.asdict`` gives a plain tuple:
+    what it holds is measured, not proven.  Only this exact type is trusted."""
 
-    _FIELDS = ("_read", "w", "m", "dim", "gate", "square", "complete", "kappa", "norm")
-    __slots__ = _FIELDS + ("__weakref__",)
+    _FIELDS = ("w", "m", "dim", "gate", "square", "complete", "kappa", "norm")
+    __slots__ = _FIELDS + ("_lock", "_block", "__weakref__")
 
     def __init__(self, *values):
         for name, value in zip(self._FIELDS, values, strict=True):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_block", None)
 
     def __setattr__(self, *_):
         raise AttributeError("a proven family is immutable")
@@ -114,6 +116,30 @@ class _ProvenFamily(Sequence):
 
     def __reduce__(self):
         return tuple, (self._read(),)
+
+    def _read(self) -> tuple[np.ndarray, ...]:
+        """The projections, built once: ``P_j = B_j B_j*`` with ``B_j = W_kj`` for
+        ``j >= 1``, the identity less each in turn at ``j = 0``, and the 0/1
+        diagonals ``j::m`` in the last family.  Each is a sealed C-contiguous row
+        of the block, built in place through its one writable alias, so none is
+        copied."""
+        w, m, dim = self.w, self.m, self.dim
+        with self._lock:
+            if self._block is None:
+                block, out = _sealed((m, dim, dim))
+                if w is None:
+                    for j in range(m):
+                        out[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
+                else:
+                    n = w.shape[1] // m
+                    out[0][np.diag_indices(dim)] = 1.0
+                    for j in range(1, m):
+                        b = w[:, j * n:(j + 1) * n]
+                        np.matmul(b, b.conj().T, out=out[j])
+                        np.subtract(out[0], out[j], out=out[0])
+                del out  # the writable alias dies before any projection leaves
+                object.__setattr__(self, "_block", tuple(block))
+        return self._block
 
     def times(self, j: int, x: np.ndarray) -> np.ndarray:
         """``P_kj x`` for a thin ``x``: ``B (B* x)`` with ``B = W_kj`` for ``j >= 1``,

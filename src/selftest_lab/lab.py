@@ -246,7 +246,10 @@ def rank_deficient_combination(phi, psi, d: int):
     roots of ``det(M_phi + x M_psi) = 0`` are ``x = -1/mu`` for the eigenvalues
     ``mu`` of ``M_phi^{-1} M_psi`` with ``|mu| > 1e-12``, and with no such ``mu``
     the returned combination is ``psi`` alone and ``x0`` is infinite.  Returns
-    ``(x0, normalized state, schmidt rank)``.
+    ``(x0, normalized state, schmidt rank)``.  A combination that vanishes, of norm
+    at most ``1e-12`` times the sum of its terms' norms, has no state: a zero
+    ``phi`` or ``psi``, or ``psi`` a multiple of ``phi``, raises
+    :class:`InvalidState`.
     """
     phi = linalg.as_complex(phi)
     psi = linalg.as_complex(psi)
@@ -254,24 +257,26 @@ def rank_deficient_combination(phi, psi, d: int):
         raise DimensionMismatch(f"vectors must live on C^{d} (x) C^{d}")
     m_phi = phi.reshape(d, d)
 
-    def finish(x0: complex, vec: np.ndarray):
-        vec = vec / np.linalg.norm(vec)
-        rank = _numerical_rank(vec.reshape(d, d))
-        return x0, vec, rank
+    def finish(x0: complex, vec: np.ndarray, scale: float):
+        norm = np.linalg.norm(vec)
+        if norm <= 1e-12 * scale:
+            raise InvalidState(f"phi + x0 psi vanishes at x0 = {x0}: no state to normalize")
+        vec = vec / norm
+        return x0, vec, _numerical_rank(vec.reshape(d, d))
 
     if _numerical_rank(m_phi) < d:
-        return finish(0.0 + 0.0j, phi)
+        return finish(0.0 + 0.0j, phi, np.linalg.norm(phi))
     mu = np.linalg.eigvals(np.linalg.solve(m_phi, psi.reshape(d, d)))
     roots = [-1.0 / z for z in mu if abs(z) > 1e-12]
     if not roots:
-        return finish(complex(np.inf), psi)
+        return finish(complex(np.inf), psi, np.linalg.norm(psi))
 
     def ratio(x0) -> float:
         sing = np.linalg.svd((phi + x0 * psi).reshape(d, d), compute_uv=False)
         return sing[-1] / sing[0] if sing[0] > 0 else 0.0
 
     x0 = min(sorted(roots, key=lambda z: (abs(z), z.real, z.imag)), key=ratio)
-    return finish(complex(x0), phi + x0 * psi)
+    return finish(complex(x0), phi + x0 * psi, np.linalg.norm(phi) + abs(x0) * np.linalg.norm(psi))
 
 
 def effective_measurement(elements, u, dims: tuple[int, int], sigma) -> list[np.ndarray]:

@@ -39,19 +39,15 @@ projector defect, the completeness defect and the compressions.  ``games._times`
 takes ``P x`` for a thin ``x`` through ``W_k``, at ``D D_k`` per column in place of
 ``D^2``, so the pure-state kernels read no projection; :func:`verify_dilation`
 reads a bound where it is at most ``tol`` and measures densely otherwise, so its
-verdict is the dense one.  The projections of one side are the rows of one sealed
-``N x D x D`` arena, ``N`` the side's element count, built once, under the side's
-lock, when any of its families is first read, so a side no caller reads allocates
-none, and a kept projection keeps its whole side alive.  Only that exact type is
-trusted: a family read from a file, copied, regrouped or truncated is a plain
-tuple and is measured as matrices.
+verdict is the dense one.  A family's projections are the rows of its own sealed
+``m x D x D`` block, built from ``W_k`` when one is first read, so a family no
+caller reads allocates none.  Only that exact type is trusted: a family read from
+a file, copied, regrouped or truncated is a plain tuple and is measured as matrices.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,35 +111,6 @@ def _step_isometries(
         v_total = steps[-1] @ v_total
         dim_now *= m
     return steps, v_total
-
-
-def _side(dim: int, factors: list[tuple[np.ndarray | None, int]]) -> list[tuple]:
-    """The projections of one dilated side from its families' ``(W_k, m_k)``, as the
-    rows of one sealed arena, ``games._sealed((N, D, D))`` with ``N = sum_k m_k``:
-    ``P_kj = W_kj W_kj*`` for ``j >= 1``, the identity less each in turn at ``j = 0``,
-    and the 0/1 diagonals of the last family.  Each is a sealed C-contiguous view,
-    built in place through the arena's one writable alias, so none is copied.  The
-    alias covers every family, so all are built before it is dropped and any is
-    handed out."""
-    arena, block = games._sealed((sum(m for _, m in factors), dim, dim))
-    families, start = [], 0
-    for w_k, m in factors:
-        outs = block[start:start + m]
-        if w_k is None:
-            for j in range(m):
-                outs[j][np.arange(j, dim, m), np.arange(j, dim, m)] = 1.0
-        else:
-            dim_prev = w_k.shape[1] // m
-            outs[0][np.diag_indices(dim)] = 1.0
-            for j in range(1, m):
-                b = w_k[:, j * dim_prev:(j + 1) * dim_prev]
-                np.matmul(b, b.conj().T, out=outs[j])
-                np.subtract(outs[0], outs[j], out=outs[0])
-        del outs  # the writable alias lives on in block alone
-        families.append(tuple(arena[start:start + m]))
-        start += m
-    del block  # the writable alias dies before any family leaves
-    return families
 
 
 def naimark_family(povms) -> NaimarkDilation:
@@ -265,20 +232,7 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
     c = 2 * dim * linalg._U
     g = linalg._gamma(dim + 2)
     r = 1 + linalg._gamma(2 * dim * dim + 16)
-    # the side is built from its own list of (W_k, m_k), not from the families, so
-    # no family refers to itself and each is freed by reference counting alone
-    factors, pvms = [None] * len(steps), [None] * len(steps)
-    lock, built = threading.Lock(), []
-
-    def read(k: int) -> tuple[np.ndarray, ...]:
-        """Family ``k``'s projections; the first read builds the whole side, once, also
-        when threads make it at the same time."""
-        if not built:
-            with lock:
-                if not built:
-                    built.append(_side(dim, factors))
-        return built[0][k]
-
+    pvms = [None] * len(steps)
     w = None  # W_k, columns grouped (D_{k-1}, m); the identity for the last family
     for k in reversed(range(len(steps))):
         dim_prev = steps[k].shape[1]
@@ -297,12 +251,11 @@ def _proven_dilation(povms, gate: bool, d: int | None = None):
             kappa = (e + linalg._gamma(dim + w_k.shape[1] + 5) * (f + 1 + delta)) * r
         gate = max((beta + c * (1 + beta)) / (1 - c), 2 * e * r, complete)
         norm = (dim**0.5 * (1 + delta) + e) * r
-        factors[k] = w_k, m
         bounds = gate, square, complete, kappa, norm
-        if all(map(math.isfinite, bounds)):
-            pvms[k] = games._ProvenFamily(functools.partial(read, k), w_k, m, dim, *bounds)
+        fam = games._ProvenFamily(w_k, m, dim, *bounds)
+        pvms[k] = fam if all(map(math.isfinite, bounds)) else tuple(fam)
         w = steps[k] if w is None else w @ steps[k]
-    return tuple(read(k) if fam is None else fam for k, fam in enumerate(pvms)), v
+    return tuple(pvms), v
 
 
 def _factor_errors(w: np.ndarray, m: int) -> tuple[float, float, float]:
@@ -383,8 +336,8 @@ def verify_dilation(povms, d: NaimarkDilation, tol: float = 1e-10) -> DilationCh
     and a bound on ``||R - V* P V||_F`` through the factor, at ``D d n`` in place
     of ``D^2 d`` (:func:`_proven_dilation`, *Compressions*).  Any other family
     (copied, regrouped, truncated, or read from a file) is measured densely.  A
-    proven family's shape is its ``dim``, so a projection is read, and its side
-    built, only where an entry is measured.
+    proven family's shape is its ``dim``, so a projection is read, and its family's
+    block built, only where an entry is measured.
     """
     v = d.isometry
     povms = [[linalg.as_complex(r) for r in fam] for fam in povms]

@@ -607,4 +607,26 @@ def test_proven_family_equals_one_rebuilt_from_its_fields():
     fam = naimark_strategy(trine_strategy())[0].bob[0]
     rebuilt = games._ProvenFamily(*(getattr(fam, name) for name in fam._FIELDS))
     assert type(rebuilt) is games._ProvenFamily
-    assert fam == rebuilt and rebuilt == fam
+    # the rebuilt family builds its own arrays, with the same bits
+    assert all(np.array_equal(x, y) for x, y in zip(fam, rebuilt, strict=True))
+    assert fam == fam and fam == tuple(fam) and tuple(fam) == fam
+
+
+def test_a_game_refuses_a_predicate_of_another_question_shape():
+    with pytest.raises(DimensionMismatch, match=r"pi \(2, 2\) and predicate \(2, 3, 2, 2\)"):
+        NonlocalGame(np.full((2, 2), 0.25), np.zeros((2, 3, 2, 2)))
+
+
+def test_a_game_refuses_a_negative_question_probability():
+    with pytest.raises(InvalidState, match="nonnegative and sum to 1"):
+        NonlocalGame(np.array([[0.5, 0.5], [0.5, -0.5]]), np.zeros((2, 2, 2, 2)))
+
+
+def test_an_ancilla_must_be_a_normalized_vector():
+    with pytest.raises(InvalidState, match="aux_a must be a normalized vector"):
+        attach_product_ancilla(canonical_chsh(), [1, 1], [1])
+
+
+def test_conjugation_refuses_a_unitary_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="conjugation expects square local unitaries"):
+        conjugate_strategy(canonical_chsh(), np.eye(3), np.eye(2))

@@ -9,6 +9,7 @@ from selftest_lab.errors import (
     DegenerateTopEigenvalue,
     DimensionMismatch,
     FullRankRequired,
+    InvalidState,
     LabError,
 )
 from selftest_lab.games import (
@@ -532,3 +533,49 @@ def test_residual_identity_minimal_trine():
             lhs = float(np.linalg.norm(lhs_vec)) ** 2
             rhs = float(np.real(np.trace((np.eye(2) - r) @ r @ sigma_b)))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _full_rank_phi():
+    return np.array([1.0, 0.5j, -0.25, 2.0])
+
+
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        (np.zeros(4), _full_rank_phi()),
+        (_full_rank_phi(), np.zeros(4)),
+        (_full_rank_phi(), 2 * _full_rank_phi()),  # the root gives phi + x0 psi = 0
+    ],
+    ids=["zero phi", "zero psi", "psi a multiple of phi"],
+)
+def test_rank_deficient_combination_refuses_a_vanishing_combination(phi, psi):
+    with pytest.raises(InvalidState, match="vanishes"):
+        rank_deficient_combination(phi, psi, 2)
+
+
+def test_rank_deficient_combination_refuses_vectors_off_the_square():
+    with pytest.raises(DimensionMismatch, match=r"vectors must live on C\^2 \(x\) C\^2"):
+        rank_deficient_combination(np.ones(3), np.ones(4), 2)
+
+
+def test_eigengap_analysis_refuses_a_canonical_state_off_the_top_eigenspace():
+    w = game_operator(chsh_game(), canonical_chsh())
+    with pytest.raises(InvalidState, match="does not span the top eigenspace"):
+        eigengap_analysis(w, np.eye(4)[0], bell_state(), delta_eff=0.0)
+
+
+def test_eigengap_analysis_refuses_a_candidate_that_does_not_factor():
+    s = canonical_chsh()
+    w = game_operator(chsh_game(), s)
+    with pytest.raises(DimensionMismatch, match="candidate does not factor"):
+        eigengap_analysis(w, s.state, np.ones(5), delta_eff=0.0)
+
+
+def test_effective_measurement_refuses_a_codomain_off_the_dims():
+    with pytest.raises(DimensionMismatch, match="isometry codomain does not match dims"):
+        effective_measurement([np.eye(2)], np.ones((4, 2)), (3, 2), np.eye(2) / 2)
+
+
+def test_effective_measurement_refuses_sigma_off_the_ancilla():
+    with pytest.raises(DimensionMismatch, match="sigma must act on the ancilla factor"):
+        effective_measurement([np.eye(2)], np.ones((6, 2)), (3, 2), np.eye(3) / 3)

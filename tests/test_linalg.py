@@ -224,3 +224,27 @@ def test_complex_array_roundtrip():
     assert np.array_equal(linalg.decode_complex_array(linalg.encode_complex_array(m)), m)
     v = random_pure_state(RNG, 5)
     assert np.array_equal(linalg.decode_complex_array(linalg.encode_complex_array(v)), v)
+
+
+def test_require_square_refuses_a_rectangle():
+    with pytest.raises(DimensionMismatch, match=r"square matrix, got shape \(2, 3\)"):
+        linalg.require_square(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "a, perm, message",
+    [
+        (np.ones(4), (0, 0), r"perm \(0, 0\) is not a permutation of 0..1"),
+        (np.ones(5), (1, 0), "vector size does not match dims"),
+        (np.ones((4, 5)), (1, 0), "operator shape does not match dims"),
+        (np.ones((4, 4, 4)), (1, 0), "expected a vector or a square operator"),
+    ],
+)
+def test_permute_systems_refuses_a_bad_perm_or_shape(a, perm, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        linalg.permute_systems(a, (2, 2), perm)
+
+
+def test_encode_complex_array_refuses_three_axes():
+    with pytest.raises(DimensionMismatch, match="only vectors and matrices serialize"):
+        linalg.encode_complex_array(np.ones((2, 2, 2)))

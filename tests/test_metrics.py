@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selftest_lab import games, linalg
-from selftest_lab.errors import InvalidPovm, PureStateRequired
+from selftest_lab.errors import DimensionMismatch, InvalidPovm, PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, conjugate_strategy
 from selftest_lab.lab import PAULI_X, PAULI_Z, canonical_chsh, trine_strategy
 from selftest_lab.metrics import (
@@ -524,3 +524,8 @@ def test_metrics_on_d324_dilation_build_no_dilated_operator():
         tracemalloc.stop()
     assert peak - start < 2**20
     assert m.projective_eps == 0.0
+
+
+def test_state_dependent_norm_refuses_a_state_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="operator and state dimensions differ"):
+        state_dependent_norm(np.eye(2), np.eye(3) / 3)

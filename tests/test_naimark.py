@@ -417,21 +417,25 @@ def _rebuilt_from_factor(fam, j):
     return want
 
 
-def _assert_one_arena(families):
-    """Every projection of one dilated side is a sealed view of one array over
-    ``bytes``, equal bit for bit to its rebuilt factor."""
-    views = [p for fam in families for p in fam]
-    arena = views[0].base
-    assert isinstance(arena.base, bytes)
-    assert arena.shape == (len(views),) + views[0].shape
-    assert all(p.base is arena and p.flags.c_contiguous for p in views)
-    for x in views + [arena]:
-        assert games._is_sealed(x)
-        with pytest.raises(ValueError):
-            x.setflags(write=True)
+def _assert_one_block_per_family(families):
+    """Every projection of a dilated family is a sealed view of the family's one
+    ``(m, D, D)`` array over ``bytes``, equal bit for bit to its rebuilt factor, and
+    distinct families have distinct blocks."""
+    blocks = []
     for fam in families:
+        views = list(fam)
+        block = views[0].base
+        assert isinstance(block.base, bytes)
+        assert block.shape == (len(views),) + views[0].shape
+        assert all(p.base is block and p.flags.c_contiguous for p in views)
+        for x in views + [block]:
+            assert games._is_sealed(x)
+            with pytest.raises(ValueError):
+                x.setflags(write=True)
         for j, p in enumerate(fam):
             assert np.array_equal(p, _rebuilt_from_factor(fam, j))
+        blocks.append(block)
+    assert len({id(b) for b in blocks}) == len(blocks)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -442,7 +446,7 @@ def test_each_dilated_side_is_one_sealed_arena(fams_a, fams_b, seed):
     s = Strategy(state=state, dims=(d_a, d_b), alice=fams_a, bob=fams_b)
     dilated, _, _ = naimark_strategy(s)
     for side in (dilated.alice, dilated.bob, naimark_family(fams_a).pvms):
-        _assert_one_arena(side)
+        _assert_one_block_per_family(side)
     assert dilated.alice[0][0].base is not dilated.bob[0][0].base
     # a Strategy rebuilt from the dilated families adopts the very views
     again = Strategy(state=dilated.state, dims=dilated.dims, alice=dilated.alice, bob=dilated.bob)
@@ -452,7 +456,7 @@ def test_each_dilated_side_is_one_sealed_arena(fams_a, fams_b, seed):
 
 def _counting_arenas(monkeypatch):
     """The shapes of the 3-d arrays ``games._sealed`` allocates from now on: the
-    arenas of dilated sides."""
+    ``(m, D, D)`` blocks of dilated families."""
     arenas = []
     real = games._sealed
 
@@ -472,12 +476,14 @@ def test_every_side_allocates_one_arena(monkeypatch):
     dilated, _, v_b = naimark_strategy(src)
     dil = naimark_family(s.bob)
     dim = v_b.shape[0]
-    assert arenas == []  # no projection read yet, so no arena
+    assert arenas == []  # no projection read yet, so no block
     for side in (dilated.bob, dil.pvms):
-        side[1][0]  # one Bob element read builds the whole side
-        assert arenas == [(4, dim, dim)]
-        _assert_one_arena(side)  # every projection read again: no second arena
-        assert arenas == [(4, dim, dim)]
+        side[1][0]  # one Bob element read builds its own family alone
+        assert arenas == [(2, dim, dim)]
+        _assert_one_block_per_family(side)  # one block per family, none built twice
+        assert arenas == [(2, dim, dim)] * 2
+        _assert_one_block_per_family(side)
+        assert arenas == [(2, dim, dim)] * 2
         arenas.clear()
 
 
@@ -502,7 +508,7 @@ def test_threads_reading_a_fresh_side_share_one_arena(monkeypatch):
     finally:
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads) and len(seen) == n
-    assert len(arenas) == 1  # one build, however the first reads interleave
+    assert len(arenas) == 3  # one build per family, however the first reads interleave
     assert all(x is y for views in seen for x, y in zip(views, seen[0], strict=True))
 
 
@@ -554,7 +560,10 @@ def test_a_dense_fallback_builds_its_side_once(monkeypatch):
     real = linalg.projector_defect
     monkeypatch.setattr(linalg, "projector_defect", lambda p: squares.append(1) or real(p))
     check = verify_dilation(fams, dil)
-    assert check.passed and len(squares) == 15 and arenas == [(18, 1458, 1458)]
+    assert check.passed and len(squares) == 15 and arenas == [(3, 1458, 1458)] * 5
+    # the five blocks are five families, each built once; the last family's
+    # bounds are 0, so it is never read
+    assert [fam._block is not None for fam in dil.pvms] == [True] * 5 + [False]
     proven = [x for fam, row in zip(dil.pvms, check.projection_defects) for x in row
               if x == fam.square]
     assert len(proven) == 18 - 15
@@ -563,7 +572,7 @@ def test_a_dense_fallback_builds_its_side_once(monkeypatch):
 def test_a_pickled_projection_holds_its_own_bytes_not_the_arena():
     dilated, _, _ = naimark_strategy(trine_strategy())
     p = dilated.bob[1][0]
-    assert p.base.nbytes == 7 * p.nbytes
+    assert p.base.nbytes == 2 * p.nbytes  # its own family's block
     assert len(pickle.dumps(p)) < p.nbytes + 1024
     back = pickle.loads(pickle.dumps(dilated))
     assert np.array_equal(back.state, dilated.state)

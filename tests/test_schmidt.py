@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selftest_lab import linalg, schmidt
-from selftest_lab.errors import InvalidState, PureStateRequired
+from selftest_lab.errors import DimensionMismatch, InvalidState, PureStateRequired
 from selftest_lab.games import Strategy, attach_product_ancilla, correlation_of, validate_strategy
 from selftest_lab.lab import canonical_chsh
 from selftest_lab.schmidt import (
@@ -274,3 +274,13 @@ def test_purify_rejects_non_state():
         purify(np.eye(3, dtype=complex))  # trace 3
     with pytest.raises(InvalidState):
         purify(np.diag([1.5, -0.5]).astype(complex))  # trace 1 but not PSD
+
+
+def test_schmidt_decompose_refuses_a_state_off_the_dims():
+    with pytest.raises(DimensionMismatch, match="state of size 5 does not factor as 2x2"):
+        schmidt_decompose(np.ones(5), (2, 2))
+
+
+def test_purify_refuses_a_unit_trace_matrix_that_is_not_hermitian():
+    with pytest.raises(InvalidState, match="density operator must be Hermitian"):
+        purify(np.array([[0.5, 1.0], [0.0, 0.5]]))

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from selftest_lab import linalg, serialize
 from selftest_lab.cli import run
 from selftest_lab.dilation import ResidualReport
+from selftest_lab.errors import LabError
 from selftest_lab.games import ValidationReport
 from selftest_lab.lab import minimal_trine_dilation
 from selftest_lab.metrics import StrategyMetrics
@@ -320,3 +321,30 @@ def test_parse_error_on_a_non_object_names_the_first_field(kind, first):
     with pytest.raises(serialize.ParseError) as info:
         PARSERS[kind][1]([1, 2])
     assert str(info.value) == f"malformed {kind} object: missing field {first}"
+
+
+def test_csv_reports_write_numpy_values_as_python_ones():
+    mixed = serialize.emit_report({"a": np.array([1.0, 2.0]), "b": np.float64(0.5)}, "csv")
+    assert mixed == serialize.emit_report({"a": [1.0, 2.0], "b": 0.5}, "csv")
+    assert mixed == b'key,value\na,"[1.0, 2.0]"\nb,0.5\n'
+
+
+def test_dumps_json_refuses_an_object_it_cannot_write():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        serialize.dumps_json(object())
+
+
+def test_dumps_csv_of_no_rows_is_one_newline():
+    assert serialize.dumps_csv([]) == "\n"
+
+
+@pytest.mark.parametrize(
+    "obj, fmt, message",
+    [
+        (1.5, "csv", "csv emission needs a mapping or a list of rows"),
+        ({}, "xml", "unknown format 'xml'"),
+    ],
+)
+def test_emit_report_refuses_an_unwritable_report(obj, fmt, message):
+    with pytest.raises(LabError, match=message):
+        serialize.emit_report(obj, fmt)
